@@ -1,9 +1,10 @@
 """Deterministic approximation orders of the FEM operators.
 
-No sampling here: the error norms are computed by quadrature over the
-spectral representation, and the measured slopes land on r - s to three
-decimal places.  The semigroup variant shows the same order once the
-smoothing of e^{-tA} kicks in.
+No sampling here: each error norm is the exact operator norm on the
+span of the first k_max sine modes, taken block by block over the alias
+classes of the sine modes on the uniform mesh (exact to roundoff), and the
+measured slopes land on r - s to three decimal places.  The semigroup
+variant shows the same order once the smoothing of e^{-tA} kicks in.
 """
 
 from spdefem import (CovarianceSpec, PolynomialDrift, StudyConfig,

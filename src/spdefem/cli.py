@@ -142,6 +142,7 @@ def _moment_csv(cfg, report: MomentReport) -> str:
 def _run_study(args) -> int:
     cfg = _load(args)
     directory = _out_dir(args)
+    start = time.perf_counter()
     report = run_study(cfg, workers=args.workers)
     stem = os.path.join(directory, _stem(cfg))
     if isinstance(report, RateReport):
@@ -167,11 +168,9 @@ def _run_study(args) -> int:
         print(f"wrote {stem}.csv and {stem}.json")
         return 0
     # operator study: a mapping of (s, r, which) -> fit
-    start = time.perf_counter()
+    runtime = time.perf_counter() - start
     _write(stem + ".csv", _operator_csv(cfg, report))
-    _write(stem + ".json", _operator_json(cfg, report,
-                                          time.perf_counter() - start,
-                                          args.workers))
+    _write(stem + ".json", _operator_json(cfg, report, runtime, args.workers))
     for (s, r, which), fit in report.items():
         print(f"operator ({s:g}, {r:g}, {which}): slope={fit.slope:.4f}")
     print(f"wrote {stem}.csv and {stem}.json")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -126,6 +127,22 @@ class TestStudyCommand:
         slopes = {(f["s"], f["r"], f["which"]): f["slope"]
                   for f in payload["fits"]}
         assert slopes[(0.0, 2.0, "l2")] == pytest.approx(2.0, abs=0.1)
+
+    def test_operators_runtime_covers_the_study(self, tmp_path,
+                                                monkeypatch):
+        doc = tmp_path / "operators.yaml"
+        doc.write_text(OPERATORS_DOC)
+        real_run_study = cli.run_study
+
+        def slow_run_study(cfg, workers):
+            time.sleep(0.2)
+            return real_run_study(cfg, workers=workers)
+
+        monkeypatch.setattr(cli, "run_study", slow_run_study)
+        assert cli.main(["study", str(doc), "--out", str(tmp_path)]) == 0
+        payload = json.loads(next(tmp_path.glob("operators_*.json"))
+                             .read_text())
+        assert payload["runtime_seconds"] >= 0.2
 
     def test_noise_floor_only_fit_exits_nonzero(self, strong_doc,
                                                 tmp_path, monkeypatch):

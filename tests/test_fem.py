@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 
 from spdefem import (FemSpace, L2Comparer, SpectralBasis, field_values,
@@ -216,10 +217,46 @@ class TestNormEquivalence:
 
 class TestOperatorErrorNorms:
     def test_projection_error_operator_is_contraction(self):
+        # The modes that vanish at every node pass through I - P_h
+        # untouched, so the norm is exactly 1.
         basis = SpectralBasis(k_max=128)
-        for mesh in [uniform_mesh(8), jittered_mesh(8, jitter=0.2, seed=1)]:
-            nrm = operator_error_norm(FemSpace(mesh), basis, s=0, r=0, which="l2")
-            assert nrm <= 1.0 + 1e-10
+        nrm = operator_error_norm(FemSpace(uniform_mesh(8)), basis,
+                                  s=0, r=0, which="l2")
+        assert abs(nrm - 1.0) <= 1e-12
+        with pytest.raises(ValueError, match="uniform mesh"):
+            operator_error_norm(FemSpace(jittered_mesh(8, jitter=0.2, seed=1)),
+                                basis, s=0, r=0, which="l2")
+
+    @pytest.mark.parametrize("n_el,k_max", [
+        (n_el, k_max) for n_el in (4, 8, 16)
+        for k_max in (4 * (n_el - 1), 16 * n_el, 100)])
+    def test_matches_dense_operator_svd(self, n_el, k_max):
+        # Assemble the whole k_max x k_max weighted operator densely and
+        # take its largest singular value.
+        space = FemSpace(uniform_mesh(n_el))
+        basis = SpectralBasis(k_max=k_max)
+        lam = basis.eigenvalues
+        coup = space.coupling(basis)
+        t = 0.01
+        flow = sla.expm(-t * np.linalg.solve(space.mass, space.stiffness))
+        kernels = {
+            "l2": np.eye(k_max) - coup.T @ np.linalg.solve(space.mass, coup),
+            "ritz": np.eye(k_max) - coup.T @ np.linalg.solve(
+                space.stiffness, coup * lam),
+            "semigroup": (coup.T @ flow @ np.linalg.solve(space.mass, coup)
+                          - np.diag(np.exp(-lam * t))),
+        }
+        cases = [("l2", 0.0, 0.0), ("l2", 0.0, 2.0), ("l2", 0.5, 1.5),
+                 ("l2", 1.0, 2.0), ("ritz", 1.0, 2.0), ("ritz", 0.5, 1.5),
+                 ("ritz", 0.0, 1.0), ("semigroup", 0.0, 0.0),
+                 ("semigroup", 0.0, 1.0), ("semigroup", 0.0, 2.0)]
+        for which, s, r in cases:
+            dense = (lam[:, None] ** (s / 2.0) * kernels[which]
+                     * lam[None, :] ** (-r / 2.0))
+            expected = np.linalg.norm(dense, 2)
+            got = operator_error_norm(space, basis, s=s, r=r, which=which,
+                                      t=t if which == "semigroup" else None)
+            assert got == pytest.approx(expected, rel=1e-10), (which, s, r)
 
     @pytest.mark.parametrize("which,s,r", [("l2", 0.0, 2.0), ("l2", 0.0, 1.0),
                                            ("ritz", 1.0, 2.0)])
