@@ -1,8 +1,8 @@
 """Finite element rate studies for semilinear stochastic heat equations."""
 
 from .spectral import SpectralBasis
-from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh, jittered_mesh,
-                  field_values, operator_error_norm)
+from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh, field_values,
+                  operator_error_norm)
 from .rng import substream, substream_key
 from .noise import (CovarianceSpec, DiscreteNoiseModel, NoiseIncrementBatch,
                     convolution_step, implied_beta, project_increment,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpectralBasis", "Mesh1D", "FemSpace", "L2Comparer", "uniform_mesh",
-    "jittered_mesh", "field_values", "operator_error_norm", "substream",
+    "field_values", "operator_error_norm", "substream",
     "substream_key", "CovarianceSpec", "DiscreteNoiseModel",
     "NoiseIncrementBatch", "convolution_step", "implied_beta",
     "project_increment", "sample_increments", "PolynomialDrift",

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import _scale_columns
 from .noise import CovarianceSpec, DiscreteNoiseModel
 
 __all__ = [
@@ -132,29 +133,35 @@ class PolynomialDrift:
 
     def flow(self, t: float, x):
         """Value of the ODE flow Phi_t(x), elementwise in x."""
-        return self.flow_with_derivative(t, x)[0]
+        return self._flow(t, x, derivative=False)[0]
 
     def flow_with_derivative(self, t: float, x):
         """(Phi_t(x), d/dx Phi_t(x)) as arrays shaped like x."""
+        return self._flow(t, x, derivative=True)
+
+    def _flow(self, t: float, x, derivative: bool):
+        """(Phi_t(x), its x-derivative or None when not asked for)."""
         if t < 0.0:
             raise ValueError("flow time must be nonnegative")
         x = np.asarray(x, dtype=float)
         if t == 0.0:
-            return x.copy(), np.ones_like(x)
+            return x.copy(), np.ones_like(x) if derivative else None
         if not self._has_closed_flow:
-            return self._rk4_flow(t, x)
+            return self._rk4_flow(t, x, derivative)
         if self.degree <= 1:
             a0 = self.coeffs[0]
             a1 = self.coeffs[1] if self.degree == 1 else 0.0
             growth = math.exp(a1 * t)
             shift = a0 * (math.expm1(a1 * t) / a1 if a1 != 0.0 else t)
-            return x * growth + shift, np.full_like(x, growth)
+            return (x * growth + shift,
+                    np.full_like(x, growth) if derivative else None)
         a1, a3 = self.coeffs[1], self.coeffs[3]
         g = math.expm1(2.0 * a1 * t) / a1 if a1 != 0.0 else 2.0 * t
         growth = math.exp(a1 * t)
         radicand = 1.0 - a3 * g * x * x
         inv_root = 1.0 / np.sqrt(radicand)
-        return x * growth * inv_root, growth * inv_root / radicand
+        return (x * growth * inv_root,
+                growth * inv_root / radicand if derivative else None)
 
     def psi(self, dt: float, x):
         """Regularized drift (Phi_dt(x) - x)/dt, equal to f at dt = 0."""
@@ -165,15 +172,17 @@ class PolynomialDrift:
             return self(x)
         return (self.flow(dt, x) - x) / dt
 
-    def _rk4_flow(self, t: float, x: np.ndarray):
-        """Step-doubling RK4 for the flow and its x-derivative.
+    def _rk4_flow(self, t: float, x: np.ndarray, derivative: bool):
+        """Step-doubling RK4 for the flow and, if asked, its x-derivative.
 
-        Integrates the augmented system y' = f(y), d' = f'(y) d with a
-        shared adaptive step across all entries; the one-sided bound
-        keeps trajectories from escaping, so the stepper always lands.
+        Integrates y' = f(y), augmented with d' = f'(y) d when the
+        derivative is wanted, with a shared adaptive step across all
+        entries; the step control reads y alone, so y is the same either
+        way.  The one-sided bound keeps trajectories from escaping, so the
+        stepper always lands.
         """
         y = x.astype(float).copy()
-        d = np.ones_like(y)
+        d = np.ones_like(y) if derivative else None
         remaining = float(t)
         scale = 1.0 + abs(self.one_sided_constant) \
             + float(np.abs(self.derivative(y)).max(initial=0.0))
@@ -189,24 +198,29 @@ class PolynomialDrift:
             err = float(np.max(np.abs(y_two - y_full) / err_scale))
             if err < _RK4_LOCAL_TOL:
                 y = y_two + (y_two - y_full) / 15.0
-                d = d_two + (d_two - d_full) / 15.0
+                if derivative:
+                    d = d_two + (d_two - d_full) / 15.0
                 remaining -= dt
             factor = 0.9 * (_RK4_LOCAL_TOL / max(err, 1e-300)) ** 0.2
             dt *= min(4.0, max(0.2, factor))
         raise RuntimeError("flow integration failed to converge")
 
     def _rk4_step(self, y, d, dt):
-        k1, l1 = self(y), self.derivative(y) * d
+        """One RK4 step of y' = f(y) and, unless d is None, d' = f'(y) d."""
+        k1 = self(y)
         y2 = y + 0.5 * dt * k1
         k2 = self(y2)
-        l2 = self.derivative(y2) * (d + 0.5 * dt * l1)
         y3 = y + 0.5 * dt * k2
         k3 = self(y3)
-        l3 = self.derivative(y3) * (d + 0.5 * dt * l2)
         y4 = y + dt * k3
         k4 = self(y4)
-        l4 = self.derivative(y4) * (d + dt * l3)
         y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if d is None:
+            return y_new, None
+        l1 = self.derivative(y) * d
+        l2 = self.derivative(y2) * (d + 0.5 * dt * l1)
+        l3 = self.derivative(y3) * (d + 0.5 * dt * l2)
+        l4 = self.derivative(y4) * (d + dt * l3)
         d_new = d + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         return y_new, d_new
 
@@ -231,12 +245,6 @@ class SchemeConfig:
     @property
     def horizon(self) -> float:
         return self.dt * self.n_steps
-
-
-def _scale_columns(factors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.ndim == 1:
-        return factors * coeffs
-    return factors[:, None] * coeffs
 
 
 class Integrator:

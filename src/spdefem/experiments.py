@@ -12,11 +12,14 @@ closed-form,
           * (1 - e^{-(lam^l_i + lam^m_j) d}) / (lam^l_i + lam^m_j),
 
 where b^l_ik is the overlap of noise mode k with eigenvector i of mesh l.
-One Cholesky factor of that matrix yields every mesh's exact increment
-per substep, and the identity G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d]
-aggregates substeps without error, so coarse step sizes see exactly the
-noise the fine grid saw.  A dt-halving probe rides on the same
-randomness to bound the drift-splitting time error.
+Each noise mode overlaps one eigenvector per mesh (its nodal alias), so
+the matrix is sparse, and eliminated finest mesh first its Cholesky
+factor has no fill.  One sparse factor yields every mesh's exact
+increment per substep, and the identity
+G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates substeps without
+error, so coarse step sizes see exactly the noise the fine grid saw.  A
+dt-halving probe rides on the same randomness to bound the
+drift-splitting time error.
 
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
@@ -35,7 +38,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+import scipy.sparse as sp
+from scipy.special import stdtrit
 
 from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
@@ -320,7 +324,7 @@ def fit_rate(levels) -> FitResult:
     dof = x.size - 2
     scale = float(weights @ resid ** 2) / dof if dof > 0 else 0.0
     cov = scale * np.linalg.inv(normal)
-    half = float(_student_t.ppf(0.975, max(dof, 1))) \
+    half = float(stdtrit(max(dof, 1), 0.975)) \
         * math.sqrt(max(cov[0, 0], 0.0))
     slope = float(coef[0])
     return FitResult(slope=slope, ci_lo=slope - half, ci_hi=slope + half,
@@ -374,6 +378,7 @@ class RateReport:
     runtime_seconds: float = 0.0
     workers: int = 1
     functional_means: list | None = None
+    noise: dict | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -422,6 +427,7 @@ class RateReport:
             "runtime_seconds": self.runtime_seconds,
             "workers": self.workers,
             "functional_means": self.functional_means,
+            "noise": self.noise,
             "version": __version__,
             "notes": list(self.notes),
         }
@@ -489,7 +495,19 @@ def _initial_states(cfg, spaces, basis):
 
 
 class _JointNoise:
-    """Exact sampler of every mesh's convolution increment per substep."""
+    """Exact sampler of every mesh's convolution increment per substep.
+
+    Each sine mode overlaps at most one eigenvector per mesh (its nodal
+    alias, `FemSpace.alias_overlaps`), so the joint covariance is a
+    scatter of q_k b^a_k b^b_k at the alias positions of every mesh pair,
+    times the kernel (1 - e^{-(lam_i + lam_j) d}) / (lam_i + lam_j); no
+    entry off those positions is touched, so its zeros are exact.  On
+    nested uniform meshes each mode's aliases form a clique and the alias
+    of a coarser mesh is a function of the finer one, so eliminating the
+    finest mesh first creates no fill (Rose, Tarjan & Lueker 1976): the
+    factor, stored sparse with its rows back in mesh order, has exactly
+    the nonzeros of the permuted lower triangle.
+    """
 
     def __init__(self, spaces, basis, covariance, dt_sub):
         self.dt_sub = dt_sub
@@ -499,27 +517,46 @@ class _JointNoise:
             self.slices.append(slice(offset, offset + space.n))
             offset += space.n
         self.dim = offset
-        weights = covariance.weights
-        overlaps = [s.mode_overlap(basis)[:, :covariance.k_trunc]
-                    for s in spaces]
-        joint = np.empty((offset, offset))
-        for a, space_a in enumerate(spaces):
-            lam_a = space_a.eigenvalues
-            for b in range(a, len(spaces)):
-                lam_b = spaces[b].eigenvalues
-                mode_cov = (overlaps[a] * weights) @ overlaps[b].T
-                pair = lam_a[:, None] + lam_b[None, :]
-                kernel = -np.expm1(-pair * dt_sub) / pair
-                block = mode_cov * kernel
-                joint[self.slices[a], self.slices[b]] = block
-                if b != a:
-                    joint[self.slices[b], self.slices[a]] = block.T
-        self._chol = _regularized_cholesky(joint)
+        # factor positions: the finest mesh first
+        finest_first = sorted(range(len(spaces)), key=lambda a: -spaces[a].n)
+        factor_slices = [None] * len(spaces)
+        offset = 0
+        for a in finest_first:
+            factor_slices[a] = slice(offset, offset + spaces[a].n)
+            offset += spaces[a].n
+        k_trunc = covariance.k_trunc
+        lam = np.empty(self.dim)
+        pos, amp = [], []
+        for space, where in zip(spaces, factor_slices):
+            index, overlap = space.alias_overlaps(basis)
+            index, overlap = index[:k_trunc], overlap[:k_trunc]
+            lam[where] = space.eigenvalues
+            pos.append(np.where(index >= 0, where.start + index, -1))
+            amp.append(overlap)
+        pos, amp = np.array(pos), np.array(amp)
+        rows = np.broadcast_to(pos[:, None, :], (len(spaces),) + pos.shape)
+        cols = np.broadcast_to(pos[None, :, :], rows.shape)
+        values = covariance.weights * (amp[:, None, :] * amp[None, :, :])
+        hit = (rows >= 0) & (cols >= 0)
+        joint = np.zeros((self.dim, self.dim))
+        np.add.at(joint, (rows[hit], cols[hit]), values[hit])
+        r, c = np.nonzero(joint)
+        pair = lam[r] + lam[c]
+        joint[r, c] *= -np.expm1(-pair * dt_sub) / pair
+        chol, self.cholesky_jitter = _regularized_cholesky(joint)
+        mesh_order = np.concatenate([np.arange(where.start, where.stop)
+                                     for where in factor_slices])
+        self._chol = sp.csr_matrix(chol)[mesh_order]
 
     def sample(self, seed, batch_index, substep_index, batch):
         gen = substream(seed, sample=batch_index, step=substep_index,
                         purpose="wiener")
         return self._chol @ gen.standard_normal((self.dim, batch))
+
+    def diagnostics(self) -> dict:
+        """Size, sparsity and regularization of the joint factor."""
+        return {"joint_dim": self.dim, "factor_nnz": int(self._chol.nnz),
+                "cholesky_jitter": self.cholesky_jitter}
 
 
 class _CoupledEngine:
@@ -689,7 +726,7 @@ def _weak_level_stats(values):
 
 
 def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
-                       workers):
+                       workers, noise):
     keep = ~np.concatenate([r["aborted"] for r in results])
     aborted_total = int((~keep).sum())
     levels = []
@@ -748,6 +785,7 @@ def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
         config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, probe_ratio=probe_ratio,
         aborted_total=aborted_total, functional_means=functional_means,
+        noise=noise.diagnostics(),
         runtime_seconds=time.perf_counter() - t_start, workers=workers,
         notes=tuple(notes))
 
@@ -762,7 +800,8 @@ def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     results = _map_batches(engine, map_fn, workers)
     return _reduce_rate_study(
         cfg, results, list(cfg.levels),
-        lambda v: _strong_level_stats(v, cfg.p_order), t0, workers)
+        lambda v: _strong_level_stats(v, cfg.p_order), t0, workers,
+        engine.noise)
 
 
 def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
@@ -774,7 +813,8 @@ def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     engine = _CoupledEngine(cfg)
     results = _map_batches(engine, map_fn, workers)
     return _reduce_rate_study(
-        cfg, results, list(cfg.levels), _weak_level_stats, t0, workers)
+        cfg, results, list(cfg.levels), _weak_level_stats, t0, workers,
+        engine.noise)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +888,8 @@ def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     results = _map_batches(engine, map_fn, workers)
     return _reduce_rate_study(
         cfg, results, list(cfg.dt_levels),
-        lambda v: _strong_level_stats(v, cfg.p_order), t0, workers)
+        lambda v: _strong_level_stats(v, cfg.p_order), t0, workers,
+        engine.noise)
 
 
 # ---------------------------------------------------------------------------

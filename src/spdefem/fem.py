@@ -1,36 +1,45 @@
-"""Piecewise-linear finite elements on an interval with Dirichlet ends.
+"""Piecewise-linear finite elements on a uniform interval mesh with
+Dirichlet ends.
 
-The discrete system lives on the interior nodes of a (quasi-)uniform mesh:
-mass matrix M, stiffness matrix S, discrete operator M^{-1} S, and the
-generalized eigensystem S v = lambda M v with M-orthonormal eigenvectors.
-The eigensystem gives the discrete heat semigroup and fractional operator
-powers as diagonal multipliers, mirroring the spectral module.
+The discrete system lives on the interior nodes of a uniform mesh with N
+elements of width h: mass matrix M, stiffness matrix S and the discrete
+operator M^{-1} S.  Every study refines uniform dyadic meshes, and there
+the generalized eigensystem S v = lambda M v is known in closed form: the
+eigenvectors are the discrete sines sin(i pi j / N), i = 1..N-1, with
+
+    lambda_i = 6/h^2 (1 - cos(i pi/N)) / (2 + cos(i pi/N)),
+
+so moving between nodal values and M-orthonormal eigen coordinates is a
+scaled type-I discrete sine transform.  The eigensystem gives the
+discrete heat semigroup and fractional operator powers as diagonal
+multipliers, mirroring the spectral module.
 
 Interplay with the sine basis (projections, noise coupling, operator error
 norms) runs through the coupling matrix C[i, k] = <phi_i, e_k>, assembled in
 closed form: the integral of a hat function against a sine has an elementary
 antiderivative, so no quadrature error enters at any mode number.
 
-Operator error norms need a uniform mesh.  There the discrete sines
-diagonalize M and S, and sine mode k takes the nodal values of mode
-+-(k mod 2N) folded into 1..N-1 (zero when k = 0 or N mod 2N).  Each error
-operator is therefore block diagonal over these alias classes, each block
-a diagonal plus a rank-one term, and its norm is the largest exact 2-norm
-of the small blocks.
+Sine modes alias on the nodes: mode k takes the nodal values of mode
++-(k mod 2N) folded into 1..N-1, and vanishes at every node when k = 0 or
+N (mod 2N).  So each sine mode overlaps at most one discrete eigenvector
+(`_mode_alias`).  The joint noise covariance of a mesh hierarchy and the
+operator error norms are built from that one rule: each error operator is
+block diagonal over the alias classes, each block a diagonal plus a
+rank-one term, and its norm is the largest exact 2-norm of the small
+blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.fft import dst
 
 from .rng import substream
 from .spectral import SpectralBasis
-
-QUASI_UNIFORMITY = 0.5  # min element length >= this fraction of the max
 
 
 @dataclass(frozen=True)
@@ -48,10 +57,6 @@ class Mesh1D:
             raise ValueError("mesh must start at 0")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("mesh nodes must be strictly increasing")
-        if self.quasi_uniformity < QUASI_UNIFORMITY - 1e-12:
-            raise ValueError(
-                f"mesh violates quasi-uniformity: min/max element ratio "
-                f"{self.quasi_uniformity:.3f} < {QUASI_UNIFORMITY}")
 
     @property
     def length(self) -> float:
@@ -65,11 +70,6 @@ class Mesh1D:
     def h(self) -> float:
         """Mesh width: the largest element length."""
         return float(self.elements.max())
-
-    @property
-    def quasi_uniformity(self) -> float:
-        el = self.elements
-        return float(el.min() / el.max())
 
     @property
     def interior(self) -> np.ndarray:
@@ -87,30 +87,21 @@ def uniform_mesh(n_elements: int, length: float = 1.0) -> Mesh1D:
     return Mesh1D(np.linspace(0.0, length, n_elements + 1))
 
 
-def jittered_mesh(n_elements: int, length: float = 1.0, jitter: float = 0.2,
-                  seed: int = 0) -> Mesh1D:
-    """Uniform mesh with interior nodes perturbed by +/- jitter*h.
+def _mode_alias(n_elements: int, k_max: int):
+    """Nodal alias of the sine modes 1..k_max on a uniform mesh.
 
-    jitter is capped at 0.25.  Offsets are halved (deterministically) until
-    the quasi-uniformity bound min_el >= 0.5 * max_el holds, so the returned
-    mesh always satisfies the mesh-family assumption.
+    Mode k takes, at every node, sign times the values of discrete sine
+    i = k mod 2N folded into 1..N-1 (sign -1 when the fold reflects).
+    Returns (index, sign): the 0-based eigen index i - 1, or -1 where the
+    mode vanishes at every node (k = 0 or N mod 2N), and the sign.
+    Integer arithmetic only, so no roundoff decides a class.
     """
-    if not 0.0 <= jitter <= 0.25:
-        raise ValueError("jitter must lie in [0, 0.25]")
-    if n_elements < 2:
-        raise ValueError("need at least 2 elements for an interior node")
-    h = length / n_elements
-    base = np.linspace(0.0, length, n_elements + 1)
-    offsets = jitter * h * substream(seed, purpose="mesh-jitter").uniform(
-        -1.0, 1.0, n_elements - 1)
-    for _ in range(60):
-        nodes = base.copy()
-        nodes[1:-1] += offsets
-        el = np.diff(nodes)
-        if el.min() >= QUASI_UNIFORMITY * el.max():
-            return Mesh1D(nodes)
-        offsets *= 0.5
-    return Mesh1D(base)
+    period = 2 * n_elements
+    r = np.arange(1, k_max + 1) % period
+    reflected = r > n_elements
+    index = np.where(reflected, period - r, r) - 1
+    index[(r == 0) | (r == n_elements)] = -1
+    return index, np.where(reflected, -1.0, 1.0)
 
 
 def _as_banded_upper(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -120,19 +111,31 @@ def _as_banded_upper(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return ab
 
 
+def _scale_columns(factors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Scale entry i of a vector, or row i of every column, by factors[i]."""
+    if coeffs.ndim == 1:
+        return factors * coeffs
+    return factors[:, None] * coeffs
+
+
 class FemSpace:
-    """Assembled P1 space on the interior nodes of a mesh.
+    """Assembled P1 space on the interior nodes of a uniform mesh.
 
     Holds mass/stiffness matrices, their banded Cholesky factors, and the
-    M-orthonormal eigensystem of the generalized problem S v = lambda M v
-    (solved densely via the Cholesky-of-M reduction inside scipy's eigh; the
-    spec's mesh sizes stay at or below ~1000 interior nodes).
+    closed-form M-orthonormal eigensystem of S v = lambda M v: eigenvector
+    i is the discrete sine sin(i pi j / N) scaled by c_i = (N/2 mu_i)^(-1/2),
+    where mu_i = h (2 + cos(i pi/N)) / 3 is its mass-matrix eigenvalue.
+    Eigen transforms are type-I discrete sine transforms.  Raises
+    ValueError unless the element lengths agree to within 1e-12 h.
     """
 
     def __init__(self, mesh: Mesh1D):
+        el = mesh.elements
+        if el.max() - el.min() > 1e-12 * mesh.h:
+            raise ValueError("FemSpace needs a uniform mesh: element "
+                             "lengths equal to within 1e-12 h")
         self.mesh = mesh
         self.n = mesh.n_interior
-        el = mesh.elements
         left, right = el[:-1], el[1:]          # per interior node
         m_diag = (left + right) / 3.0
         m_off = right[:-1] / 6.0               # between interior i and i+1
@@ -147,10 +150,17 @@ class FemSpace:
         self._stiff_band = _as_banded_upper(s_diag, s_off)
         self._mass_chol = sla.cholesky_banded(self._mass_band)
         self._stiff_chol = sla.cholesky_banded(self._stiff_band)
-        evals, evecs = sla.eigh(self.stiffness, self.mass)
-        self.eigenvalues = evals               # ascending, all positive
-        self.eigenvectors = evecs              # columns, M-orthonormal
-        self._vt_mass = evecs.T @ self.mass
+        n_el = self.n + 1
+        h = mesh.length / n_el
+        theta = np.arange(1, n_el) * np.pi / n_el
+        cos = np.cos(theta)
+        # 1 - cos(theta) as 2 sin^2(theta/2): no cancellation at low modes
+        self.eigenvalues = (12.0 / h ** 2) * np.sin(0.5 * theta) ** 2 \
+            / (2.0 + cos)                      # ascending, all positive
+        mass_eig = h * (2.0 + cos) / 3.0
+        self._vec_scale = 1.0 / np.sqrt(0.5 * n_el * mass_eig)
+        self._to_eigen_scale = 0.5 * self._vec_scale * mass_eig
+        self._from_eigen_scale = 0.5 * self._vec_scale
         lam_cont = (np.arange(1, self.n + 1) * np.pi / mesh.length) ** 2
         ratio = self.eigenvalues / lam_cont
         self.eigenvalue_ratio_range = (float(ratio.min()), float(ratio.max()))
@@ -175,11 +185,18 @@ class FemSpace:
         return sla.cho_solve_banded((chol, False), b)
 
     def to_eigen(self, v: np.ndarray) -> np.ndarray:
-        """Nodal values -> coefficients in the discrete eigenbasis."""
-        return self._vt_mass @ v
+        """Nodal values -> coefficients in the discrete eigenbasis, V^T M v.
+
+        Accepts a vector or an (n, batch) array of columns.
+        """
+        v = np.asarray(v, dtype=float)
+        return _scale_columns(self._to_eigen_scale, dst(v, type=1, axis=0))
 
     def from_eigen(self, c: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ c
+        """Eigen coefficients -> nodal values, V c (inverse of to_eigen)."""
+        c = np.asarray(c, dtype=float)
+        return dst(_scale_columns(self._from_eigen_scale, c), type=1, axis=0,
+                   overwrite_x=True)
 
     # -- norms --------------------------------------------------------------
 
@@ -208,51 +225,64 @@ class FemSpace:
         if t < 0.0:
             raise ValueError("semigroup time must be >= 0")
         decay = np.exp(-self.eigenvalues * t)
-        c = self.to_eigen(v)
-        return self.from_eigen(decay[:, None] * c if c.ndim == 2
-                               else decay * c)
+        return self.from_eigen(_scale_columns(decay, self.to_eigen(v)))
 
     def fractional_apply(self, power: float, v: np.ndarray) -> np.ndarray:
         """Fractional power of the discrete operator (signed exponent)."""
         scale = self.eigenvalues ** power
-        c = self.to_eigen(v)
-        return self.from_eigen(scale[:, None] * c if c.ndim == 2
-                               else scale * c)
+        return self.from_eigen(_scale_columns(scale, self.to_eigen(v)))
 
     # -- coupling to the sine basis ------------------------------------------
 
-    def coupling(self, basis: SpectralBasis) -> np.ndarray:
-        """Matrix C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max).
+    def _hat_integrals(self, basis: SpectralBasis) -> np.ndarray:
+        """Per sine mode k, <phi_j, e_k> / sin(w_k x_j) for every hat phi_j.
 
-        For a hat with support [a, m, b]:
-          int phi sin(w x) dx
-            = [ (sin(wm)-sin(wa))/(m-a) + (sin(wm)-sin(wb))/(b-m) ] / w^2.
+        On a uniform mesh the hat at node x_j integrates against sin(w x)
+        to sin(w x_j) 2 (1 - cos(w h)) / (h w^2).
         """
-        key = (basis.k_max, basis.length)
-        cached = self._coupling_cache.get(key)
-        if cached is not None:
-            return cached
         if abs(basis.length - self.mesh.length) > 1e-12:
             raise ValueError("basis and mesh live on different intervals")
-        nodes = self.mesh.nodes
-        a, m, b = nodes[:-2], nodes[1:-1], nodes[2:]
+        h = self.mesh.length / (self.n + 1)
         w = basis.frequencies
-        sin_a = np.sin(np.outer(a, w))
-        sin_m = np.sin(np.outer(m, w))
-        sin_b = np.sin(np.outer(b, w))
-        c = ((sin_m - sin_a) / (m - a)[:, None]
-             + (sin_m - sin_b) / (b - m)[:, None]) / w[None, :] ** 2
-        c *= np.sqrt(2.0 / basis.length)
-        self._coupling_cache[key] = c
-        return c
+        return (np.sqrt(2.0 / basis.length) * 4.0 * np.sin(0.5 * w * h) ** 2
+                / (h * w ** 2))
+
+    def coupling(self, basis: SpectralBasis) -> np.ndarray:
+        """Matrix C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max)."""
+        key = (basis.k_max, basis.length)
+        cached = self._coupling_cache.get(key)
+        if cached is None:
+            cached = (np.sin(np.outer(self.mesh.interior, basis.frequencies))
+                      * self._hat_integrals(basis))
+            self._coupling_cache[key] = cached
+        return cached
+
+    def alias_overlaps(self, basis: SpectralBasis):
+        """Each sine mode's single nonzero overlap with the eigenbasis.
+
+        Returns (index, overlap) over the modes k = 1..k_max: the 0-based
+        eigenvector that mode k aliases to (-1 when it vanishes at every
+        node, see `_mode_alias`) and <e_k, e_index^h>, which is
+        sign c_i (N/2) <phi_j, e_k> / sin(w_k x_j) (0.0 where index is -1).
+        """
+        index, sign = _mode_alias(self.n + 1, basis.k_max)
+        hit = index >= 0
+        overlap = np.zeros(basis.k_max)
+        overlap[hit] = (sign[hit] * self._vec_scale[index[hit]]
+                        * (0.5 * (self.n + 1))
+                        * self._hat_integrals(basis)[hit])
+        return index, overlap
 
     def mode_overlap(self, basis: SpectralBasis) -> np.ndarray:
         """Matrix <e_k, e_i^h> (discrete eigenfunction i against sine mode k),
-        shape (n, k_max)."""
+        shape (n, k_max); each column holds at most one nonzero."""
         key = (basis.k_max, basis.length)
         cached = self._beig_cache.get(key)
         if cached is None:
-            cached = self.eigenvectors.T @ self.coupling(basis)
+            index, overlap = self.alias_overlaps(basis)
+            hit = np.flatnonzero(index >= 0)
+            cached = np.zeros((self.n, basis.k_max))
+            cached[index[hit], hit] = overlap[hit]
             self._beig_cache[key] = cached
         return cached
 
@@ -378,18 +408,15 @@ def _power_iteration_norm(matvec, rmatvec, dim: int, tol: float = 1e-11,
 def _alias_classes(n_elements: int, k_max: int):
     """0-based indices of the sine modes 1..k_max, grouped by nodal alias.
 
-    On a uniform mesh with N elements, sine mode k has, up to sign, the
-    nodal values of mode j, where j is k mod 2N folded into 1..N-1 (k mod
-    2N or 2N minus it); it vanishes at every node when k = 0 or N (mod 2N).
-    Returns the null class (k a multiple of N) and one index array per
-    j = 1..N-1.
+    Groups the modes by `_mode_alias`: returns the null class (k = 0 or N
+    mod 2N, vanishing at every node) and one index array per discrete
+    sine j = 1..N-1, each in ascending k.
     """
-    period = 2 * n_elements
-    null = np.arange(n_elements, k_max + 1, n_elements) - 1
-    classes = [np.concatenate((np.arange(j, k_max + 1, period),
-                               np.arange(period - j, k_max + 1, period))) - 1
-               for j in range(1, n_elements)]
-    return null, classes
+    index, _ = _mode_alias(n_elements, k_max)
+    order = np.argsort(index, kind="stable")
+    sizes = np.bincount(index + 1, minlength=n_elements)
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    return groups[0], groups[1:]
 
 
 def operator_error_norm(space: FemSpace, basis: SpectralBasis,
@@ -403,13 +430,13 @@ def operator_error_norm(space: FemSpace, basis: SpectralBasis,
 
     The operator is restricted to span{e_k, k <= k_max}; the basis must hold
     at least 4 * n modes so the tail it cannot see is negligible at the
-    exponents above.  The mesh must be uniform (element lengths equal to
-    within 1e-12 h).  There the discrete sines diagonalize M and S, so the
-    operator is block diagonal over the alias classes of the sine modes
-    (see `_alias_classes`): each block is a diagonal plus a rank-one term,
-    and the null class, whose modes vanish at every node, is a pure
-    diagonal.  The norm is the largest exact 2-norm over the blocks, so it
-    is exact to roundoff; no k_max x k_max matrix is formed.
+    exponents above.  On the uniform mesh of a `FemSpace` the discrete
+    sines diagonalize M and S, so the operator is block diagonal over the
+    alias classes of the sine modes (see `_alias_classes`): each block is
+    a diagonal plus a rank-one term, and the null class, whose modes
+    vanish at every node, is a pure diagonal.  The norm is the largest
+    exact 2-norm over the blocks, so it is exact to roundoff; no
+    k_max x k_max matrix is formed.
     """
     if which not in _OPERATORS:
         raise ValueError(f"which must be one of {_OPERATORS}")
@@ -428,10 +455,6 @@ def operator_error_norm(space: FemSpace, basis: SpectralBasis,
             raise ValueError("semigroup error needs t > 0")
     if basis.k_max < 4 * space.n:
         raise ValueError("basis too small: need k_max >= 4 * n interior nodes")
-    el = space.mesh.elements
-    if el.max() - el.min() > 1e-12 * space.mesh.h:
-        raise ValueError("operator error norms need a uniform mesh: element "
-                         "lengths equal to within 1e-12 h")
 
     # The error operator is +-(diag(d) - left^T right), zero off the
     # alias-class blocks; the sign (negative for the semigroup) leaves the

@@ -15,6 +15,10 @@ covariance has the closed form
 
 with b_ik the overlap of sine mode k with discrete eigenvector i, so a
 step of any size is sampled exactly (no temporal discretization error).
+On the uniform meshes of `FemSpace` each sine mode overlaps exactly one
+eigenvector (its nodal alias) or none, so b has at most one nonzero per
+column and the single-mesh covariance is diagonal, with exact zeros off
+the diagonal.
 """
 
 from __future__ import annotations
@@ -182,9 +186,8 @@ class DiscreteNoiseModel:
 
     Precomputes, for a fixed (space, covariance, dt) triple, everything
     needed to advance Z by one step in the discrete eigenbasis: the decay
-    factors e^{-l_i dt} and a Cholesky factor of the one-step covariance.
-    The covariance keeps its full off-diagonal structure; the projected
-    covariance does not commute with the discrete operator in general.
+    factors e^{-l_i dt} and a Cholesky factor of the one-step covariance
+    (diagonal on a uniform mesh, see the module docstring).
     """
 
     def __init__(self, space, basis, spec: CovarianceSpec, dt: float):
@@ -202,7 +205,7 @@ class DiscreteNoiseModel:
         kernel = -np.expm1(-pair_sum * self.dt) / pair_sum
         self.step_covariance = self.mode_covariance * kernel
         self.decay = np.exp(-lam * self.dt)
-        self._chol = _regularized_cholesky(self.step_covariance)
+        self._chol, _ = _regularized_cholesky(self.step_covariance)
 
     @property
     def stationary_variance(self) -> np.ndarray:
@@ -237,23 +240,25 @@ def convolution_step(model: DiscreteNoiseModel, state: np.ndarray,
     return model.step(state, generator)
 
 
-def _regularized_cholesky(matrix: np.ndarray) -> np.ndarray:
+def _regularized_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky with a diagonal jitter ladder capped at 1e-14 * trace.
 
     The matrix is positive semidefinite in exact arithmetic (a Schur
     product of two PSD factors), so only roundoff-scale regularization
     is ever legitimate.  Failure beyond the cap is reported, not patched.
+    Returns the lower factor and the jitter added to the diagonal (0.0
+    when none was needed).
     """
     trace = float(np.trace(matrix))
     if not math.isfinite(trace) or trace < 0.0:
         raise np.linalg.LinAlgError("covariance trace is not finite")
     if trace == 0.0:
-        return np.zeros_like(matrix)
+        return np.zeros_like(matrix), 0.0
     jitter = 0.0
     eye = np.eye(matrix.shape[0])
     while True:
         try:
-            return np.linalg.cholesky(matrix + jitter * eye)
+            return np.linalg.cholesky(matrix + jitter * eye), jitter
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 jitter = 1e-16 * trace

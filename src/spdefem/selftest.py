@@ -59,19 +59,22 @@ def _check(condition: bool, detail: str) -> None:
 
 
 def check_discrete_eigenvalues_closed_form() -> None:
-    """Uniform-mesh pencil eigenvalues against the hand formula
-    (6/h^2) (1 - cos(i pi h)) / (2 + cos(i pi h))."""
+    """The closed-form eigenpairs (6/h^2) (1 - cos(i pi h)) / (2 + cos(i pi
+    h)) with discrete-sine eigenvectors V solve the assembled pencil:
+    S V = M V Lambda and V^T M V = I."""
     for n in (8, 16, 37):
         space = FemSpace(uniform_mesh(n))
-        h = 1.0 / n
-        i = np.arange(1, n)
-        c = np.cos(i * np.pi * h)
-        expected = (6.0 / h ** 2) * (1.0 - c) / (2.0 + c)
-        gap = np.abs(space.eigenvalues - expected).max()
-        _check(gap < 1e-9 * expected[-1],
-               f"n={n}: eigenvalue mismatch {gap:.3e}")
-        continuous = (i * np.pi) ** 2
-        _check(np.all(space.eigenvalues >= continuous * (1.0 - 1e-12)),
+        vecs = space.from_eigen(np.eye(space.n))
+        lam = space.eigenvalues
+        residual = np.abs(space.stiffness @ vecs
+                          - space.mass @ vecs * lam).max()
+        _check(residual < 1e-10 * lam[-1],
+               f"n={n}: eigenpair residual {residual:.3e}")
+        gram = np.abs(vecs.T @ space.mass @ vecs - np.eye(space.n)).max()
+        _check(gram < 1e-12, f"n={n}: eigenvectors not M-orthonormal "
+               f"({gram:.3e})")
+        continuous = (np.arange(1, n) * np.pi) ** 2
+        _check(np.all(lam >= continuous * (1.0 - 1e-12)),
                f"n={n}: discrete eigenvalue below its continuous partner")
 
 

@@ -76,6 +76,12 @@ class TestStudyCommand:
         assert {"slope", "ci_lo", "ci_hi", "levels", "seed",
                 "config_hash"} <= set(doc)
         assert doc["seed"] == 17
+        # joint noise factor diagnostics ride in the JSON only
+        noise = doc["noise"]
+        assert noise["joint_dim"] == 3 + 7 + 15 + 63
+        assert 0 < noise["factor_nnz"] < noise["joint_dim"] ** 2 / 2
+        assert noise["cholesky_jitter"] >= 0.0
+        assert "factor" not in text and "jitter" not in text
         out = capsys.readouterr().out
         assert "slope=" in out
 

@@ -115,6 +115,16 @@ class TestFlow:
         fd = (drift.flow(1.0, grid + eps) - drift.flow(1.0, grid - eps)) / (2 * eps)
         assert np.abs(deriv - fd).max() / np.abs(deriv).max() < 1e-6
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, -1.0), (2.0, -0.5),
+                                        (1.0, 0.5, 0.3, -1.0)])
+    def test_value_alone_matches_value_with_derivative(self, coeffs):
+        # closed-form cubic, affine, and the RK4 fallback
+        drift = PolynomialDrift(coeffs)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(4, 3)
+        for t in (0.0, 0.1):
+            assert np.array_equal(drift.flow(t, grid),
+                                  drift.flow_with_derivative(t, grid)[0])
+
     def test_affine_flow(self):
         drift = PolynomialDrift((2.0, -0.5))
         t, x = 0.8, 1.5

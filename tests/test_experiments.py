@@ -3,9 +3,14 @@ and report serialization."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
+from scipy.stats import t as student_t
 
 from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, RateReport,
                      SpectralBasis, StudyConfig, default_initial_profile,
@@ -14,7 +19,9 @@ from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, RateReport,
                      run_operator_study, run_splitting_dt_study,
                      run_strong_study, run_study, run_weak_study,
                      simulate_trajectory, uniform_mesh)
-from spdefem.experiments import FUNCTIONALS, validate_functional_id
+from spdefem.experiments import (FUNCTIONALS, _JointNoise,
+                                 validate_functional_id)
+from test_fem import dense_eigensystem, hat_coupling
 
 AC = PolynomialDrift.allen_cahn()
 ZERO = PolynomialDrift.zero()
@@ -93,6 +100,95 @@ class TestFitRate:
         ]
         fit = fit_rate(levels)
         assert fit.slope == pytest.approx(1.0, abs=0.05)
+
+    def test_ci_half_width_is_the_student_t_quantile(self):
+        # stdtrit is bit-identical to scipy.stats' t.ppf over the degrees
+        # of freedom a fit can have
+        for dof in range(1, 200):
+            assert stdtrit(dof, 0.975) == student_t.ppf(0.975, dof)
+        rng = np.random.default_rng(8)
+        hs = 2.0 ** -np.arange(2, 7)
+        errors = hs ** 1.5 * (1.0 + 0.05 * rng.standard_normal(hs.size))
+        stderrs = 0.05 * errors
+        fit = fit_rate(list(zip(hs, errors, stderrs)))
+        # weighted least squares in sqrt(weight)-scaled coordinates
+        root_w = errors / stderrs
+        design = np.column_stack([np.log(hs), np.ones(hs.size)]) \
+            * root_w[:, None]
+        coef, resid, _, _ = np.linalg.lstsq(design, np.log(errors) * root_w,
+                                            rcond=None)
+        dof = hs.size - 2
+        se = math.sqrt(resid[0] / dof * np.linalg.inv(design.T @ design)[0, 0])
+        half = student_t.ppf(0.975, dof) * se
+        assert fit.slope == pytest.approx(coef[0], rel=1e-12)
+        assert fit.ci_hi - fit.slope == pytest.approx(half, rel=1e-10)
+        assert fit.slope - fit.ci_lo == pytest.approx(half, rel=1e-10)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        import spdefem
+        src = os.path.dirname(os.path.dirname(spdefem.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spdefem.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env, timeout=120)
+        assert out.stdout.strip() == "False"
+
+
+def dense_joint_covariance(spaces, basis, covariance, dt):
+    """Joint substep covariance from dense overlaps V^T C, block by block:
+    ((B_a Q B_b^T) * kernel(lam_a, lam_b))."""
+    systems = [dense_eigensystem(s) for s in spaces]
+    overlaps = [vecs.T @ hat_coupling(s, basis)[:, :covariance.k_trunc]
+                for s, (_, vecs) in zip(spaces, systems)]
+    rows = []
+    for (lam_a, _), b_a in zip(systems, overlaps):
+        row = []
+        for (lam_b, _), b_b in zip(systems, overlaps):
+            pair = lam_a[:, None] + lam_b[None, :]
+            row.append((b_a * covariance.weights) @ b_b.T
+                       * (-np.expm1(-pair * dt) / pair))
+        rows.append(row)
+    return np.block(rows), overlaps
+
+
+class TestJointNoise:
+    """The alias-sparse joint factor against the dense block formula."""
+
+    @pytest.mark.parametrize("k_trunc", [64, 16])
+    def test_factor_reproduces_dense_covariance_without_fill(self, k_trunc):
+        # k_trunc = 16 leaves modes 17..31 of the N = 32 mesh uncovered:
+        # their rows are exactly zero and the jitter ladder steps in
+        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
+        basis = SpectralBasis(k_max=k_trunc)
+        covariance = CovarianceSpec.power_decay(2.0, k_trunc=k_trunc)
+        noise = _JointNoise(spaces, basis, covariance, 2.0 ** -7)
+        dense, overlaps = dense_joint_covariance(spaces, basis, covariance,
+                                                 2.0 ** -7)
+        chol = noise._chol.toarray()
+        assert noise.dim == dense.shape[0] == 3 + 7 + 31
+        assert np.abs(chol @ chol.T - dense).max() \
+            <= 1e-12 * np.abs(dense).max()
+        assert (noise.cholesky_jitter > 0.0) == (k_trunc == 16)
+        # pattern: (a, i) and (b, j) interact when one mode overlaps both;
+        # the factor holds exactly the lower triangle of it, so no fill
+        hits = np.vstack([np.abs(b) > 1e-9 * np.abs(b).max()
+                          for b in overlaps]).astype(int)
+        pattern = hits @ hits.T > 0
+        off_diagonal = int(pattern.sum() - np.trace(pattern))
+        assert noise._chol.nnz == off_diagonal // 2 + noise.dim
+        assert noise.diagnostics() == {
+            "joint_dim": noise.dim, "factor_nnz": noise._chol.nnz,
+            "cholesky_jitter": noise.cholesky_jitter}
+
+    def test_zero_weights_give_zero_factor(self):
+        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
+        covariance = CovarianceSpec.custom(np.zeros(16), beta=0.5)
+        noise = _JointNoise(spaces, SpectralBasis(k_max=16), covariance,
+                            2.0 ** -7)
+        assert noise._chol.nnz == 0 and noise.cholesky_jitter == 0.0
+        assert not noise.sample(0, 0, 0, 3).any()
 
 
 class TestExponents:

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
-from spdefem import (FemSpace, L2Comparer, SpectralBasis, field_values,
-                     jittered_mesh, operator_error_norm, uniform_mesh)
+from spdefem import (FemSpace, L2Comparer, Mesh1D, SpectralBasis,
+                     field_values, operator_error_norm, uniform_mesh)
 from spdefem.rng import substream
 
 
@@ -16,6 +16,24 @@ def closed_form_discrete_eigenvalues(n_elements, length=1.0):
     i = np.arange(1, n_elements)
     c = np.cos(i * np.pi * h / length)
     return (6.0 / h ** 2) * (1.0 - c) / (2.0 + c)
+
+
+def dense_eigensystem(space):
+    """Generalized eigh of (S, M), each column's sign fixed so that its
+    first entry is positive, as for the discrete sines sin(i pi j / N)."""
+    lam, vecs = sla.eigh(space.stiffness, space.mass)
+    return lam, vecs * np.sign(vecs[0])
+
+
+def hat_coupling(space, basis):
+    """<phi_j, e_k> from the hat antiderivative, valid on any mesh."""
+    nodes = space.mesh.nodes
+    a, m, b = nodes[:-2], nodes[1:-1], nodes[2:]
+    w = basis.frequencies
+    sin_a, sin_m, sin_b = (np.sin(np.outer(x, w)) for x in (a, m, b))
+    return np.sqrt(2.0 / basis.length) * (
+        (sin_m - sin_a) / (m - a)[:, None]
+        + (sin_m - sin_b) / (b - m)[:, None]) / w ** 2
 
 
 class TestAssembly:
@@ -32,8 +50,8 @@ class TestAssembly:
         assert space.stiffness[i, i + 1] == pytest.approx(-1 / h, rel=1e-14)
         assert np.abs(space.mass[0, 2:]).max() == 0.0
 
-    def test_nonuniform_rows_match_quadrature(self):
-        mesh = jittered_mesh(8, jitter=0.2, seed=3)
+    def test_mass_rows_match_quadrature(self):
+        mesh = uniform_mesh(8, length=2.0)
         space = FemSpace(mesh)
         nodes = mesh.nodes
 
@@ -44,7 +62,7 @@ class TestAssembly:
                 np.where((x > m) & (x <= b), (b - x) / (b - m), 0.0))
 
         for (i, j) in [(3, 3), (3, 4), (5, 4)]:
-            val, _ = quad(lambda x: hat(x, i) * hat(x, j), 0.0, 1.0,
+            val, _ = quad(lambda x: hat(x, i) * hat(x, j), 0.0, 2.0,
                           points=list(nodes), limit=400)
             assert space.mass[i - 1, j - 1] == pytest.approx(val, abs=1e-12)
 
@@ -66,7 +84,7 @@ class TestEigensystem:
         assert np.abs(space.eigenvalues - expected).max() < 1e-9 * expected[-1]
 
     @pytest.mark.parametrize("mesh", [uniform_mesh(32),
-                                      jittered_mesh(32, jitter=0.2, seed=9)])
+                                      uniform_mesh(24, length=2.0)])
     def test_discrete_eigenvalues_dominate_continuous(self, mesh):
         space = FemSpace(mesh)
         lam = (np.arange(1, space.n + 1) * np.pi / mesh.length) ** 2
@@ -77,16 +95,17 @@ class TestEigensystem:
         assert hi <= 2.0
 
     def test_eigenvectors_mass_orthonormal(self):
-        space = FemSpace(jittered_mesh(24, jitter=0.15, seed=2))
-        gram = space.eigenvectors.T @ space.mass @ space.eigenvectors
-        assert np.abs(gram - np.eye(space.n)).max() < 1e-10
+        space = FemSpace(uniform_mesh(24, length=2.0))
+        vecs = space.from_eigen(np.eye(space.n))
+        gram = vecs.T @ space.mass @ vecs
+        assert np.abs(gram - np.eye(space.n)).max() < 1e-12
 
     def test_semigroup_max_principle(self):
         # sup-norm stability of the discrete semigroup, constant below 2
         # (measured worst ratio ~0.96 over these meshes and times).
         worst = 0.0
         for mesh in [uniform_mesh(16), uniform_mesh(64),
-                     jittered_mesh(32, jitter=0.2, seed=5)]:
+                     uniform_mesh(24, length=2.0)]:
             space = FemSpace(mesh)
             gen = substream(42, purpose="test")
             for _ in range(20):
@@ -114,6 +133,54 @@ class TestEigensystem:
         assert worst <= 0.2
 
 
+class TestClosedForms:
+    """The closed-form eigensystem, transforms and overlaps against dense
+    versions assembled here."""
+
+    @pytest.mark.parametrize("n_el", [2, 4, 8, 64, 512])
+    def test_match_dense_eigensystem(self, n_el):
+        space = FemSpace(uniform_mesh(n_el))
+        lam, vecs = dense_eigensystem(space)
+        assert np.abs(space.eigenvalues - lam).max() <= 1e-12 * lam.max()
+        scale = np.abs(vecs).max()
+        assert np.abs(space.from_eigen(np.eye(space.n)) - vecs).max() \
+            <= 1e-10 * scale
+        gen = substream(30, purpose="test")
+        for shape in [(space.n,), (space.n, 5)]:
+            x = gen.standard_normal(shape)
+            to = vecs.T @ space.mass @ x
+            assert space.to_eigen(x).shape == shape
+            assert np.abs(space.to_eigen(x) - to).max() \
+                <= 1e-10 * np.abs(to).max()
+            back = vecs @ x
+            assert space.from_eigen(x).shape == shape
+            assert np.abs(space.from_eigen(x) - back).max() \
+                <= 1e-10 * np.abs(back).max()
+            assert np.abs(space.to_eigen(space.from_eigen(x)) - x).max() \
+                <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("n_el", [2, 4, 8, 64, 512])
+    def test_coupling_and_overlaps_match_dense(self, n_el):
+        space = FemSpace(uniform_mesh(n_el))
+        basis = SpectralBasis(k_max=4 * n_el + 3)
+        coupling = hat_coupling(space, basis)
+        # the reference's sine differences cancel at low modes, costing it
+        # about eps / (pi h)^2 relative: 6e-12 at N = 512
+        assert np.abs(space.coupling(basis) - coupling).max() \
+            <= 1e-10 * np.abs(coupling).max()
+        _, vecs = dense_eigensystem(space)
+        dense = vecs.T @ coupling
+        overlap = space.mode_overlap(basis)
+        assert np.abs(overlap - dense).max() <= 1e-10 * np.abs(dense).max()
+        # one nonzero per column, none for the modes that vanish at
+        # every node (k = 0 or N mod 2N); the other entries are exact zeros
+        k = basis.modes
+        per_column = (overlap != 0.0).sum(axis=0)
+        null = (k % n_el) == 0
+        assert np.all(per_column[null] == 0)
+        assert np.all(per_column[~null] == 1)
+
+
 class TestProjections:
     def test_l2_projection_idempotent_on_space_members(self):
         space = FemSpace(uniform_mesh(8))
@@ -124,7 +191,7 @@ class TestProjections:
         assert np.abs(again - v).max() < 1e-10
 
     def test_l2_projection_self_adjoint(self):
-        space = FemSpace(jittered_mesh(12, jitter=0.2, seed=4))
+        space = FemSpace(uniform_mesh(12))
         basis = SpectralBasis(k_max=256)
         gen = substream(13, purpose="test")
         for _ in range(5):
@@ -144,7 +211,7 @@ class TestProjections:
         assert np.abs(residual).max() < 1e-8 * np.abs(load).max()
 
     def test_ritz_reproduces_space_members_exactly(self):
-        space = FemSpace(jittered_mesh(16, jitter=0.2, seed=8))
+        space = FemSpace(uniform_mesh(12))
         basis = SpectralBasis(k_max=64)
         w = substream(15, purpose="test").standard_normal(space.n)
         assert np.abs(space.ritz_project(basis, nodal=w) - w).max() < 1e-10
@@ -223,9 +290,10 @@ class TestOperatorErrorNorms:
         nrm = operator_error_norm(FemSpace(uniform_mesh(8)), basis,
                                   s=0, r=0, which="l2")
         assert abs(nrm - 1.0) <= 1e-12
+        nonuniform = Mesh1D(np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]))
         with pytest.raises(ValueError, match="uniform mesh"):
-            operator_error_norm(FemSpace(jittered_mesh(8, jitter=0.2, seed=1)),
-                                basis, s=0, r=0, which="l2")
+            operator_error_norm(FemSpace(nonuniform), basis, s=0, r=0,
+                                which="l2")
 
     @pytest.mark.parametrize("n_el,k_max", [
         (n_el, k_max) for n_el in (4, 8, 16)
@@ -308,7 +376,7 @@ class TestUnionNorm:
 
     def test_cross_mesh_distance_matches_fine_quadrature(self):
         sa = FemSpace(uniform_mesh(8))
-        sb = FemSpace(jittered_mesh(12, jitter=0.2, seed=6))
+        sb = FemSpace(uniform_mesh(12))
         gen = substream(20, purpose="test")
         va, vb = gen.standard_normal(sa.n), gen.standard_normal(sb.n)
         cmp_ = L2Comparer(sa, sb)
@@ -335,18 +403,6 @@ class TestMeshes:
         mesh = uniform_mesh(8, length=2.0)
         assert mesh.h == pytest.approx(0.25)
         assert mesh.n_interior == 7
-        assert mesh.quasi_uniformity == pytest.approx(1.0)
-
-    def test_jittered_mesh_respects_quasi_uniformity(self):
-        for seed in range(10):
-            mesh = jittered_mesh(16, jitter=0.25, seed=seed)
-            assert mesh.quasi_uniformity >= 0.5 - 1e-12
-            assert mesh.nodes[0] == 0.0
-            assert mesh.nodes[-1] == pytest.approx(1.0)
-
-    def test_jitter_bounds_validated(self):
-        with pytest.raises(ValueError):
-            jittered_mesh(8, jitter=0.3)
 
     def test_degenerate_meshes_rejected(self):
         import spdefem
@@ -354,8 +410,17 @@ class TestMeshes:
             spdefem.Mesh1D(np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             spdefem.Mesh1D(np.array([0.0, 0.5, 0.4, 1.0]))
-        with pytest.raises(ValueError, match="quasi-uniformity"):
-            spdefem.Mesh1D(np.array([0.0, 0.5, 0.55, 1.0]))
+
+    def test_fem_space_rejects_nonuniform_mesh(self):
+        with pytest.raises(ValueError, match="uniform mesh"):
+            FemSpace(Mesh1D(np.array([0.0, 0.5, 0.55, 1.0])))
+        # element lengths may differ by roundoff, not by more than 1e-12 h
+        nodes = np.linspace(0.0, 1.0, 9)
+        nodes[4] += 1e-10
+        with pytest.raises(ValueError, match="uniform mesh"):
+            FemSpace(Mesh1D(nodes))
+        nodes[4] -= 1e-10 - 1e-16
+        assert FemSpace(Mesh1D(nodes)).n == 7
 
     def test_field_values_vanish_at_boundary(self):
         space = FemSpace(uniform_mesh(4))

@@ -235,5 +235,6 @@ class TestConvolutionSampler:
             _regularized_cholesky(indefinite)
         near_psd = np.eye(3)
         near_psd[0, 0] = -1e-18
-        chol = _regularized_cholesky(near_psd)
+        chol, jitter = _regularized_cholesky(near_psd)
         assert np.isfinite(chol).all()
+        assert 0.0 < jitter <= 1e-14 * 2.0
