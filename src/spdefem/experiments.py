@@ -14,12 +14,13 @@ closed-form,
 where b^l_ik is the overlap of noise mode k with eigenvector i of mesh l.
 Each noise mode overlaps one eigenvector per mesh (its nodal alias), so
 the matrix is sparse, and eliminated finest mesh first its Cholesky
-factor has no fill.  One sparse factor yields every mesh's exact
-increment per substep, and the identity
-G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates substeps without
-error, so coarse step sizes see exactly the noise the fine grid saw.  A
-dt-halving probe rides on the same randomness to bound the
-drift-splitting time error.
+factor has no fill.  One sparse factor at the reference step yields
+every mesh's exact increment per step in one draw.  The identity
+G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates steps without error,
+so coarse step sizes see exactly the noise the fine grid saw.  A
+dt-halving probe rides on the same randomness in the first batch, which
+instead draws two half steps from a second factor and aggregates them,
+to bound the drift-splitting time error.
 
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
@@ -495,22 +496,26 @@ def _initial_states(cfg, spaces, basis):
 
 
 class _JointNoise:
-    """Exact sampler of every mesh's convolution increment per substep.
+    """Exact sampler of every mesh's convolution increment over a step d.
 
     Each sine mode overlaps at most one eigenvector per mesh (its nodal
     alias, `FemSpace.alias_overlaps`), so the joint covariance is a
     scatter of q_k b^a_k b^b_k at the alias positions of every mesh pair,
     times the kernel (1 - e^{-(lam_i + lam_j) d}) / (lam_i + lam_j); no
-    entry off those positions is touched, so its zeros are exact.  On
-    nested uniform meshes each mode's aliases form a clique and the alias
-    of a coarser mesh is a function of the finer one, so eliminating the
-    finest mesh first creates no fill (Rose, Tarjan & Lueker 1976): the
-    factor, stored sparse with its rows back in mesh order, has exactly
-    the nonzeros of the permuted lower triangle.
+    entry off those positions is touched, so its zeros are exact and the
+    matrix is assembled sparse.  Within one mesh a mode has one alias, so
+    the finest mesh's block is diagonal whether or not the meshes nest:
+    `_regularized_cholesky` eliminates it in closed form, finest mesh
+    first, and factors only the small Schur complement of the coarser
+    meshes densely.  On nested meshes the alias of a coarser mesh is a
+    function of the finer one, so that elimination creates no fill (Rose,
+    Tarjan & Lueker 1976): the factor, stored sparse with its rows back
+    in mesh order, has exactly the nonzeros of the permuted lower
+    triangle.  Nothing of size dim x dim is ever dense.
     """
 
-    def __init__(self, spaces, basis, covariance, dt_sub):
-        self.dt_sub = dt_sub
+    def __init__(self, spaces, basis, covariance, dt):
+        self.dt = dt
         self.slices = []
         offset = 0
         for space in spaces:
@@ -538,15 +543,22 @@ class _JointNoise:
         cols = np.broadcast_to(pos[None, :, :], rows.shape)
         values = covariance.weights * (amp[:, None, :] * amp[None, :, :])
         hit = (rows >= 0) & (cols >= 0)
-        joint = np.zeros((self.dim, self.dim))
-        np.add.at(joint, (rows[hit], cols[hit]), values[hit])
-        r, c = np.nonzero(joint)
+        # sum duplicates sequentially in scatter order: scipy's own
+        # duplicate summing fixes no order, and another order would move
+        # the entries, and so the draws, by roundoff
+        key, slot = np.unique(rows[hit] * self.dim + cols[hit],
+                              return_inverse=True)
+        r, c = np.divmod(key, self.dim)
         pair = lam[r] + lam[c]
-        joint[r, c] *= -np.expm1(-pair * dt_sub) / pair
-        chol, self.cholesky_jitter = _regularized_cholesky(joint)
+        joint = sp.csr_matrix(
+            (np.bincount(slot, weights=values[hit])
+             * (-np.expm1(-pair * dt) / pair), (r, c)),
+            shape=(self.dim, self.dim))
+        chol, self.cholesky_jitter = _regularized_cholesky(
+            joint, n_diag=spaces[finest_first[0]].n)
         mesh_order = np.concatenate([np.arange(where.start, where.stop)
                                      for where in factor_slices])
-        self._chol = sp.csr_matrix(chol)[mesh_order]
+        self._chol = chol[mesh_order]
 
     def sample(self, seed, batch_index, substep_index, batch):
         gen = substream(seed, sample=batch_index, step=substep_index,
@@ -559,13 +571,25 @@ class _JointNoise:
                 "cholesky_jitter": self.cholesky_jitter}
 
 
+def _noise_summary(factors, results) -> dict:
+    """The JSON noise block: joint draws made, over every factor built."""
+    parts = [f.diagnostics() for f in factors]
+    return {"joint_dim": parts[0]["joint_dim"],
+            "factor_nnz": sum(p["factor_nnz"] for p in parts),
+            "cholesky_jitter": max(p["cholesky_jitter"] for p in parts),
+            "draws": sum(r["draws"] for r in results)}
+
+
 class _CoupledEngine:
     """Shared state of a strong or weak study; batches are pure work items.
 
-    Noise is drawn at half the reference step (the probe's grid), then
-    aggregated exactly: first to dt_ref for the reference solution, then
-    across dt_ref steps for levels whose drift step is a multiple of
-    dt_ref (the h2beta policy).
+    Every batch but the first draws each reference step's joint increment
+    once, from the factor at dt_ref.  The first batch also runs the
+    dt-halving probe, so it draws two half steps from the factor at
+    dt_ref / 2, steps the probe on each, and aggregates them exactly to
+    dt_ref; both routes give the same law.  Levels whose drift step is a
+    multiple of dt_ref (the h2beta policy) aggregate across reference
+    steps the same way.
     """
 
     def __init__(self, cfg: StudyConfig):
@@ -580,14 +604,16 @@ class _CoupledEngine:
         self.ratios = cfg.step_ratios
         self.noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
                                  self.dt_sub)
+        self.ref_noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
+                                     cfg.dt_ref)
         self.integrators = [
             Integrator(space, cfg.drift,
                        SchemeConfig(cfg.scheme, ratio * cfg.dt_ref,
                                     self.n_steps // ratio))
             for space, ratio in zip(self.spaces, list(self.ratios) + [1])
         ]
-        self.sub_decay = [np.exp(-s.eigenvalues * self.dt_sub)
-                          for s in self.spaces]
+        eigenvalues = np.concatenate([s.eigenvalues for s in self.spaces])
+        self.sub_decay = np.exp(-eigenvalues * self.dt_sub)[:, None]
         self.ref_decay = [np.exp(-s.eigenvalues * cfg.dt_ref)
                           for s in self.spaces]
         self.x0 = _initial_states(cfg, self.spaces, self.basis)
@@ -622,27 +648,25 @@ class _CoupledEngine:
         with_probe = index == 0
         probe = ({i: states[i].copy() for i in self.probe_indices}
                  if with_probe else None)
+        draws, noise = (2, self.noise) if with_probe else (1, self.ref_noise)
+        slices = noise.slices
         aborted = np.zeros(batch, dtype=bool)
         for step in range(self.n_steps):
-            subs = []
-            for half in range(2):
-                joint = self.noise.sample(cfg.seed, index, 2 * step + half,
-                                          batch)
-                subs.append(joint)
+            joint = None
+            for draw in range(draws):
+                sub = noise.sample(cfg.seed, index, draws * step + draw,
+                                   batch)
                 if with_probe:
                     for i in self.probe_indices:
                         probe[i] = self.probe_integrators[i] \
-                            .step_with_eigen_noise(
-                                probe[i], joint[self.noise.slices[i]])
-            # exact substep aggregation to the dt_ref grid
-            aggs = [self.sub_decay[i][:, None] * subs[0][self.noise.slices[i]]
-                    + subs[1][self.noise.slices[i]]
-                    for i in range(len(self.spaces))]
+                            .step_with_eigen_noise(probe[i], sub[slices[i]])
+                # exact substep aggregation to the dt_ref grid
+                joint = sub if joint is None else self.sub_decay * joint + sub
             ref_i = self.ref_index
             states[ref_i] = self.integrators[ref_i].step_with_eigen_noise(
-                states[ref_i], aggs[ref_i])
+                states[ref_i], joint[slices[ref_i]])
             for i, ratio in enumerate(self.ratios):
-                acc[i] = self.ref_decay[i][:, None] * acc[i] + aggs[i]
+                acc[i] = self.ref_decay[i][:, None] * acc[i] + joint[slices[i]]
                 if (step + 1) % ratio:
                     continue
                 states[i] = self.integrators[i].step_with_eigen_noise(
@@ -654,7 +678,7 @@ class _CoupledEngine:
                     aborted |= bad
                     states[i][:, bad] = 0.0
         ref = states[self.ref_index]
-        out = {"aborted": aborted}
+        out = {"aborted": aborted, "draws": draws * self.n_steps}
         if cfg.kind == "strong":
             out["values"] = [cmp_.distance(ref, states[i])
                              for i, cmp_ in enumerate(self.comparers)]
@@ -726,7 +750,7 @@ def _weak_level_stats(values):
 
 
 def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
-                       workers, noise):
+                       workers, noise_factors):
     keep = ~np.concatenate([r["aborted"] for r in results])
     aborted_total = int((~keep).sum())
     levels = []
@@ -785,7 +809,7 @@ def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
         config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, probe_ratio=probe_ratio,
         aborted_total=aborted_total, functional_means=functional_means,
-        noise=noise.diagnostics(),
+        noise=_noise_summary(noise_factors, results),
         runtime_seconds=time.perf_counter() - t_start, workers=workers,
         notes=tuple(notes))
 
@@ -801,7 +825,7 @@ def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     return _reduce_rate_study(
         cfg, results, list(cfg.levels),
         lambda v: _strong_level_stats(v, cfg.p_order), t0, workers,
-        engine.noise)
+        (engine.noise, engine.ref_noise))
 
 
 def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
@@ -814,7 +838,7 @@ def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     results = _map_batches(engine, map_fn, workers)
     return _reduce_rate_study(
         cfg, results, list(cfg.levels), _weak_level_stats, t0, workers,
-        engine.noise)
+        (engine.noise, engine.ref_noise))
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +899,7 @@ class _SplittingDtEngine:
                     aborted |= bad
                     states[lvl][:, bad] = 0.0
         values = [self.space.l2_norm(ref - st) for st in states]
-        return {"values": values, "aborted": aborted}
+        return {"values": values, "aborted": aborted, "draws": self.n_subs}
 
 
 def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
@@ -889,7 +913,7 @@ def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     return _reduce_rate_study(
         cfg, results, list(cfg.dt_levels),
         lambda v: _strong_level_stats(v, cfg.p_order), t0, workers,
-        engine.noise)
+        (engine.noise,))
 
 
 # ---------------------------------------------------------------------------

@@ -331,13 +331,13 @@ def _evaluation_matrix(space: FemSpace, points: np.ndarray) -> sp.csr_matrix:
     idx = np.clip(np.searchsorted(nodes, points, side="right") - 1,
                   0, nodes.size - 2)
     theta = (points - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    rows, cols, vals = [], [], []
-    for j, (i, th) in enumerate(zip(idx, theta)):
-        if 1 <= i <= space.n:            # left node is interior
-            rows.append(j); cols.append(i - 1); vals.append(1.0 - th)
-        if 1 <= i + 1 <= space.n:        # right node is interior
-            rows.append(j); cols.append(i); vals.append(th)
-    return sp.csr_matrix((vals, (rows, cols)),
+    # per point: the left node (column i - 1), then the right node
+    # (column i), each kept where that node is interior
+    cols = np.column_stack([idx - 1, idx])
+    vals = np.column_stack([1.0 - theta, theta])
+    keep = (cols >= 0) & (cols < space.n)
+    rows = np.broadcast_to(np.arange(points.size)[:, None], cols.shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
                          shape=(points.size, space.n))
 
 

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "CovarianceSpec",
@@ -186,8 +187,11 @@ class DiscreteNoiseModel:
 
     Precomputes, for a fixed (space, covariance, dt) triple, everything
     needed to advance Z by one step in the discrete eigenbasis: the decay
-    factors e^{-l_i dt} and a Cholesky factor of the one-step covariance
-    (diagonal on a uniform mesh, see the module docstring).
+    factors e^{-l_i dt} and a Cholesky factor of the one-step covariance.
+    On a uniform mesh that covariance is exactly diagonal (see the module
+    docstring), so the factor is its square root, stored as a diagonal
+    CSR matrix, and a draw costs n products.
+    ``step_covariance`` stays dense for closed-form references.
     """
 
     def __init__(self, space, basis, spec: CovarianceSpec, dt: float):
@@ -205,7 +209,8 @@ class DiscreteNoiseModel:
         kernel = -np.expm1(-pair_sum * self.dt) / pair_sum
         self.step_covariance = self.mode_covariance * kernel
         self.decay = np.exp(-lam * self.dt)
-        self._chol, _ = _regularized_cholesky(self.step_covariance)
+        self._chol, _ = _regularized_cholesky(self.step_covariance,
+                                              n_diag=space.n)
 
     @property
     def stationary_variance(self) -> np.ndarray:
@@ -240,30 +245,54 @@ def convolution_step(model: DiscreteNoiseModel, state: np.ndarray,
     return model.step(state, generator)
 
 
-def _regularized_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky with a diagonal jitter ladder capped at 1e-14 * trace.
+def _regularized_cholesky(matrix, n_diag: int) -> tuple[sp.csr_matrix, float]:
+    """Sparse Cholesky factor of a PSD matrix with a diagonal leading block.
 
-    The matrix is positive semidefinite in exact arithmetic (a Schur
-    product of two PSD factors), so only roundoff-scale regularization
-    is ever legitimate.  Failure beyond the cap is reported, not patched.
-    Returns the lower factor and the jitter added to the diagonal (0.0
-    when none was needed).
+    ``matrix`` (dense or sparse, symmetric positive semidefinite) has the
+    block form [[D, B^T], [B, C]] with D diagonal of size ``n_diag``.
+    That block is eliminated in closed form, L11 = D^(1/2) and
+    L21 = B D^(-1/2), and only the Schur complement S = C - L21 L21^T,
+    of the remaining rows, is factored densely; nothing of the full size
+    is ever dense.  In exact arithmetic the matrix is PSD (a Schur
+    product of two PSD factors), so only roundoff-scale regularization is
+    legitimate: a jitter ladder adds 1e-16 * trace to the diagonal, then
+    4x more per rung, when a pivot of D is not positive or S has no
+    Cholesky factor, and failure beyond 1e-14 * trace is reported, not
+    patched.  Returns the lower factor as CSR and the jitter added to the
+    diagonal (0.0 when none was needed).  A zero trace gives the all-zero
+    factor.
     """
-    trace = float(np.trace(matrix))
+    a = sp.csr_matrix(matrix)
+    dim = a.shape[0]
+    trace = float(a.diagonal().sum())
     if not math.isfinite(trace) or trace < 0.0:
         raise np.linalg.LinAlgError("covariance trace is not finite")
     if trace == 0.0:
-        return np.zeros_like(matrix), 0.0
+        return sp.csr_matrix((dim, dim)), 0.0
+    lead = a[:n_diag, :n_diag]
+    d = lead.diagonal()
+    if np.count_nonzero(lead.data) != np.count_nonzero(d):
+        raise ValueError("leading block is not diagonal")
+    b = a[n_diag:, :n_diag]
+    c = a[n_diag:, n_diag:].toarray()
     jitter = 0.0
-    eye = np.eye(matrix.shape[0])
     while True:
-        try:
-            return np.linalg.cholesky(matrix + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            if jitter == 0.0:
-                jitter = 1e-16 * trace
-            else:
-                jitter *= 4.0
-            if jitter > 1e-14 * trace:
-                raise np.linalg.LinAlgError(
-                    "step covariance not PSD within 1e-14 * trace jitter")
+        pivots = d + jitter
+        if np.all(pivots > 0.0):
+            root = np.sqrt(pivots)
+            l21 = b @ sp.diags(1.0 / root)
+            schur = c - (l21 @ l21.T).toarray()
+            schur[np.diag_indices_from(schur)] += jitter
+            try:
+                l22 = np.linalg.cholesky(schur)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        jitter = 1e-16 * trace if jitter == 0.0 else 4.0 * jitter
+        if jitter > 1e-14 * trace:
+            raise np.linalg.LinAlgError(
+                "step covariance not PSD within 1e-14 * trace jitter")
+    factor = sp.bmat([[sp.diags(root), None], [l21, sp.csr_matrix(l22)]],
+                     format="csr")
+    factor.eliminate_zeros()
+    return factor, jitter

@@ -81,7 +81,11 @@ class TestStudyCommand:
         assert noise["joint_dim"] == 3 + 7 + 15 + 63
         assert 0 < noise["factor_nnz"] < noise["joint_dim"] ** 2 / 2
         assert noise["cholesky_jitter"] >= 0.0
+        # 4 reference steps: the probe batch draws two half steps each,
+        # the second batch one full step each
+        assert noise["draws"] == 2 * 4 + 4
         assert "factor" not in text and "jitter" not in text
+        assert "draws" not in text
         out = capsys.readouterr().out
         assert "slope=" in out
 

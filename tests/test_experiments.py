@@ -19,7 +19,7 @@ from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, RateReport,
                      run_operator_study, run_splitting_dt_study,
                      run_strong_study, run_study, run_weak_study,
                      simulate_trajectory, uniform_mesh)
-from spdefem.experiments import (FUNCTIONALS, _JointNoise,
+from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
                                  validate_functional_id)
 from test_fem import dense_eigensystem, hat_coupling
 
@@ -189,6 +189,65 @@ class TestJointNoise:
                             2.0 ** -7)
         assert noise._chol.nnz == 0 and noise.cholesky_jitter == 0.0
         assert not noise.sample(0, 0, 0, 3).any()
+
+    def test_reference_factor_composes_two_half_steps(self):
+        # G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] with independent halves
+        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
+        basis = SpectralBasis(k_max=64)
+        covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
+        half = _JointNoise(spaces, basis, covariance, 2.0 ** -7)
+        full = _JointNoise(spaces, basis, covariance, 2.0 ** -6)
+        decay = np.exp(-np.concatenate([s.eigenvalues for s in spaces])
+                       * 2.0 ** -7)
+        sub = (half._chol @ half._chol.T).toarray()
+        expected = decay[:, None] * sub * decay[None, :] + sub
+        got = (full._chol @ full._chol.T).toarray()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert full._chol.nnz == half._chol.nnz
+
+    def test_non_nested_meshes_match_dense_formula(self):
+        # only the finest block must be diagonal; the coarse meshes' fill
+        # lands in the dense Schur complement
+        spaces = [FemSpace(uniform_mesh(n)) for n in (6, 8, 32)]
+        basis = SpectralBasis(k_max=64)
+        covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
+        noise = _JointNoise(spaces, basis, covariance, 2.0 ** -7)
+        dense, _ = dense_joint_covariance(spaces, basis, covariance,
+                                          2.0 ** -7)
+        chol = noise._chol.toarray()
+        assert np.abs(chol @ chol.T - dense).max() \
+            <= 1e-12 * np.abs(dense).max()
+
+
+class TestCoupledDraws:
+    def test_only_the_probe_batch_draws_half_steps(self, monkeypatch):
+        calls = []
+        sample = _JointNoise.sample
+
+        def counted(noise, *args):
+            calls.append(noise.dt)
+            return sample(noise, *args)
+
+        monkeypatch.setattr(_JointNoise, "sample", counted)
+        cfg = strong_config()
+        engine = _CoupledEngine(cfg)
+        engine.run_batch(0)
+        assert calls == [cfg.dt_ref / 2.0] * (2 * engine.n_steps)
+        calls.clear()
+        out = engine.run_batch(1)
+        assert calls == [cfg.dt_ref] * engine.n_steps
+        assert out["draws"] == engine.n_steps
+
+    def test_report_counts_draws_over_both_factors(self):
+        cfg = strong_config()
+        report = run_strong_study(cfg)
+        engine = _CoupledEngine(cfg)
+        n_steps = round(cfg.horizon / cfg.dt_ref)
+        assert report.noise == {
+            "joint_dim": engine.noise.dim,
+            "factor_nnz": engine.noise._chol.nnz + engine.ref_noise._chol.nnz,
+            "cholesky_jitter": 0.0,
+            "draws": 2 * n_steps + n_steps}
 
 
 class TestExponents:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from spdefem import (FemSpace, L2Comparer, Mesh1D, SpectralBasis,
                      field_values, operator_error_norm, uniform_mesh)
+from spdefem.fem import _evaluation_matrix
 from spdefem.rng import substream
 
 
@@ -396,6 +398,34 @@ class TestUnionNorm:
         for j in range(5):
             assert batch[j] == pytest.approx(
                 cmp_.distance(va[:, j], vb[:, j]), rel=1e-13)
+
+    @pytest.mark.parametrize("n_a, n_b", [(512, 8), (512, 128), (3, 7)])
+    def test_evaluation_matrices_match_loop(self, n_a, n_b):
+        spaces = [FemSpace(uniform_mesh(n)) for n in (n_a, n_b)]
+        knots = np.union1d(spaces[0].mesh.nodes, spaces[1].mesh.nodes)
+        points = np.sort(np.concatenate([knots,
+                                         0.5 * (knots[:-1] + knots[1:])]))
+        for space in spaces:
+            nodes = space.mesh.nodes
+            idx = np.clip(np.searchsorted(nodes, points, side="right") - 1,
+                          0, nodes.size - 2)
+            theta = (points - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+            rows, cols, vals = [], [], []
+            for j, (i, th) in enumerate(zip(idx, theta)):
+                if 1 <= i <= space.n:
+                    rows.append(j)
+                    cols.append(i - 1)
+                    vals.append(1.0 - th)
+                if 1 <= i + 1 <= space.n:
+                    rows.append(j)
+                    cols.append(i)
+                    vals.append(th)
+            loop = sp.csr_matrix((vals, (rows, cols)),
+                                 shape=(points.size, space.n))
+            fast = _evaluation_matrix(space, points)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(fast, attr),
+                                      getattr(loop, attr))
 
 
 class TestMeshes:

@@ -3,6 +3,7 @@ convolution sampler."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import sympy as sp
 
 from spdefem import FemSpace, SpectralBasis, uniform_mesh
@@ -231,10 +232,30 @@ class TestConvolutionSampler:
 
     def test_cholesky_jitter_cap_reports_failure(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError, match="1e-14"):
-            _regularized_cholesky(indefinite)
+        # n_diag = 1 fails in the Schur complement, n_diag = 0 in the
+        # dense factor of the whole matrix
+        for n_diag in (0, 1):
+            with pytest.raises(np.linalg.LinAlgError, match="1e-14"):
+                _regularized_cholesky(indefinite, n_diag=n_diag)
         near_psd = np.eye(3)
         near_psd[0, 0] = -1e-18
-        chol, jitter = _regularized_cholesky(near_psd)
-        assert np.isfinite(chol).all()
-        assert 0.0 < jitter <= 1e-14 * 2.0
+        # n_diag = 3 meets the negative pivot in the diagonal block
+        for n_diag in (0, 3):
+            chol, jitter = _regularized_cholesky(near_psd, n_diag=n_diag)
+            assert sparse.issparse(chol) and chol.format == "csr"
+            assert np.isfinite(chol.data).all()
+            assert 0.0 < jitter <= 1e-14 * 2.0
+            assert np.allclose((chol @ chol.T).toarray(),
+                               near_psd + jitter * np.eye(3), atol=1e-15)
+
+    def test_cholesky_rejects_non_diagonal_leading_block(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            _regularized_cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                                  n_diag=2)
+
+    def test_factor_is_diagonal_square_root(self):
+        model = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=0.5)
+        assert sparse.issparse(model._chol) and model._chol.format == "csr"
+        assert model._chol.nnz == self.space.n
+        assert np.array_equal(model._chol.diagonal(),
+                              np.sqrt(np.diag(model.step_covariance)))
