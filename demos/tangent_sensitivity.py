@@ -19,7 +19,7 @@ def main():
     space = FemSpace(uniform_mesh(32))
     basis = SpectralBasis(k_max=128)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=128)
-    scheme = SchemeConfig("splitting_exact_flow", dt=2.0 ** -6, n_steps=32)
+    scheme = SchemeConfig(dt=2.0 ** -6, n_steps=32)
     drift = PolynomialDrift.allen_cahn()
     integ = Integrator(space, drift, scheme, covariance=cov, basis=basis)
 

@@ -4,9 +4,7 @@ from .spectral import SpectralBasis
 from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh, field_values,
                   operator_error_norm)
 from .rng import substream, substream_key
-from .noise import (CovarianceSpec, DiscreteNoiseModel, NoiseIncrementBatch,
-                    convolution_step, implied_beta, project_increment,
-                    sample_increments)
+from .noise import CovarianceSpec, DiscreteNoiseModel, implied_beta
 from .dynamics import (PolynomialDrift, SchemeConfig, Integrator,
                        IntegrationError, tangent_integrate)
 from .config import ConfigError, load_config, parse_config
@@ -24,10 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "SpectralBasis", "Mesh1D", "FemSpace", "L2Comparer", "uniform_mesh",
     "field_values", "operator_error_norm", "substream",
-    "substream_key", "CovarianceSpec", "DiscreteNoiseModel",
-    "NoiseIncrementBatch", "convolution_step", "implied_beta",
-    "project_increment", "sample_increments", "PolynomialDrift",
-    "SchemeConfig", "Integrator", "IntegrationError", "tangent_integrate",
+    "substream_key", "CovarianceSpec", "DiscreteNoiseModel", "implied_beta",
+    "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
+    "tangent_integrate",
     "StudyConfig", "RateReport", "MomentReport", "FitResult", "fit_rate",
     "run_study", "run_strong_study", "run_weak_study",
     "run_splitting_dt_study", "run_moment_study", "run_operator_study",

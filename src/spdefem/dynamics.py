@@ -16,15 +16,11 @@ a3 <= 0 and g >= 0 the radicand never drops below 1, so the flow is
 globally defined.  Affine drifts integrate elementarily; anything else
 falls back to step-doubling RK4 with local error kept under 1e-12.
 
-Three one-step maps advance the semidiscrete SPDE; all treat the nodal
-state as columns of a batch:
-
-* splitting: nodewise exact flow over dt, then semigroup decay plus the
-  exactly sampled stochastic convolution;
-* exponential Euler: increment form state + dt*f(state) through the same
-  linear step;
-* semi-implicit: (M + dt*S) x+ = M(x + dt f(x)) + load(dW), a banded
-  solve with plain Wiener increments entering as a load vector.
+A single one-step map advances the semidiscrete SPDE, with the nodal
+state as columns of a batch: exact-flow Lie splitting, a nodewise exact
+flow over dt followed by the semigroup decay plus the exactly sampled
+stochastic convolution.  Regularising the drift by its flow this way is
+what the weak analysis rests on.
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ __all__ = [
     "IntegrationError",
     "tangent_integrate",
 ]
-
-SCHEMES = ("splitting_exact_flow", "exponential_euler", "semi_implicit")
 
 OVERFLOW_LIMIT = 1.0e6
 
@@ -163,15 +157,6 @@ class PolynomialDrift:
         return (x * growth * inv_root,
                 growth * inv_root / radicand if derivative else None)
 
-    def psi(self, dt: float, x):
-        """Regularized drift (Phi_dt(x) - x)/dt, equal to f at dt = 0."""
-        if dt < 0.0:
-            raise ValueError("regularization time must be nonnegative")
-        x = np.asarray(x, dtype=float)
-        if dt == 0.0:
-            return self(x)
-        return (self.flow(dt, x) - x) / dt
-
     def _rk4_flow(self, t: float, x: np.ndarray, derivative: bool):
         """Step-doubling RK4 for the flow and, if asked, its x-derivative.
 
@@ -227,16 +212,12 @@ class PolynomialDrift:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Which one-step map to use, and its uniform time grid."""
+    """The uniform time grid of the splitting scheme."""
 
-    scheme: str
     dt: float
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; "
-                             f"choose one of {SCHEMES}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.n_steps < 0:
@@ -248,13 +229,12 @@ class SchemeConfig:
 
 
 class Integrator:
-    """One-step maps for the semidiscrete equation, batched over columns.
+    """The splitting one-step map for the semidiscrete equation, batched
+    over columns.
 
     With ``covariance=None`` the dynamics are deterministic.  Otherwise a
-    spectral basis must be supplied: the exponential-family schemes draw
-    the exact stochastic convolution through a :class:`DiscreteNoiseModel`,
-    while the semi-implicit scheme draws plain mode increments and applies
-    them as a load vector.
+    spectral basis must be supplied, and the linear substep draws the
+    exact stochastic convolution through a :class:`DiscreteNoiseModel`.
     """
 
     def __init__(self, space, drift: PolynomialDrift, config: SchemeConfig,
@@ -265,27 +245,15 @@ class Integrator:
         self.dt = config.dt
         self._decay = np.exp(-space.eigenvalues * config.dt)
         self._noise_model = None
-        self._load_matrix = None
         if covariance is not None:
             if basis is None:
                 raise ValueError("sampling noise requires a spectral basis")
-            if config.scheme == "semi_implicit":
-                coupling = space.coupling(basis)[:, :covariance.k_trunc]
-                amp = np.sqrt(covariance.weights * config.dt)
-                self._load_matrix = coupling * amp
-            else:
-                self._noise_model = DiscreteNoiseModel(
-                    space, basis, covariance, config.dt)
-        if config.scheme == "semi_implicit":
-            # prime the banded Cholesky factor of M + dt*S
-            space.solve_shifted(config.dt, np.zeros(space.n))
+            self._noise_model = DiscreteNoiseModel(
+                space, basis, covariance, config.dt)
 
     def drift_substep(self, state: np.ndarray) -> np.ndarray:
-        """The nonlinear half of the step, nodewise and noise-free."""
-        state = np.asarray(state, dtype=float)
-        if self.config.scheme == "splitting_exact_flow":
-            return self.drift.flow(self.dt, state)
-        return state + self.dt * self.drift(state)
+        """The nonlinear half of the step: the nodewise exact flow over dt."""
+        return self.drift.flow(self.dt, state)
 
     def linear_substep(self, state: np.ndarray,
                        generator: np.random.Generator | None) -> np.ndarray:
@@ -299,8 +267,6 @@ class Integrator:
 
     def step(self, state: np.ndarray,
              generator: np.random.Generator | None = None) -> np.ndarray:
-        if self.config.scheme == "semi_implicit":
-            return self._step_semi_implicit(state, generator)
         return self.linear_substep(self.drift_substep(state), generator)
 
     def step_with_eigen_noise(self, state: np.ndarray,
@@ -311,24 +277,10 @@ class Integrator:
         discrete eigen coordinates; coupled multi-mesh studies build it
         from one shared amplitude path and pass it in per mesh.
         """
-        if self.config.scheme == "semi_implicit":
-            raise ValueError(
-                "eigen-coordinate noise applies to the exponential-family "
-                "schemes only")
         flowed = self.drift_substep(state)
         coeffs = self.space.to_eigen(flowed)
         coeffs = _scale_columns(self._decay, coeffs) + noise_eigen
         return self.space.from_eigen(coeffs)
-
-    def _step_semi_implicit(self, state, generator):
-        state = np.asarray(state, dtype=float)
-        rhs = self.space.mass @ (state + self.dt * self.drift(state))
-        if self._load_matrix is not None:
-            if generator is None:
-                raise ValueError("stochastic step requires a generator")
-            shape = self._load_matrix.shape[1:2] + state.shape[1:]
-            rhs = rhs + self._load_matrix @ generator.standard_normal(shape)
-        return self.space.solve_shifted(self.dt, rhs)
 
     def run(self, x0: np.ndarray,
             generator: np.random.Generator | None = None, *,
@@ -361,7 +313,8 @@ def tangent_integrate(integrator: Integrator, checkpoints, start_step: int,
     ``checkpoints`` must contain the base state at every step (as produced
     by :meth:`Integrator.run` with ``keep_checkpoints=True``); the tangent
     starts at ``direction`` at time ``start_step * dt`` and is pushed
-    forward by the exact Jacobian of the chosen one-step map, so a
+    forward by the exact Jacobian of the splitting step, the flow's
+    derivative at the base state followed by the semigroup decay, so a
     finite-difference quotient of two coupled trajectories reproduces it
     to the quotient's own truncation error.
     """
@@ -375,15 +328,7 @@ def tangent_integrate(integrator: Integrator, checkpoints, start_step: int,
     space, drift, dt = integrator.space, integrator.drift, integrator.dt
     eta = np.array(direction, dtype=float, copy=True)
     for index in range(start_step, config.n_steps):
-        base = checkpoints[index]
-        if config.scheme == "splitting_exact_flow":
-            jac = drift.flow_with_derivative(dt, base)[1]
-        else:
-            jac = 1.0 + dt * drift.derivative(base)
-        scaled = jac * eta
-        if config.scheme == "semi_implicit":
-            eta = space.solve_shifted(dt, space.mass @ scaled)
-        else:
-            coeffs = space.to_eigen(scaled)
-            eta = space.from_eigen(_scale_columns(integrator._decay, coeffs))
+        jac = drift.flow_with_derivative(dt, checkpoints[index])[1]
+        coeffs = space.to_eigen(jac * eta)
+        eta = space.from_eigen(_scale_columns(integrator._decay, coeffs))
     return eta

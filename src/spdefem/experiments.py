@@ -156,7 +156,6 @@ class StudyConfig:
     batch_size: int = 100
     p_order: int = 2
     functional: str = "exp_neg_sq_norm"
-    scheme: str = "splitting_exact_flow"
     horizon: float = 1.0
     length: float = 1.0
     x0: str = "default"
@@ -251,7 +250,8 @@ class StudyConfig:
             "batch_size": self.batch_size,
             "p_order": self.p_order,
             "functional": self.functional,
-            "scheme": self.scheme,
+            # the one time-stepping scheme, kept so existing hashes hold
+            "scheme": "splitting_exact_flow",
             "horizon": self.horizon,
             "length": self.length,
             "x0": self.x0,
@@ -475,6 +475,34 @@ class MomentReport:
 
 
 # ---------------------------------------------------------------------------
+# batch plumbing shared by the Monte-Carlo engines
+
+class _BatchEngine:
+    """Fixed-size sample batches of ``self.cfg``; subclasses run them."""
+
+    def batch_bounds(self, index):
+        start = index * self.cfg.batch_size
+        return start, min(start + self.cfg.batch_size, self.cfg.samples)
+
+    @property
+    def n_batches(self):
+        return -(-self.cfg.samples // self.cfg.batch_size)
+
+
+def _discard_overflow(state, aborted):
+    """Abort the columns of ``state`` that overflowed or went non-finite.
+
+    Marks them in ``aborted`` and zeroes them in place, so they step on
+    harmlessly until the reduction drops their samples.
+    """
+    bad = ~np.isfinite(state).all(axis=0) \
+        | (np.abs(state).max(axis=0) > OVERFLOW_LIMIT)
+    if bad.any():
+        aborted |= bad
+        state[:, bad] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # coupled multi-mesh engine (strong and weak studies)
 
 def _mesh_for(width: float, length: float) -> FemSpace:
@@ -580,7 +608,7 @@ def _noise_summary(factors, results) -> dict:
             "draws": sum(r["draws"] for r in results)}
 
 
-class _CoupledEngine:
+class _CoupledEngine(_BatchEngine):
     """Shared state of a strong or weak study; batches are pure work items.
 
     Every batch but the first draws each reference step's joint increment
@@ -608,8 +636,7 @@ class _CoupledEngine:
                                      cfg.dt_ref)
         self.integrators = [
             Integrator(space, cfg.drift,
-                       SchemeConfig(cfg.scheme, ratio * cfg.dt_ref,
-                                    self.n_steps // ratio))
+                       SchemeConfig(ratio * cfg.dt_ref, self.n_steps // ratio))
             for space, ratio in zip(self.spaces, list(self.ratios) + [1])
         ]
         eigenvalues = np.concatenate([s.eigenvalues for s in self.spaces])
@@ -625,18 +652,9 @@ class _CoupledEngine:
         self.probe_indices = (self.ref_index, len(cfg.levels) - 1)
         self.probe_integrators = {
             i: Integrator(self.spaces[i], cfg.drift,
-                          SchemeConfig(cfg.scheme, self.dt_sub,
-                                       2 * self.n_steps))
+                          SchemeConfig(self.dt_sub, 2 * self.n_steps))
             for i in self.probe_indices
         }
-
-    def batch_bounds(self, index):
-        start = index * self.cfg.batch_size
-        return start, min(start + self.cfg.batch_size, self.cfg.samples)
-
-    @property
-    def n_batches(self):
-        return -(-self.cfg.samples // self.cfg.batch_size)
 
     def run_batch(self, index):
         cfg = self.cfg
@@ -672,11 +690,7 @@ class _CoupledEngine:
                 states[i] = self.integrators[i].step_with_eigen_noise(
                     states[i], acc[i])
                 acc[i][:] = 0.0
-                bad = ~np.isfinite(states[i]).all(axis=0) \
-                    | (np.abs(states[i]).max(axis=0) > OVERFLOW_LIMIT)
-                if bad.any():
-                    aborted |= bad
-                    states[i][:, bad] = 0.0
+                _discard_overflow(states[i], aborted)
         ref = states[self.ref_index]
         out = {"aborted": aborted, "draws": draws * self.n_steps}
         if cfg.kind == "strong":
@@ -844,7 +858,7 @@ def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
 # ---------------------------------------------------------------------------
 # temporal-order study on a single mesh
 
-class _SplittingDtEngine:
+class _SplittingDtEngine(_BatchEngine):
     """All step sizes driven by one substep-resolution noise path."""
 
     def __init__(self, cfg: StudyConfig):
@@ -858,22 +872,13 @@ class _SplittingDtEngine:
                                  cfg.dt_ref)
         self.sub_decay = np.exp(-self.space.eigenvalues * cfg.dt_ref)
         self.ref_integrator = Integrator(
-            self.space, cfg.drift,
-            SchemeConfig(cfg.scheme, cfg.dt_ref, self.n_subs))
+            self.space, cfg.drift, SchemeConfig(cfg.dt_ref, self.n_subs))
         self.level_integrators = [
             Integrator(self.space, cfg.drift,
-                       SchemeConfig(cfg.scheme, dt, round(cfg.horizon / dt)))
+                       SchemeConfig(dt, round(cfg.horizon / dt)))
             for dt in cfg.dt_levels
         ]
         self.x0 = _initial_states(cfg, [self.space], self.basis)[0]
-
-    def batch_bounds(self, index):
-        start = index * self.cfg.batch_size
-        return start, min(start + self.cfg.batch_size, self.cfg.samples)
-
-    @property
-    def n_batches(self):
-        return -(-self.cfg.samples // self.cfg.batch_size)
 
     def run_batch(self, index):
         cfg = self.cfg
@@ -893,11 +898,7 @@ class _SplittingDtEngine:
                 states[lvl] = self.level_integrators[lvl] \
                     .step_with_eigen_noise(states[lvl], acc[lvl])
                 acc[lvl][:] = 0.0
-                bad = ~np.isfinite(states[lvl]).all(axis=0) \
-                    | (np.abs(states[lvl]).max(axis=0) > OVERFLOW_LIMIT)
-                if bad.any():
-                    aborted |= bad
-                    states[lvl][:, bad] = 0.0
+                _discard_overflow(states[lvl], aborted)
         values = [self.space.l2_norm(ref - st) for st in states]
         return {"values": values, "aborted": aborted, "draws": self.n_subs}
 
@@ -919,7 +920,7 @@ def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
 # ---------------------------------------------------------------------------
 # moment study
 
-class _MomentEngine:
+class _MomentEngine(_BatchEngine):
     """Per-level moments of the pure convolution and the full dynamics."""
 
     def __init__(self, cfg: StudyConfig):
@@ -937,19 +938,11 @@ class _MomentEngine:
         self.n_steps = round(cfg.horizon / cfg.dt_ref)
         self.integrators = [
             Integrator(s, cfg.drift,
-                       SchemeConfig(cfg.scheme, cfg.dt_ref, self.n_steps),
+                       SchemeConfig(cfg.dt_ref, self.n_steps),
                        covariance=cfg.covariance, basis=self.basis)
             for s in self.spaces
         ]
         self.x0 = _initial_states(cfg, self.spaces, self.basis)
-
-    def batch_bounds(self, index):
-        start = index * self.cfg.batch_size
-        return start, min(start + self.cfg.batch_size, self.cfg.samples)
-
-    @property
-    def n_batches(self):
-        return -(-self.cfg.samples // self.cfg.batch_size)
 
     def run_batch(self, index):
         cfg = self.cfg
@@ -1071,7 +1064,7 @@ def simulate_trajectory(cfg: StudyConfig, seed: int | None = None):
     space = _mesh_for(min(cfg.levels), cfg.length)
     n_steps = round(cfg.horizon / cfg.dt_ref)
     integrator = Integrator(
-        space, cfg.drift, SchemeConfig(cfg.scheme, cfg.dt_ref, n_steps),
+        space, cfg.drift, SchemeConfig(cfg.dt_ref, n_steps),
         covariance=cfg.covariance, basis=basis)
     x0 = _initial_states(cfg, [space], basis)[0]
     gen = substream(cfg.seed if seed is None else seed, purpose="trajectory")

@@ -146,10 +146,8 @@ class FemSpace:
         if self.n > 1:
             self.mass += np.diag(m_off, 1) + np.diag(m_off, -1)
             self.stiffness += np.diag(s_off, 1) + np.diag(s_off, -1)
-        self._mass_band = _as_banded_upper(m_diag, m_off)
-        self._stiff_band = _as_banded_upper(s_diag, s_off)
-        self._mass_chol = sla.cholesky_banded(self._mass_band)
-        self._stiff_chol = sla.cholesky_banded(self._stiff_band)
+        self._mass_chol = sla.cholesky_banded(_as_banded_upper(m_diag, m_off))
+        self._stiff_chol = sla.cholesky_banded(_as_banded_upper(s_diag, s_off))
         n_el = self.n + 1
         h = mesh.length / n_el
         theta = np.arange(1, n_el) * np.pi / n_el
@@ -166,7 +164,6 @@ class FemSpace:
         self.eigenvalue_ratio_range = (float(ratio.min()), float(ratio.max()))
         self._coupling_cache: dict[int, np.ndarray] = {}
         self._beig_cache: dict[int, np.ndarray] = {}
-        self._shift_cache: dict[float, np.ndarray] = {}
 
     # -- linear algebra helpers -------------------------------------------
 
@@ -175,14 +172,6 @@ class FemSpace:
 
     def solve_stiffness(self, b: np.ndarray) -> np.ndarray:
         return sla.cho_solve_banded((self._stiff_chol, False), b)
-
-    def solve_shifted(self, dt: float, b: np.ndarray) -> np.ndarray:
-        """Solve (M + dt S) x = b with a cached banded factorization."""
-        chol = self._shift_cache.get(dt)
-        if chol is None:
-            chol = sla.cholesky_banded(self._mass_band + dt * self._stiff_band)
-            self._shift_cache[dt] = chol
-        return sla.cho_solve_banded((chol, False), b)
 
     def to_eigen(self, v: np.ndarray) -> np.ndarray:
         """Nodal values -> coefficients in the discrete eigenbasis, V^T M v.
@@ -200,9 +189,6 @@ class FemSpace:
 
     # -- norms --------------------------------------------------------------
 
-    def mass_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ self.mass @ v)
-
     def l2_norm(self, v: np.ndarray) -> float | np.ndarray:
         v = np.asarray(v)
         if v.ndim == 1:
@@ -215,10 +201,6 @@ class FemSpace:
         return float(out) if v.ndim == 1 else out
 
     # -- discrete operator --------------------------------------------------
-
-    def apply_operator(self, v: np.ndarray) -> np.ndarray:
-        """Discrete negative Laplacian: M^{-1} S v."""
-        return self.solve_mass(self.stiffness @ v)
 
     def semigroup_apply(self, t: float, v: np.ndarray) -> np.ndarray:
         """Discrete heat semigroup exp(-t M^{-1} S) v, t >= 0."""
@@ -312,10 +294,6 @@ class FemSpace:
     def spectral_coeffs(self, basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
         """Sine coefficients <v_h, e_k> of a nodal field (exact, truncated)."""
         return self.coupling(basis).T @ v
-
-    def interpolate(self, basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-        """Nodal interpolant of a sine expansion (values at interior nodes)."""
-        return basis.synthesize(coeffs, self.mesh.interior)
 
 
 def field_values(space: FemSpace, v: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 The covariance operator acts mode by mode, Q e_k = q_k e_k, with three
 weight families: a power-law decay q_k = k^(-rho), spatial white noise
-q_k = 1, and a user-supplied sequence.  Increments are sampled in the
-continuous eigenbasis so that one Brownian path can drive several meshes
-at once; projection onto a finite element space is a mass solve against
-the precomputed coupling matrix.
+q_k = 1, and a user-supplied sequence.  The noise enters a finite
+element space through the overlaps of the sine modes with its discrete
+eigenvectors, so one Brownian path can drive several meshes at once.
 
 The stochastic convolution Z(t) = int_0^t e^{-A_h(t-s)} P_h dW(s) is an
 Ornstein-Uhlenbeck process in the discrete eigenbasis.  Its one-step
@@ -31,12 +30,8 @@ import scipy.sparse as sp
 
 __all__ = [
     "CovarianceSpec",
-    "NoiseIncrementBatch",
     "DiscreteNoiseModel",
     "implied_beta",
-    "sample_increments",
-    "project_increment",
-    "convolution_step",
 ]
 
 
@@ -140,48 +135,6 @@ def implied_beta(spec: CovarianceSpec) -> tuple[float, bool]:
     return min(1.0, (rho + 1.0) / 2.0), rho > 1.0
 
 
-@dataclass(frozen=True)
-class NoiseIncrementBatch:
-    """Mode amplitudes of Wiener increments over consecutive steps.
-
-    ``increments[k, n]`` is the amplitude of sine mode k+1 over step n,
-    distributed N(0, q_k dt), independent across modes and steps.
-    """
-
-    dt: float
-    increments: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[1]
-
-
-def sample_increments(spec: CovarianceSpec, dt: float, n_steps: int,
-                      generator: np.random.Generator) -> NoiseIncrementBatch:
-    """Draw a (k_trunc, n_steps) matrix of independent mode increments."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be a positive integer")
-    scale = np.sqrt(spec.weights * dt)
-    z = generator.standard_normal((spec.k_trunc, n_steps))
-    return NoiseIncrementBatch(dt=float(dt), increments=scale[:, None] * z)
-
-
-def project_increment(space, basis, amplitudes: np.ndarray) -> np.ndarray:
-    """L2-project a sine-mode amplitude vector onto the element space.
-
-    Accepts a vector of length k <= basis.k_max, or a (k, batch) matrix;
-    costs one coupling product and one mass solve.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    k = amplitudes.shape[0]
-    if k > basis.k_max:
-        raise ValueError("more amplitudes than basis modes")
-    load = space.coupling(basis)[:, :k] @ amplitudes
-    return space.solve_mass(load)
-
-
 class DiscreteNoiseModel:
     """Exact sampler of the discretized stochastic convolution.
 
@@ -237,12 +190,6 @@ class DiscreteNoiseModel:
         else:
             coeffs = self.decay[:, None] * coeffs + noise
         return self.space.from_eigen(coeffs)
-
-
-def convolution_step(model: DiscreteNoiseModel, state: np.ndarray,
-                     generator: np.random.Generator) -> np.ndarray:
-    """Functional alias for :meth:`DiscreteNoiseModel.step`."""
-    return model.step(state, generator)
 
 
 def _regularized_cholesky(matrix, n_diag: int) -> tuple[sp.csr_matrix, float]:

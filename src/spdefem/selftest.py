@@ -218,7 +218,7 @@ def check_tangent_against_finite_difference(seed: int) -> None:
     space = FemSpace(uniform_mesh(16))
     basis = SpectralBasis(k_max=64)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=64)
-    scheme = SchemeConfig("splitting_exact_flow", dt=2.0 ** -6, n_steps=16)
+    scheme = SchemeConfig(dt=2.0 ** -6, n_steps=16)
     integ = Integrator(space, PolynomialDrift.allen_cahn(), scheme,
                        covariance=cov, basis=basis)
     eps = 1e-5

@@ -58,18 +58,6 @@ class SpectralBasis:
         k_stop = self.k_max if k_stop is None else int(k_stop)
         return self._norm * np.sin(np.outer(points, self.frequencies[:k_stop]))
 
-    def synthesize(self, coeffs: np.ndarray, points: np.ndarray,
-                   chunk: int = 512) -> np.ndarray:
-        """Evaluate sum_k c_k e_k at the given points (chunked over modes)."""
-        coeffs = self._check_coeffs(coeffs)
-        points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape, dtype=float)
-        for lo in range(0, self.k_max, chunk):
-            hi = min(lo + chunk, self.k_max)
-            out += self._norm * np.sin(
-                np.outer(points, self.frequencies[lo:hi])) @ coeffs[lo:hi]
-        return out
-
     def semigroup_apply(self, t: float, coeffs: np.ndarray) -> np.ndarray:
         """Heat semigroup: multiply mode k by exp(-lambda_k t), t >= 0."""
         if t < 0.0:

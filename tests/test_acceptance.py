@@ -159,7 +159,7 @@ def test_06_tangent_finite_difference():
     space = FemSpace(uniform_mesh(32))
     basis = SpectralBasis(k_max=128)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=128)
-    scheme = SchemeConfig("splitting_exact_flow", dt=2.0 ** -6, n_steps=16)
+    scheme = SchemeConfig(dt=2.0 ** -6, n_steps=16)
     integ = Integrator(space, PolynomialDrift.allen_cahn(), scheme,
                        covariance=cov, basis=basis)
 

@@ -277,12 +277,6 @@ class TestNormEquivalence:
         back = space.fractional_apply(-0.5, space.fractional_apply(0.5, v))
         assert np.abs(back - v).max() < 1e-10
 
-    def test_apply_operator_matches_mass_solve(self):
-        space = FemSpace(uniform_mesh(8))
-        v = substream(18, purpose="test").standard_normal(space.n)
-        direct = space.solve_mass(space.stiffness @ v)
-        assert np.abs(space.apply_operator(v) - direct).max() < 1e-12
-
 
 class TestOperatorErrorNorms:
     def test_projection_error_operator_is_contraction(self):

@@ -1,5 +1,4 @@
-"""Tests for covariance specs, increment sampling, and the exact
-convolution sampler."""
+"""Tests for covariance specs and the exact convolution sampler."""
 
 import numpy as np
 import pytest
@@ -8,9 +7,7 @@ import sympy as sp
 
 from spdefem import FemSpace, SpectralBasis, uniform_mesh
 from spdefem.noise import (CovarianceSpec, DiscreteNoiseModel,
-                           _regularized_cholesky, convolution_step,
-                           implied_beta, project_increment,
-                           sample_increments)
+                           _regularized_cholesky, implied_beta)
 from spdefem.rng import substream
 
 
@@ -66,83 +63,6 @@ class TestCovarianceSpec:
             implied_beta(CovarianceSpec.custom([1.0], beta=0.5))
 
 
-class TestIncrementSampling:
-    def test_shape_and_zero_weight_rows(self):
-        spec = CovarianceSpec.custom([1.0, 0.0, 0.25], beta=1.0)
-        batch = sample_increments(spec, 0.5, 7, substream(1, purpose="test"))
-        assert batch.increments.shape == (3, 7)
-        assert batch.n_steps == 7 and batch.dt == 0.5
-        assert np.all(batch.increments[1] == 0.0)
-
-    def test_same_substream_key_reproduces_batch(self):
-        spec = CovarianceSpec.power_decay(2.0, 16)
-        a = sample_increments(spec, 0.1, 5,
-                              substream(9, sample=3, step=2, purpose="wiener"))
-        b = sample_increments(spec, 0.1, 5,
-                              substream(9, sample=3, step=2, purpose="wiener"))
-        assert np.array_equal(a.increments, b.increments)
-        c = sample_increments(spec, 0.1, 5,
-                              substream(9, sample=4, step=2, purpose="wiener"))
-        assert not np.array_equal(a.increments, c.increments)
-
-    def test_empirical_variance_matches_weights(self):
-        # chi-square bound: sample variance of N(0, s^2) over n draws has
-        # standard error s^2 sqrt(2/n).
-        spec = CovarianceSpec.power_decay(1.5, 4)
-        dt = 0.3
-        n = 100_000
-        batch = sample_increments(spec, dt, n, substream(2, purpose="test"))
-        var = batch.increments.var(axis=1)
-        target = spec.weights * dt
-        dev = np.abs(var - target) / (target * np.sqrt(2.0 / n))
-        assert dev.max() < 3.5
-
-    def test_steps_uncorrelated_at_lag_one(self):
-        spec = CovarianceSpec.white(32)
-        dt = 0.2
-        batch = sample_increments(spec, dt, 2000, substream(3, purpose="test"))
-        x = batch.increments / np.sqrt(dt)
-        prods = (x[:, :-1] * x[:, 1:]).ravel()
-        z = prods.mean() / (prods.std(ddof=1) / np.sqrt(prods.size))
-        assert abs(z) < 3.0
-
-    def test_validation(self):
-        spec = CovarianceSpec.white(4)
-        with pytest.raises(ValueError):
-            sample_increments(spec, 0.0, 3, substream(0, purpose="test"))
-        with pytest.raises(ValueError):
-            sample_increments(spec, 0.1, 0, substream(0, purpose="test"))
-
-
-class TestProjection:
-    def test_zero_and_single_mode(self):
-        space = FemSpace(uniform_mesh(8))
-        basis = SpectralBasis(k_max=32)
-        assert np.all(project_increment(space, basis, np.zeros(16)) == 0.0)
-        amp = np.zeros(16)
-        amp[0] = 2.5
-        full = np.zeros(32)
-        full[0] = 2.5
-        expected = space.l2_project(basis, full)
-        assert np.allclose(project_increment(space, basis, amp), expected,
-                           atol=1e-14)
-
-    def test_projection_is_contraction(self):
-        space = FemSpace(uniform_mesh(16))
-        basis = SpectralBasis(k_max=64)
-        gen = substream(4, purpose="test")
-        amps = gen.standard_normal((64, 50))
-        fields = project_increment(space, basis, amps)
-        assert np.all(space.l2_norm(fields)
-                      <= np.linalg.norm(amps, axis=0) * (1.0 + 1e-12))
-
-    def test_too_many_amplitudes_rejected(self):
-        space = FemSpace(uniform_mesh(8))
-        basis = SpectralBasis(k_max=8)
-        with pytest.raises(ValueError):
-            project_increment(space, basis, np.zeros(9))
-
-
 class TestConvolutionSampler:
     def setup_method(self):
         self.basis = SpectralBasis(k_max=256)
@@ -153,7 +73,7 @@ class TestConvolutionSampler:
         spec0 = CovarianceSpec.custom(np.zeros(64), beta=1.0)
         model = DiscreteNoiseModel(self.space, self.basis, spec0, dt=0.125)
         state = substream(5, purpose="test").standard_normal(self.space.n)
-        out = convolution_step(model, state, substream(6, purpose="test"))
+        out = model.step(state, substream(6, purpose="test"))
         expected = self.space.semigroup_apply(0.125, state)
         assert np.allclose(out, expected, atol=1e-14)
 

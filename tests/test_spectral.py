@@ -80,11 +80,11 @@ class TestProjection:
         with pytest.raises(ValueError, match="non-finite"):
             basis.project_function(lambda x: np.where(x > 0.5, np.nan, x))
 
-    def test_synthesize_inverts_projection(self):
+    def test_mode_sum_inverts_projection(self):
         basis = SpectralBasis(k_max=256)
         coeffs = basis.project_function(lambda x: x * (1.0 - x))
         pts = np.linspace(0.05, 0.95, 11)
-        vals = basis.synthesize(coeffs, pts)
+        vals = basis.evaluate_modes(pts) @ coeffs
         assert np.abs(vals - pts * (1.0 - pts)).max() < 1e-6
 
 
