@@ -4,7 +4,7 @@ from .spectral import SpectralBasis
 from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh, field_values,
                   operator_error_norm)
 from .rng import substream, substream_key
-from .noise import CovarianceSpec, DiscreteNoiseModel, implied_beta
+from .noise import CovarianceSpec, implied_beta
 from .dynamics import (PolynomialDrift, SchemeConfig, Integrator,
                        IntegrationError, tangent_integrate)
 from .config import ConfigError, load_config, parse_config
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SpectralBasis", "Mesh1D", "FemSpace", "L2Comparer", "uniform_mesh",
     "field_values", "operator_error_norm", "substream",
-    "substream_key", "CovarianceSpec", "DiscreteNoiseModel", "implied_beta",
+    "substream_key", "CovarianceSpec", "implied_beta",
     "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
     "tangent_integrate",
     "StudyConfig", "RateReport", "MomentReport", "FitResult", "fit_rate",

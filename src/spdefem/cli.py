@@ -40,6 +40,13 @@ from .selftest import run_selftest
 __all__ = ["main"]
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdefem",
@@ -54,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("config", help="YAML study document")
         p.add_argument("--seed", type=int, default=None,
                        help="override the document's seed")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_worker_count, default=1,
                        help="worker processes for sample batches")
         p.add_argument("--out", default=None,
                        help="output directory (default: $SPDEFEM_OUT or .)")

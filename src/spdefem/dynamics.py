@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import _scale_columns
-from .noise import CovarianceSpec, DiscreteNoiseModel
+from .noise import CovarianceSpec, _joint_factor
 
 __all__ = [
     "PolynomialDrift",
@@ -233,8 +233,9 @@ class Integrator:
     over columns.
 
     With ``covariance=None`` the dynamics are deterministic.  Otherwise a
-    spectral basis must be supplied, and the linear substep draws the
-    exact stochastic convolution through a :class:`DiscreteNoiseModel`.
+    spectral basis must be supplied, and the linear substep adds the
+    exact stochastic convolution increment, drawn as L @ standard normals
+    with L the sparse one-step factor of `noise._joint_factor`.
     """
 
     def __init__(self, space, drift: PolynomialDrift, config: SchemeConfig,
@@ -244,12 +245,12 @@ class Integrator:
         self.config = config
         self.dt = config.dt
         self._decay = np.exp(-space.eigenvalues * config.dt)
-        self._noise_model = None
+        self._noise_factor = None
         if covariance is not None:
             if basis is None:
                 raise ValueError("sampling noise requires a spectral basis")
-            self._noise_model = DiscreteNoiseModel(
-                space, basis, covariance, config.dt)
+            self._noise_factor, _ = _joint_factor([space], basis, covariance,
+                                                  config.dt)
 
     def drift_substep(self, state: np.ndarray) -> np.ndarray:
         """The nonlinear half of the step: the nodewise exact flow over dt."""
@@ -258,12 +259,14 @@ class Integrator:
     def linear_substep(self, state: np.ndarray,
                        generator: np.random.Generator | None) -> np.ndarray:
         """Semigroup decay plus the exact convolution increment."""
-        if self._noise_model is not None:
-            if generator is None:
-                raise ValueError("stochastic step requires a generator")
-            return self._noise_model.step(state, generator)
-        coeffs = self.space.to_eigen(np.asarray(state, dtype=float))
-        return self.space.from_eigen(_scale_columns(self._decay, coeffs))
+        stochastic = self._noise_factor is not None
+        if stochastic and generator is None:
+            raise ValueError("stochastic step requires a generator")
+        coeffs = _scale_columns(self._decay, self.space.to_eigen(state))
+        if stochastic:
+            coeffs = coeffs + self._noise_factor \
+                @ generator.standard_normal(coeffs.shape)
+        return self.space.from_eigen(coeffs)
 
     def step(self, state: np.ndarray,
              generator: np.random.Generator | None = None) -> np.ndarray:

@@ -39,13 +39,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import stdtrit
 
 from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
 from .fem import FemSpace, L2Comparer, operator_error_norm, uniform_mesh
-from .noise import CovarianceSpec, _regularized_cholesky
+from .noise import CovarianceSpec, _joint_factor
 from .rng import substream
 from .spectral import SpectralBasis
 
@@ -215,6 +214,12 @@ class StudyConfig:
                 _check_multiple(dt, self.dt_ref, "tested dt", "dt_ref")
         if self.kind == "weak":
             validate_functional_id(self.functional)
+            match = _COS_MODE_PATTERN.match(self.functional)
+            if match and int(match.group(1)) > self.covariance.k_trunc:
+                raise ValueError(
+                    f"functional {self.functional} pairs with sine mode "
+                    f"{match.group(1)}, beyond the noise's k_trunc = "
+                    f"{self.covariance.k_trunc}")
             if self.drift.degree == 2:
                 raise ValueError("weak studies need an odd-degree reaction")
         if self.p_order < 1:
@@ -526,20 +531,8 @@ def _initial_states(cfg, spaces, basis):
 class _JointNoise:
     """Exact sampler of every mesh's convolution increment over a step d.
 
-    Each sine mode overlaps at most one eigenvector per mesh (its nodal
-    alias, `FemSpace.alias_overlaps`), so the joint covariance is a
-    scatter of q_k b^a_k b^b_k at the alias positions of every mesh pair,
-    times the kernel (1 - e^{-(lam_i + lam_j) d}) / (lam_i + lam_j); no
-    entry off those positions is touched, so its zeros are exact and the
-    matrix is assembled sparse.  Within one mesh a mode has one alias, so
-    the finest mesh's block is diagonal whether or not the meshes nest:
-    `_regularized_cholesky` eliminates it in closed form, finest mesh
-    first, and factors only the small Schur complement of the coarser
-    meshes densely.  On nested meshes the alias of a coarser mesh is a
-    function of the finer one, so that elimination creates no fill (Rose,
-    Tarjan & Lueker 1976): the factor, stored sparse with its rows back
-    in mesh order, has exactly the nonzeros of the permuted lower
-    triangle.  Nothing of size dim x dim is ever dense.
+    Holds the sparse joint factor of `noise._joint_factor`, rows in mesh
+    order, and the slice of each mesh's rows in a draw.
     """
 
     def __init__(self, spaces, basis, covariance, dt):
@@ -550,43 +543,8 @@ class _JointNoise:
             self.slices.append(slice(offset, offset + space.n))
             offset += space.n
         self.dim = offset
-        # factor positions: the finest mesh first
-        finest_first = sorted(range(len(spaces)), key=lambda a: -spaces[a].n)
-        factor_slices = [None] * len(spaces)
-        offset = 0
-        for a in finest_first:
-            factor_slices[a] = slice(offset, offset + spaces[a].n)
-            offset += spaces[a].n
-        k_trunc = covariance.k_trunc
-        lam = np.empty(self.dim)
-        pos, amp = [], []
-        for space, where in zip(spaces, factor_slices):
-            index, overlap = space.alias_overlaps(basis)
-            index, overlap = index[:k_trunc], overlap[:k_trunc]
-            lam[where] = space.eigenvalues
-            pos.append(np.where(index >= 0, where.start + index, -1))
-            amp.append(overlap)
-        pos, amp = np.array(pos), np.array(amp)
-        rows = np.broadcast_to(pos[:, None, :], (len(spaces),) + pos.shape)
-        cols = np.broadcast_to(pos[None, :, :], rows.shape)
-        values = covariance.weights * (amp[:, None, :] * amp[None, :, :])
-        hit = (rows >= 0) & (cols >= 0)
-        # sum duplicates sequentially in scatter order: scipy's own
-        # duplicate summing fixes no order, and another order would move
-        # the entries, and so the draws, by roundoff
-        key, slot = np.unique(rows[hit] * self.dim + cols[hit],
-                              return_inverse=True)
-        r, c = np.divmod(key, self.dim)
-        pair = lam[r] + lam[c]
-        joint = sp.csr_matrix(
-            (np.bincount(slot, weights=values[hit])
-             * (-np.expm1(-pair * dt) / pair), (r, c)),
-            shape=(self.dim, self.dim))
-        chol, self.cholesky_jitter = _regularized_cholesky(
-            joint, n_diag=spaces[finest_first[0]].n)
-        mesh_order = np.concatenate([np.arange(where.start, where.stop)
-                                     for where in factor_slices])
-        self._chol = chol[mesh_order]
+        self._chol, self.cholesky_jitter = _joint_factor(spaces, basis,
+                                                         covariance, dt)
 
     def sample(self, seed, batch_index, substep_index, batch):
         gen = substream(seed, sample=batch_index, step=substep_index,
@@ -924,15 +882,13 @@ class _MomentEngine(_BatchEngine):
     """Per-level moments of the pure convolution and the full dynamics."""
 
     def __init__(self, cfg: StudyConfig):
-        from .noise import DiscreteNoiseModel
-
         self.cfg = cfg
         self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
                                    length=cfg.length)
         self.spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
         # one exact step of size T samples Z(T) without temporal error
-        self.z_models = [
-            DiscreteNoiseModel(s, self.basis, cfg.covariance, cfg.horizon)
+        self.z_factors = [
+            _joint_factor([s], self.basis, cfg.covariance, cfg.horizon)[0]
             for s in self.spaces
         ]
         self.n_steps = round(cfg.horizon / cfg.dt_ref)
@@ -952,7 +908,8 @@ class _MomentEngine(_BatchEngine):
         for lvl, space in enumerate(self.spaces):
             gen = substream(cfg.seed, sample=index, step=lvl,
                             purpose="moment-z")
-            z = self.z_models[lvl].step(np.zeros((space.n, batch)), gen)
+            z = space.from_eigen(self.z_factors[lvl]
+                                 @ gen.standard_normal((space.n, batch)))
             out["z_sup"].append(np.abs(z).max(axis=0) ** 2)
             out["z_l2"].append(space.l2_norm(z) ** 2)
             gen = substream(cfg.seed, sample=index, step=lvl,
@@ -1082,14 +1039,19 @@ def linear_weak_reference(space, basis, covariance, x0_nodal, horizon,
 
     X(T) is Gaussian: the mean decays the initial state through the
     discrete semigroup, the covariance is the exact convolution
-    covariance over [0, T].  The sine-mode pairing is then scalar
-    Gaussian and E cos(N(m, s^2)) = cos(m) exp(-s^2/2).
+    covariance L L^T over [0, T].  The sine-mode pairing p is then scalar
+    Gaussian, with variance s^2 = |L^T p|^2, and
+    E cos(N(m, s^2)) = cos(m) exp(-s^2/2).
     """
-    from .noise import DiscreteNoiseModel
-
-    model = DiscreteNoiseModel(space, basis, covariance, horizon)
-    mean_eigen = model.decay * space.to_eigen(np.asarray(x0_nodal, float))
-    pairing = space.mode_overlap(basis)[:, mode - 1]
+    if not 1 <= mode <= basis.k_max:
+        raise ValueError(f"mode must lie in 1..{basis.k_max}, got {mode}")
+    factor, _ = _joint_factor([space], basis, covariance, horizon)
+    decay = np.exp(-space.eigenvalues * horizon)
+    mean_eigen = decay * space.to_eigen(np.asarray(x0_nodal, float))
+    index, overlap = space.alias_overlaps(basis)
+    pairing = np.zeros(space.n)
+    if index[mode - 1] >= 0:
+        pairing[index[mode - 1]] = overlap[mode - 1]
     m = float(pairing @ mean_eigen)
-    s_sq = float(pairing @ model.step_covariance @ pairing)
+    s_sq = float(np.sum((factor.T @ pairing) ** 2))
     return math.cos(m) * math.exp(-0.5 * s_sq)

@@ -32,6 +32,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -121,10 +122,12 @@ def _scale_columns(factors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 class FemSpace:
     """Assembled P1 space on the interior nodes of a uniform mesh.
 
-    Holds mass/stiffness matrices, their banded Cholesky factors, and the
-    closed-form M-orthonormal eigensystem of S v = lambda M v: eigenvector
-    i is the discrete sine sin(i pi j / N) scaled by c_i = (N/2 mu_i)^(-1/2),
-    where mu_i = h (2 + cos(i pi/N)) / 3 is its mass-matrix eigenvalue.
+    Holds the tridiagonal mass and stiffness matrices as sparse CSR
+    (assembled on first use), their banded Cholesky factors, and the
+    closed-form M-orthonormal eigensystem of S v = lambda M v:
+    eigenvector i is the discrete sine sin(i pi j / N) scaled by
+    c_i = (N/2 mu_i)^(-1/2), where mu_i = h (2 + cos(i pi/N)) / 3 is its
+    mass-matrix eigenvalue.
     Eigen transforms are type-I discrete sine transforms.  Raises
     ValueError unless the element lengths agree to within 1e-12 h.
     """
@@ -141,11 +144,8 @@ class FemSpace:
         m_off = right[:-1] / 6.0               # between interior i and i+1
         s_diag = 1.0 / left + 1.0 / right
         s_off = -1.0 / right[:-1]
-        self.mass = np.diag(m_diag)
-        self.stiffness = np.diag(s_diag)
-        if self.n > 1:
-            self.mass += np.diag(m_off, 1) + np.diag(m_off, -1)
-            self.stiffness += np.diag(s_off, 1) + np.diag(s_off, -1)
+        self._mass_bands = [m_off, m_diag, m_off]
+        self._stiffness_bands = [s_off, s_diag, s_off]
         self._mass_chol = sla.cholesky_banded(_as_banded_upper(m_diag, m_off))
         self._stiff_chol = sla.cholesky_banded(_as_banded_upper(s_diag, s_off))
         n_el = self.n + 1
@@ -164,6 +164,18 @@ class FemSpace:
         self.eigenvalue_ratio_range = (float(ratio.min()), float(ratio.max()))
         self._coupling_cache: dict[int, np.ndarray] = {}
         self._beig_cache: dict[int, np.ndarray] = {}
+
+    # -- matrices, built on first use: most studies never read them -------
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """Tridiagonal mass matrix M as sparse CSR."""
+        return sp.diags(self._mass_bands, [-1, 0, 1], format="csr")
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """Tridiagonal stiffness matrix S as sparse CSR."""
+        return sp.diags(self._stiffness_bands, [-1, 0, 1], format="csr")
 
     # -- linear algebra helpers -------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Q-Wiener noise models diagonal in the sine basis.
+"""Q-Wiener noise diagonal in the sine basis, and its exact sampler.
 
 The covariance operator acts mode by mode, Q e_k = q_k e_k, with three
 weight families: a power-law decay q_k = k^(-rho), spatial white noise
@@ -7,17 +7,20 @@ element space through the overlaps of the sine modes with its discrete
 eigenvectors, so one Brownian path can drive several meshes at once.
 
 The stochastic convolution Z(t) = int_0^t e^{-A_h(t-s)} P_h dW(s) is an
-Ornstein-Uhlenbeck process in the discrete eigenbasis.  Its one-step
-covariance has the closed form
+Ornstein-Uhlenbeck process in the discrete eigenbasis.  Over a step dt
+the eigen coordinates of meshes a and b driven by one path are jointly
+Gaussian with the closed-form covariance
 
-    C_ij = (sum_k q_k b_ik b_jk) * (1 - e^{-(l_i+l_j) dt}) / (l_i + l_j)
+    C_ij = (sum_k q_k b^a_ik b^b_jk) * (1 - e^{-(l_i+l_j) dt}) / (l_i + l_j)
 
 with b_ik the overlap of sine mode k with discrete eigenvector i, so a
 step of any size is sampled exactly (no temporal discretization error).
 On the uniform meshes of `FemSpace` each sine mode overlaps exactly one
-eigenvector (its nodal alias) or none, so b has at most one nonzero per
-column and the single-mesh covariance is diagonal, with exact zeros off
-the diagonal.
+eigenvector per mesh (its nodal alias) or none, so b has at most one
+nonzero per column: the single-mesh covariance is diagonal and the
+joint one is sparse.  `_joint_factor` builds its sparse lower factor L,
+and every stochastic path of the package draws one step as
+L @ standard normals.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "CovarianceSpec",
-    "DiscreteNoiseModel",
     "implied_beta",
 ]
 
@@ -135,61 +137,69 @@ def implied_beta(spec: CovarianceSpec) -> tuple[float, bool]:
     return min(1.0, (rho + 1.0) / 2.0), rho > 1.0
 
 
-class DiscreteNoiseModel:
-    """Exact sampler of the discretized stochastic convolution.
+def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
+    """Sparse lower factor of the joint one-step covariance of ``spaces``.
 
-    Precomputes, for a fixed (space, covariance, dt) triple, everything
-    needed to advance Z by one step in the discrete eigenbasis: the decay
-    factors e^{-l_i dt} and a Cholesky factor of the one-step covariance.
-    On a uniform mesh that covariance is exactly diagonal (see the module
-    docstring), so the factor is its square root, stored as a diagonal
-    CSR matrix, and a draw costs n products.
-    ``step_covariance`` stays dense for closed-form references.
+    Each sine mode overlaps at most one eigenvector per mesh (its nodal
+    alias, `FemSpace.alias_overlaps`), so the joint covariance of the
+    stacked eigen coordinates is a scatter of q_k b^a_k b^b_k at the
+    alias positions of every mesh pair, times the kernel
+    (1 - e^{-(lam_i + lam_j) dt}) / (lam_i + lam_j); no entry off those
+    positions is touched, so its zeros are exact and the matrix is
+    assembled sparse.  Within one mesh a mode has one alias, so the
+    finest mesh's block is diagonal whether or not the meshes nest:
+    `_regularized_cholesky` eliminates it in closed form, finest mesh
+    first, and factors only the small Schur complement of the coarser
+    meshes densely (a single mesh is just its diagonal square root).  On
+    nested meshes the alias of a coarser mesh is a function of the finer
+    one, so that elimination creates no fill (Rose, Tarjan & Lueker
+    1976): the factor has exactly the nonzeros of the permuted lower
+    triangle.  Nothing of size dim x dim is ever dense.
+
+    Returns (L, jitter): L in CSR with its rows in the order of
+    ``spaces`` (L L^T is the covariance in that order) and the diagonal
+    jitter the factorization needed.
     """
-
-    def __init__(self, space, basis, spec: CovarianceSpec, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if spec.k_trunc > basis.k_max:
-            raise ValueError("basis has fewer modes than k_trunc")
-        self.space = space
-        self.spec = spec
-        self.dt = float(dt)
-        lam = space.eigenvalues
-        b = space.mode_overlap(basis)[:, :spec.k_trunc]
-        self.mode_covariance = (b * spec.weights) @ b.T
-        pair_sum = lam[:, None] + lam[None, :]
-        kernel = -np.expm1(-pair_sum * self.dt) / pair_sum
-        self.step_covariance = self.mode_covariance * kernel
-        self.decay = np.exp(-lam * self.dt)
-        self._chol, _ = _regularized_cholesky(self.step_covariance,
-                                              n_diag=space.n)
-
-    @property
-    def stationary_variance(self) -> np.ndarray:
-        """Per-mode variance of Z in the long-time limit."""
-        lam = self.space.eigenvalues
-        return np.diag(self.mode_covariance) / (2.0 * lam)
-
-    def gaussian_in_eigen(self, generator: np.random.Generator,
-                          batch: int | None = None) -> np.ndarray:
-        """One step's convolution noise, in discrete eigen coordinates."""
-        if batch is None:
-            return self._chol @ generator.standard_normal(self.space.n)
-        return self._chol @ generator.standard_normal((self.space.n, batch))
-
-    def step(self, state: np.ndarray,
-             generator: np.random.Generator) -> np.ndarray:
-        """Advance nodal state by dt under decay plus convolution noise."""
-        state = np.asarray(state, dtype=float)
-        coeffs = self.space.to_eigen(state)
-        batch = None if coeffs.ndim == 1 else coeffs.shape[1]
-        noise = self.gaussian_in_eigen(generator, batch)
-        if coeffs.ndim == 1:
-            coeffs = self.decay * coeffs + noise
-        else:
-            coeffs = self.decay[:, None] * coeffs + noise
-        return self.space.from_eigen(coeffs)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    k_trunc = covariance.k_trunc
+    if k_trunc > basis.k_max:
+        raise ValueError("basis has fewer modes than k_trunc")
+    # factor positions: the finest mesh first
+    finest_first = sorted(range(len(spaces)), key=lambda a: -spaces[a].n)
+    factor_slices = [None] * len(spaces)
+    dim = 0
+    for a in finest_first:
+        factor_slices[a] = slice(dim, dim + spaces[a].n)
+        dim += spaces[a].n
+    lam = np.empty(dim)
+    pos, amp = [], []
+    for space, where in zip(spaces, factor_slices):
+        index, overlap = space.alias_overlaps(basis)
+        index, overlap = index[:k_trunc], overlap[:k_trunc]
+        lam[where] = space.eigenvalues
+        pos.append(np.where(index >= 0, where.start + index, -1))
+        amp.append(overlap)
+    pos, amp = np.array(pos), np.array(amp)
+    rows = np.broadcast_to(pos[:, None, :], (len(spaces),) + pos.shape)
+    cols = np.broadcast_to(pos[None, :, :], rows.shape)
+    values = covariance.weights * (amp[:, None, :] * amp[None, :, :])
+    hit = (rows >= 0) & (cols >= 0)
+    # sum duplicates sequentially in scatter order: scipy's own duplicate
+    # summing fixes no order, and another order would move the entries,
+    # and so the draws, by roundoff
+    key, slot = np.unique(rows[hit] * dim + cols[hit], return_inverse=True)
+    r, c = np.divmod(key, dim)
+    pair = lam[r] + lam[c]
+    joint = sp.csr_matrix(
+        (np.bincount(slot, weights=values[hit])
+         * (-np.expm1(-pair * dt) / pair), (r, c)),
+        shape=(dim, dim))
+    chol, jitter = _regularized_cholesky(
+        joint, n_diag=spaces[finest_first[0]].n)
+    mesh_order = np.concatenate([np.arange(where.start, where.stop)
+                                 for where in factor_slices])
+    return chol[mesh_order], jitter
 
 
 def _regularized_cholesky(matrix, n_diag: int) -> tuple[sp.csr_matrix, float]:

@@ -26,7 +26,7 @@ from .experiments import (StudyConfig, default_initial_profile, fit_rate,
                           linear_weak_reference, run_strong_study,
                           run_weak_study)
 from .fem import FemSpace, operator_error_norm, uniform_mesh
-from .noise import CovarianceSpec, DiscreteNoiseModel
+from .noise import CovarianceSpec, _joint_factor
 from .rng import substream
 from .spectral import SpectralBasis
 
@@ -109,13 +109,16 @@ def check_covariance_composition() -> None:
     basis = SpectralBasis(k_max=128)
     spec = CovarianceSpec.power_decay(2.0, k_trunc=128)
     dt = 0.05
-    single = DiscreteNoiseModel(space, basis, spec, dt)
-    double = DiscreteNoiseModel(space, basis, spec, 2.0 * dt)
-    decay = single.decay
-    composed = decay[:, None] * single.step_covariance * decay[None, :] \
-        + single.step_covariance
-    gap = np.abs(double.step_covariance - composed).max()
-    scale = np.abs(double.step_covariance).max()
+
+    def step_covariance(step):
+        factor, _ = _joint_factor([space], basis, spec, step)
+        return (factor @ factor.T).toarray()
+
+    single, double = step_covariance(dt), step_covariance(2.0 * dt)
+    decay = np.exp(-space.eigenvalues * dt)
+    composed = decay[:, None] * single * decay[None, :] + single
+    gap = np.abs(double - composed).max()
+    scale = np.abs(double).max()
     _check(gap < 1e-12 * max(scale, 1.0),
            f"covariance composition violated by {gap:.3e}")
 

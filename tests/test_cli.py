@@ -207,6 +207,25 @@ class TestErrorPaths:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_cos_mode_beyond_k_trunc_exits_two(self, tmp_path, capsys):
+        doc = tmp_path / "weak.yaml"
+        doc.write_text(STRONG_DOC.replace("kind: strong", "kind: weak")
+                       + "functional:\n  id: cos_mode_65\n")
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert code == 2
+        assert "k_trunc = 64" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_two(self, strong_doc, tmp_path, capsys,
+                                        workers):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["study", str(strong_doc), "--workers", workers,
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.json"))
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["study", str(tmp_path / "absent.yaml")])
         assert code == 2

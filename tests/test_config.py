@@ -175,6 +175,13 @@ class TestKindSpecificSections:
         weak = doc.replace("kind: strong", "kind: weak")
         assert parse_config(weak).functional == "cos_mode_1"
 
+    def test_cos_mode_beyond_k_trunc_rejected(self):
+        weak = MINIMAL_STRONG.replace("kind: strong", "kind: weak") \
+            + "  k_trunc: 16\nfunctional:\n  id: cos_mode_{}\n"
+        assert parse_config(weak.format(16)).functional == "cos_mode_16"
+        with pytest.raises(ConfigError, match="cos_mode_17.*k_trunc = 16"):
+            parse_config(weak.format(17))
+
     def test_dt_levels_only_for_splitting(self):
         with pytest.raises(ConfigError, match=r"time\.dt_levels"):
             parse_config(MINIMAL_STRONG

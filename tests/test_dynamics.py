@@ -199,9 +199,25 @@ class TestSchemes:
         integ = Integrator(space, ac, cfg, covariance=cov, basis=basis)
         x0 = np.sin(np.pi * space.mesh.interior)
         internal = integ.step(x0, substream(7, purpose="test"))
-        noise = integ._noise_model.gaussian_in_eigen(
-            substream(7, purpose="test"))
+        noise = integ._noise_factor @ substream(7, purpose="test") \
+            .standard_normal(space.n)
         external = integ.step_with_eigen_noise(x0, noise)
+        assert np.array_equal(internal, external)
+
+    def test_batched_steps_draw_factor_times_normals(self, small_setup):
+        # every stochastic step draws factor @ normals from the generator,
+        # in order, so feeding the same draws by hand repeats it bit for bit
+        space, basis, cov = small_setup
+        ac = PolynomialDrift.allen_cahn()
+        integ = Integrator(space, ac, SchemeConfig(dt=2.0 ** -5, n_steps=4),
+                           covariance=cov, basis=basis)
+        x0 = np.tile(np.sin(np.pi * space.mesh.interior)[:, None], (1, 3))
+        internal = integ.run(x0, substream(8, purpose="test"))
+        gen = substream(8, purpose="test")
+        external = x0
+        for _ in range(4):
+            noise = integ._noise_factor @ gen.standard_normal((space.n, 3))
+            external = integ.step_with_eigen_noise(external, noise)
         assert np.array_equal(internal, external)
 
     def test_configuration_validation(self, small_setup):

@@ -182,6 +182,12 @@ class TestJointNoise:
             "joint_dim": noise.dim, "factor_nnz": noise._chol.nnz,
             "cholesky_jitter": noise.cholesky_jitter}
 
+    def test_rejects_k_trunc_beyond_the_basis(self):
+        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8)]
+        covariance = CovarianceSpec.power_decay(2.0, k_trunc=32)
+        with pytest.raises(ValueError, match="k_trunc"):
+            _JointNoise(spaces, SpectralBasis(k_max=16), covariance, 0.1)
+
     def test_zero_weights_give_zero_factor(self):
         spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
         covariance = CovarianceSpec.custom(np.zeros(16), beta=0.5)
@@ -484,6 +490,18 @@ class TestWeakOracle:
             assert abs(entry["mean"] - oracle) < 4.0 * entry["stderr"]
         assert report.slope == pytest.approx(2.0, abs=0.35)
         assert report.monotonic
+
+    def test_reference_rejects_modes_outside_the_basis(self):
+        space = FemSpace(uniform_mesh(8))
+        basis = SpectralBasis(k_max=32)
+        cov = CovarianceSpec.power_decay(2.0, k_trunc=32)
+        x0 = default_initial_profile(space.mesh.interior, 1.0)
+        for mode in (0, 33):
+            with pytest.raises(ValueError, match="1..32"):
+                linear_weak_reference(space, basis, cov, x0, 0.5, mode=mode)
+        # mode 8 = N vanishes at every node: a zero pairing, cos(0) = 1
+        assert linear_weak_reference(space, basis, cov, x0, 0.5,
+                                     mode=8) == 1.0
 
 
 class TestDeterminism:

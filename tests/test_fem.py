@@ -23,7 +23,7 @@ def closed_form_discrete_eigenvalues(n_elements, length=1.0):
 def dense_eigensystem(space):
     """Generalized eigh of (S, M), each column's sign fixed so that its
     first entry is positive, as for the discrete sines sin(i pi j / N)."""
-    lam, vecs = sla.eigh(space.stiffness, space.mass)
+    lam, vecs = sla.eigh(space.stiffness.toarray(), space.mass.toarray())
     return lam, vecs * np.sign(vecs[0])
 
 
@@ -51,6 +51,22 @@ class TestAssembly:
         assert space.stiffness[i, i] == pytest.approx(2 / h, rel=1e-14)
         assert space.stiffness[i, i + 1] == pytest.approx(-1 / h, rel=1e-14)
         assert np.abs(space.mass[0, 2:]).max() == 0.0
+
+    @pytest.mark.parametrize("n_el", [2, 3, 9, 64])
+    def test_mass_and_stiffness_are_sparse_tridiagonal(self, n_el):
+        space = FemSpace(uniform_mesh(n_el, length=2.0))
+        n, h = space.n, 2.0 / n_el
+        ones = np.ones(n - 1)
+        dense_mass = (h / 6.0) * (4.0 * np.eye(n) + np.diag(ones, 1)
+                                  + np.diag(ones, -1))
+        dense_stiffness = (1.0 / h) * (2.0 * np.eye(n) - np.diag(ones, 1)
+                                       - np.diag(ones, -1))
+        for matrix, dense in ((space.mass, dense_mass),
+                              (space.stiffness, dense_stiffness)):
+            assert sp.issparse(matrix) and matrix.format == "csr"
+            assert matrix.nnz == 3 * n - 2
+            assert np.allclose(matrix.toarray(), dense, rtol=1e-14,
+                               atol=0.0)
 
     def test_mass_rows_match_quadrature(self):
         mesh = uniform_mesh(8, length=2.0)
@@ -301,13 +317,14 @@ class TestOperatorErrorNorms:
         basis = SpectralBasis(k_max=k_max)
         lam = basis.eigenvalues
         coup = space.coupling(basis)
+        mass, stiffness = space.mass.toarray(), space.stiffness.toarray()
         t = 0.01
-        flow = sla.expm(-t * np.linalg.solve(space.mass, space.stiffness))
+        flow = sla.expm(-t * np.linalg.solve(mass, stiffness))
         kernels = {
-            "l2": np.eye(k_max) - coup.T @ np.linalg.solve(space.mass, coup),
+            "l2": np.eye(k_max) - coup.T @ np.linalg.solve(mass, coup),
             "ritz": np.eye(k_max) - coup.T @ np.linalg.solve(
-                space.stiffness, coup * lam),
-            "semigroup": (coup.T @ flow @ np.linalg.solve(space.mass, coup)
+                stiffness, coup * lam),
+            "semigroup": (coup.T @ flow @ np.linalg.solve(mass, coup)
                           - np.diag(np.exp(-lam * t))),
         }
         cases = [("l2", 0.0, 0.0), ("l2", 0.0, 2.0), ("l2", 0.5, 1.5),

@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sparse
 import sympy as sp
 
-from spdefem import FemSpace, SpectralBasis, uniform_mesh
-from spdefem.noise import (CovarianceSpec, DiscreteNoiseModel,
+from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
+                     SpectralBasis, uniform_mesh)
+from spdefem.noise import (CovarianceSpec, _joint_factor,
                            _regularized_cholesky, implied_beta)
 from spdefem.rng import substream
 
@@ -63,42 +64,71 @@ class TestCovarianceSpec:
             implied_beta(CovarianceSpec.custom([1.0], beta=0.5))
 
 
+def dense_step_covariance(space, basis, spec, dt):
+    """One-step convolution covariance from the dense overlap table."""
+    lam = space.eigenvalues
+    b = space.mode_overlap(basis)[:, :spec.k_trunc]
+    pair = lam[:, None] + lam[None, :]
+    return (b * spec.weights) @ b.T * (-np.expm1(-pair * dt) / pair)
+
+
 class TestConvolutionSampler:
+    """The single-mesh factor of `_joint_factor` and the Integrator draws."""
+
     def setup_method(self):
         self.basis = SpectralBasis(k_max=256)
         self.space = FemSpace(uniform_mesh(16))
         self.spec = CovarianceSpec.power_decay(2.0, k_trunc=256)
 
+    def step_covariance(self, dt):
+        factor, _ = _joint_factor([self.space], self.basis, self.spec, dt)
+        return (factor @ factor.T).toarray()
+
+    def integrator(self, dt, n_steps, spec=None):
+        return Integrator(self.space, PolynomialDrift.zero(),
+                          SchemeConfig(dt, n_steps),
+                          covariance=spec or self.spec, basis=self.basis)
+
     def test_zero_covariance_gives_pure_decay(self):
         spec0 = CovarianceSpec.custom(np.zeros(64), beta=1.0)
-        model = DiscreteNoiseModel(self.space, self.basis, spec0, dt=0.125)
+        integ = self.integrator(0.125, 1, spec0)
+        assert integ._noise_factor.nnz == 0
         state = substream(5, purpose="test").standard_normal(self.space.n)
-        out = model.step(state, substream(6, purpose="test"))
+        out = integ.step(state, substream(6, purpose="test"))
         expected = self.space.semigroup_apply(0.125, state)
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_exact_in_time_matrix_identity(self):
         # Four quarter-steps compose to exactly the unit-step covariance.
-        m1 = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=1.0)
-        m4 = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=0.25)
-        d = m4.decay
-        total = np.zeros_like(m4.step_covariance)
+        c1, c4 = self.step_covariance(1.0), self.step_covariance(0.25)
+        d = np.exp(-self.space.eigenvalues * 0.25)
+        total = np.zeros_like(c4)
         for j in range(4):
             scale = d ** j
-            total += m4.step_covariance * np.outer(scale, scale)
-        assert np.abs(total - m1.step_covariance).max() \
-            < 1e-14 * np.abs(m1.step_covariance).max()
+            total += c4 * np.outer(scale, scale)
+        assert np.abs(total - c1).max() < 1e-14 * np.abs(c1).max()
 
     def test_stationary_variance_reached_at_large_dt(self):
-        model = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=5.0)
-        assert np.allclose(np.diag(model.step_covariance),
-                           model.stationary_variance, rtol=1e-12)
+        # Z(t) -> N(0, q_i / (2 lam_i)) per mode, q_i = sum_k q_k b_ik^2
+        b = self.space.mode_overlap(self.basis)
+        stationary = (b ** 2 @ self.spec.weights) \
+            / (2.0 * self.space.eigenvalues)
+        assert np.allclose(np.diag(self.step_covariance(5.0)), stationary,
+                           rtol=1e-12)
+
+    def test_factor_matches_dense_covariance_formula(self):
+        for dt in (0.01, 0.5):
+            dense = dense_step_covariance(self.space, self.basis, self.spec,
+                                          dt)
+            assert np.abs(self.step_covariance(dt) - dense).max() \
+                <= 1e-14 * np.abs(dense).max()
 
     def test_sampled_moments_match_covariance(self):
-        model = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=1.0)
+        factor, _ = _joint_factor([self.space], self.basis, self.spec, 1.0)
         n_samples = 20_000
-        z = model.gaussian_in_eigen(substream(7, purpose="test"), n_samples)
-        cov = model.step_covariance
+        z = factor @ substream(7, purpose="test").standard_normal(
+            (self.space.n, n_samples))
+        cov = self.step_covariance(1.0)
         # total second moment against the trace, normalized by its SE
         total = (z ** 2).sum(axis=0).mean()
         se_total = np.sqrt(2.0) * np.linalg.norm(cov) / np.sqrt(n_samples)
@@ -116,28 +146,25 @@ class TestConvolutionSampler:
         # Simulating to T=1 in one exact step or four exact steps must give
         # the same law; compare the MC second moment of each route to the
         # closed-form trace.
-        m1 = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=1.0)
-        m4 = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=0.25)
+        cov = self.step_covariance(1.0)
         n_samples = 10_000
-        tr = np.trace(m1.step_covariance)
-        se = np.sqrt(2.0) * np.linalg.norm(m1.step_covariance) / np.sqrt(n_samples)
+        tr = np.trace(cov)
+        se = np.sqrt(2.0) * np.linalg.norm(cov) / np.sqrt(n_samples)
 
         state = np.zeros((self.space.n, n_samples))
-        out1 = m1.step(state, substream(8, purpose="test"))
+        out1 = self.integrator(1.0, 1).run(state, substream(8, purpose="test"))
         mom1 = (self.space.l2_norm(out1) ** 2).mean()
         assert abs(mom1 - tr) < 3.5 * se
 
-        gen = substream(9, purpose="test")
-        out4 = np.zeros((self.space.n, n_samples))
-        for _ in range(4):
-            out4 = m4.step(out4, gen)
+        out4 = self.integrator(0.25, 4).run(state,
+                                            substream(9, purpose="test"))
         mom4 = (self.space.l2_norm(out4) ** 2).mean()
         assert abs(mom4 - tr) < 3.5 * se
 
     def test_single_column_step_matches_batch_semantics(self):
-        model = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=0.5)
+        integ = self.integrator(0.5, 1)
         state = substream(10, purpose="test").standard_normal(self.space.n)
-        out = model.step(state, substream(11, purpose="test"))
+        out = integ.step(state, substream(11, purpose="test"))
         assert out.shape == (self.space.n,)
         decay_part = self.space.semigroup_apply(0.5, state)
         noise = out - decay_part
@@ -145,10 +172,10 @@ class TestConvolutionSampler:
 
     def test_basis_smaller_than_truncation_rejected(self):
         small = SpectralBasis(k_max=16)
-        with pytest.raises(ValueError):
-            DiscreteNoiseModel(self.space, small, self.spec, dt=0.1)
-        with pytest.raises(ValueError):
-            DiscreteNoiseModel(self.space, self.basis, self.spec, dt=0.0)
+        with pytest.raises(ValueError, match="k_trunc"):
+            _joint_factor([self.space], small, self.spec, 0.1)
+        with pytest.raises(ValueError, match="dt"):
+            _joint_factor([self.space], self.basis, self.spec, 0.0)
 
     def test_cholesky_jitter_cap_reports_failure(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -174,8 +201,10 @@ class TestConvolutionSampler:
                                   n_diag=2)
 
     def test_factor_is_diagonal_square_root(self):
-        model = DiscreteNoiseModel(self.space, self.basis, self.spec, dt=0.5)
-        assert sparse.issparse(model._chol) and model._chol.format == "csr"
-        assert model._chol.nnz == self.space.n
-        assert np.array_equal(model._chol.diagonal(),
-                              np.sqrt(np.diag(model.step_covariance)))
+        factor, jitter = _joint_factor([self.space], self.basis, self.spec,
+                                       0.5)
+        assert sparse.issparse(factor) and factor.format == "csr"
+        assert factor.nnz == self.space.n and jitter == 0.0
+        dense = dense_step_covariance(self.space, self.basis, self.spec, 0.5)
+        assert np.allclose(factor.diagonal(), np.sqrt(np.diag(dense)),
+                           rtol=1e-14, atol=0.0)
