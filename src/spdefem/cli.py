@@ -47,6 +47,14 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdefem",
@@ -59,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_shared(p, needs_config):
         if needs_config:
             p.add_argument("config", help="YAML study document")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the document's seed")
         p.add_argument("--workers", type=_worker_count, default=1,
                        help="worker processes for sample batches")

@@ -17,10 +17,16 @@ the matrix is sparse, and eliminated finest mesh first its Cholesky
 factor has no fill.  One sparse factor at the reference step yields
 every mesh's exact increment per step in one draw.  The identity
 G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates steps without error,
-so coarse step sizes see exactly the noise the fine grid saw.  A
-dt-halving probe rides on the same randomness in the first batch, which
-instead draws two half steps from a second factor and aggregates them,
-to bound the drift-splitting time error.
+so coarse step sizes see exactly the noise the fine grid saw.
+
+Strong, weak and splitting_dt studies are one computation, run by one
+step-and-aggregate loop (`_CoupledEngine`): a reference and tested
+levels, each mapped to a mesh and a drift step.  Strong and weak levels
+refine the mesh, splitting_dt levels share the reference's mesh and
+coarsen the drift step.  In strong and weak studies a dt-halving probe
+rides on the same randomness in the first batch, which instead draws
+two half steps from a second factor and aggregates them, to bound the
+drift-splitting time error.
 
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
@@ -174,6 +180,8 @@ class StudyConfig:
             raise ValueError("dt_policy must be 'fixed' or 'h2beta'")
         if self.horizon <= 0.0 or self.length <= 0.0:
             raise ValueError("horizon and length must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.kind in ("strong", "weak", "moments", "splitting_dt"):
             if self.samples < 100:
                 raise ValueError("Monte-Carlo studies need at least 100 "
@@ -228,6 +236,8 @@ class StudyConfig:
     @property
     def step_ratios(self) -> tuple[int, ...]:
         """Per-level drift-step size as a multiple of dt_ref."""
+        if self.kind == "splitting_dt":
+            return tuple(round(dt / self.dt_ref) for dt in self.dt_levels)
         if self.dt_policy == "fixed" or self.kind not in ("strong", "weak"):
             return tuple(1 for _ in self.levels)
         beta = self.covariance.beta
@@ -508,7 +518,7 @@ def _discard_overflow(state, aborted):
 
 
 # ---------------------------------------------------------------------------
-# coupled multi-mesh engine (strong and weak studies)
+# coupled engine (strong, weak and splitting_dt studies)
 
 def _mesh_for(width: float, length: float) -> FemSpace:
     n = round(length / width)
@@ -567,50 +577,70 @@ def _noise_summary(factors, results) -> dict:
 
 
 class _CoupledEngine(_BatchEngine):
-    """Shared state of a strong or weak study; batches are pure work items.
+    """The one step-and-aggregate loop of every coupled rate study.
 
-    Every batch but the first draws each reference step's joint increment
-    once, from the factor at dt_ref.  The first batch also runs the
-    dt-halving probe, so it draws two half steps from the factor at
-    dt_ref / 2, steps the probe on each, and aggregates them exactly to
-    dt_ref; both routes give the same law.  Levels whose drift step is a
-    multiple of dt_ref (the h2beta policy) aggregate across reference
-    steps the same way.
+    A study has tested levels and a reference, and each steps on the mesh
+    that ``mesh_of`` maps it to.  Strong and weak levels each own a mesh,
+    and the reference owns the finest, so the map is the identity;
+    splitting_dt levels and their reference all share the one mesh and
+    differ only in drift step.  Every reference step draws the joint
+    increment of all meshes once, from the factor at dt_ref, steps the
+    reference on it, and aggregates it exactly into each level's drift
+    step, ``ratios[i]`` reference steps long.
+
+    Strong and weak studies also run the dt-halving probe on the first
+    batch: that batch draws two half steps from the factor at dt_ref / 2,
+    steps the probe on each, and aggregates them exactly to dt_ref; both
+    routes give the same law.
     """
 
     def __init__(self, cfg: StudyConfig):
         self.cfg = cfg
         self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
                                    length=cfg.length)
-        widths = list(cfg.levels) + [cfg.h_ref]
+        if cfg.kind == "splitting_dt":
+            self.resolutions = list(cfg.dt_levels)
+            widths = list(cfg.levels)
+            self.mesh_of = [0] * (len(cfg.dt_levels) + 1)
+        else:
+            self.resolutions = list(cfg.levels)
+            widths = list(cfg.levels) + [cfg.h_ref]
+            self.mesh_of = list(range(len(widths)))
         self.spaces = [_mesh_for(w, cfg.length) for w in widths]
-        self.ref_index = len(widths) - 1
+        self.ref_index = len(self.mesh_of) - 1
         self.n_steps = round(cfg.horizon / cfg.dt_ref)
-        self.dt_sub = cfg.dt_ref / 2.0
         self.ratios = cfg.step_ratios
-        self.noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
-                                 self.dt_sub)
         self.ref_noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
                                      cfg.dt_ref)
         self.integrators = [
-            Integrator(space, cfg.drift,
+            Integrator(self.spaces[m], cfg.drift,
                        SchemeConfig(ratio * cfg.dt_ref, self.n_steps // ratio))
-            for space, ratio in zip(self.spaces, list(self.ratios) + [1])
+            for m, ratio in zip(self.mesh_of, list(self.ratios) + [1])
         ]
-        eigenvalues = np.concatenate([s.eigenvalues for s in self.spaces])
-        self.sub_decay = np.exp(-eigenvalues * self.dt_sub)[:, None]
-        self.ref_decay = [np.exp(-s.eigenvalues * cfg.dt_ref)
-                          for s in self.spaces]
+        ref_decay = [np.exp(-s.eigenvalues * cfg.dt_ref)[:, None]
+                     for s in self.spaces]
+        self.decay = [ref_decay[m] for m in self.mesh_of[:-1]]
         self.x0 = _initial_states(cfg, self.spaces, self.basis)
-        self.comparers = [L2Comparer(self.spaces[self.ref_index], s)
-                          for s in self.spaces[:-1]]
+        ref_space = self.spaces[self.mesh_of[-1]]
+        self.comparers = [L2Comparer(ref_space, self.spaces[m])
+                          for m in self.mesh_of[:-1]]
+        self.factors = (self.ref_noise,)
+        self.probe_noise = None
+        if cfg.kind == "splitting_dt":
+            return
         # the probe reruns the reference and the finest tested level at
         # half the reference step on the same noise; it runs on the first
         # batch only, which is plenty for a 10% contamination diagnostic
+        dt_sub = cfg.dt_ref / 2.0
+        self.probe_noise = _JointNoise(self.spaces, self.basis,
+                                       cfg.covariance, dt_sub)
+        self.factors = (self.probe_noise, self.ref_noise)
+        eigenvalues = np.concatenate([s.eigenvalues for s in self.spaces])
+        self.sub_decay = np.exp(-eigenvalues * dt_sub)[:, None]
         self.probe_indices = (self.ref_index, len(cfg.levels) - 1)
         self.probe_integrators = {
             i: Integrator(self.spaces[i], cfg.drift,
-                          SchemeConfig(self.dt_sub, 2 * self.n_steps))
+                          SchemeConfig(dt_sub, 2 * self.n_steps))
             for i in self.probe_indices
         }
 
@@ -618,14 +648,15 @@ class _CoupledEngine(_BatchEngine):
         cfg = self.cfg
         start, stop = self.batch_bounds(index)
         batch = stop - start
-        states = [np.tile(x[:, None], (1, batch)) for x in self.x0]
-        acc = [np.zeros((self.spaces[i].n, batch))
-               for i in range(len(cfg.levels))]
-        with_probe = index == 0
+        states = [np.tile(self.x0[m][:, None], (1, batch))
+                  for m in self.mesh_of]
+        acc = [np.zeros((self.spaces[m].n, batch)) for m in self.mesh_of[:-1]]
+        with_probe = index == 0 and self.probe_noise is not None
         probe = ({i: states[i].copy() for i in self.probe_indices}
                  if with_probe else None)
-        draws, noise = (2, self.noise) if with_probe else (1, self.ref_noise)
-        slices = noise.slices
+        draws, noise = ((2, self.probe_noise) if with_probe
+                        else (1, self.ref_noise))
+        mesh_of, ref_i = self.mesh_of, self.ref_index
         aborted = np.zeros(batch, dtype=bool)
         for step in range(self.n_steps):
             joint = None
@@ -635,46 +666,47 @@ class _CoupledEngine(_BatchEngine):
                 if with_probe:
                     for i in self.probe_indices:
                         probe[i] = self.probe_integrators[i] \
-                            .step_with_eigen_noise(probe[i], sub[slices[i]])
+                            .step_with_eigen_noise(probe[i],
+                                                   sub[noise.slices[i]])
                 # exact substep aggregation to the dt_ref grid
                 joint = sub if joint is None else self.sub_decay * joint + sub
-            ref_i = self.ref_index
+            by_mesh = [joint[rows] for rows in noise.slices]
             states[ref_i] = self.integrators[ref_i].step_with_eigen_noise(
-                states[ref_i], joint[slices[ref_i]])
+                states[ref_i], by_mesh[mesh_of[ref_i]])
             for i, ratio in enumerate(self.ratios):
-                acc[i] = self.ref_decay[i][:, None] * acc[i] + joint[slices[i]]
+                acc[i] *= self.decay[i]
+                acc[i] += by_mesh[mesh_of[i]]
                 if (step + 1) % ratio:
                     continue
                 states[i] = self.integrators[i].step_with_eigen_noise(
                     states[i], acc[i])
                 acc[i][:] = 0.0
                 _discard_overflow(states[i], aborted)
-        ref = states[self.ref_index]
         out = {"aborted": aborted, "draws": draws * self.n_steps}
-        if cfg.kind == "strong":
-            out["values"] = [cmp_.distance(ref, states[i])
-                             for i, cmp_ in enumerate(self.comparers)]
+        fine = ref_i - 1  # the finest tested level
+        if cfg.kind == "weak":
+            phi = [self._phi(i, state) for i, state in enumerate(states)]
+            out["values"] = [phi[ref_i] - p for p in phi[:ref_i]]
+            out["phi"] = phi
             if with_probe:
-                out["probe"] = self.comparers[self.probe_indices[1]] \
-                    .distance(probe[self.ref_index],
-                              probe[self.probe_indices[1]])
+                out["probe"] = (self._phi(ref_i, probe[ref_i])
+                                - self._phi(fine, probe[fine]))
         else:
-            def evaluate(i, nodal):
-                return evaluate_functional(cfg.functional, self.spaces[i],
-                                           self.basis, nodal)
-
-            ref_vals = evaluate(self.ref_index, ref)
-            out["values"] = [ref_vals - evaluate(i, states[i])
-                             for i in range(len(cfg.levels))]
-            out["phi"] = [evaluate(i, states[i])
-                          for i in range(len(cfg.levels))]
-            out["phi"].append(ref_vals)
+            out["values"] = [cmp_.distance(states[ref_i], state)
+                             for cmp_, state in zip(self.comparers, states)]
             if with_probe:
-                out["probe"] = (evaluate(self.ref_index,
-                                         probe[self.ref_index])
-                                - evaluate(self.probe_indices[1],
-                                           probe[self.probe_indices[1]]))
+                out["probe"] = self.comparers[fine].distance(probe[ref_i],
+                                                             probe[fine])
         return out
+
+    def _phi(self, i, nodal):
+        return evaluate_functional(self.cfg.functional,
+                                   self.spaces[self.mesh_of[i]], self.basis,
+                                   nodal)
+
+
+class _SplittingDtEngine(_CoupledEngine):
+    """Name perfbench patches; goes when it drops _power_iteration_norm."""
 
 
 # Worker plumbing: the engine is built in the parent before the pool
@@ -786,93 +818,38 @@ def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
         notes=tuple(notes))
 
 
-def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                     ) -> RateReport:
-    """Coupled pathwise L^p error against the reference mesh, per level."""
-    if cfg.kind != "strong":
-        raise ValueError("config kind must be 'strong'")
+def _run_rate_study(cfg, kind, map_fn, workers) -> RateReport:
+    """Build the coupled engine, run its batches, reduce them to a rate."""
+    if cfg.kind != kind:
+        raise ValueError(f"config kind must be {kind!r}")
     t0 = time.perf_counter()
     engine = _CoupledEngine(cfg)
     results = _map_batches(engine, map_fn, workers)
-    return _reduce_rate_study(
-        cfg, results, list(cfg.levels),
-        lambda v: _strong_level_stats(v, cfg.p_order), t0, workers,
-        (engine.noise, engine.ref_noise))
+    if kind == "weak":
+        stats_fn = _weak_level_stats
+    else:
+        def stats_fn(values):
+            return _strong_level_stats(values, cfg.p_order)
+    return _reduce_rate_study(cfg, results, engine.resolutions, stats_fn, t0,
+                              workers, engine.factors)
+
+
+def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
+                     ) -> RateReport:
+    """Coupled pathwise L^p error against the reference mesh, per level."""
+    return _run_rate_study(cfg, "strong", map_fn, workers)
 
 
 def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
                    ) -> RateReport:
     """Coupled difference of a bounded functional's expectations."""
-    if cfg.kind != "weak":
-        raise ValueError("config kind must be 'weak'")
-    t0 = time.perf_counter()
-    engine = _CoupledEngine(cfg)
-    results = _map_batches(engine, map_fn, workers)
-    return _reduce_rate_study(
-        cfg, results, list(cfg.levels), _weak_level_stats, t0, workers,
-        (engine.noise, engine.ref_noise))
-
-
-# ---------------------------------------------------------------------------
-# temporal-order study on a single mesh
-
-class _SplittingDtEngine(_BatchEngine):
-    """All step sizes driven by one substep-resolution noise path."""
-
-    def __init__(self, cfg: StudyConfig):
-        self.cfg = cfg
-        self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
-                                   length=cfg.length)
-        self.space = _mesh_for(cfg.levels[0], cfg.length)
-        self.n_subs = round(cfg.horizon / cfg.dt_ref)
-        self.ratios = [round(dt / cfg.dt_ref) for dt in cfg.dt_levels]
-        self.noise = _JointNoise([self.space], self.basis, cfg.covariance,
-                                 cfg.dt_ref)
-        self.sub_decay = np.exp(-self.space.eigenvalues * cfg.dt_ref)
-        self.ref_integrator = Integrator(
-            self.space, cfg.drift, SchemeConfig(cfg.dt_ref, self.n_subs))
-        self.level_integrators = [
-            Integrator(self.space, cfg.drift,
-                       SchemeConfig(dt, round(cfg.horizon / dt)))
-            for dt in cfg.dt_levels
-        ]
-        self.x0 = _initial_states(cfg, [self.space], self.basis)[0]
-
-    def run_batch(self, index):
-        cfg = self.cfg
-        start, stop = self.batch_bounds(index)
-        batch = stop - start
-        ref = np.tile(self.x0[:, None], (1, batch))
-        states = [ref.copy() for _ in cfg.dt_levels]
-        acc = [np.zeros((self.space.n, batch)) for _ in cfg.dt_levels]
-        aborted = np.zeros(batch, dtype=bool)
-        for sub in range(self.n_subs):
-            noise = self.noise.sample(cfg.seed, index, sub, batch)
-            ref = self.ref_integrator.step_with_eigen_noise(ref, noise)
-            for lvl, ratio in enumerate(self.ratios):
-                acc[lvl] = self.sub_decay[:, None] * acc[lvl] + noise
-                if (sub + 1) % ratio:
-                    continue
-                states[lvl] = self.level_integrators[lvl] \
-                    .step_with_eigen_noise(states[lvl], acc[lvl])
-                acc[lvl][:] = 0.0
-                _discard_overflow(states[lvl], aborted)
-        values = [self.space.l2_norm(ref - st) for st in states]
-        return {"values": values, "aborted": aborted, "draws": self.n_subs}
+    return _run_rate_study(cfg, "weak", map_fn, workers)
 
 
 def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
                            ) -> RateReport:
     """Strong error of coarse step sizes against a fine-step reference."""
-    if cfg.kind != "splitting_dt":
-        raise ValueError("config kind must be 'splitting_dt'")
-    t0 = time.perf_counter()
-    engine = _SplittingDtEngine(cfg)
-    results = _map_batches(engine, map_fn, workers)
-    return _reduce_rate_study(
-        cfg, results, list(cfg.dt_levels),
-        lambda v: _strong_level_stats(v, cfg.p_order), t0, workers,
-        (engine.noise,))
+    return _run_rate_study(cfg, "splitting_dt", map_fn, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,19 @@ class TestErrorPaths:
         assert "--workers" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["study", "trajectory", "selftest"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_two(self, strong_doc, tmp_path,
+                                            capsys, command, seed):
+        config = [] if command == "selftest" else [str(strong_doc)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *config, "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["study", str(tmp_path / "absent.yaml")])
         assert code == 2

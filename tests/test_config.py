@@ -254,3 +254,12 @@ class TestDownstreamValidation:
         assert cfg.x0 == "mode1"
         with pytest.raises(ConfigError, match="x0"):
             parse_config(MINIMAL_STRONG + "\ninitial:\n  profile: bump\n")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        doc = MINIMAL_STRONG.replace("kind: strong",
+                                     f"kind: strong\n  seed: {seed}")
+        with pytest.raises(ConfigError, match=r"document: seed must lie"):
+            parse_config(doc)
+        assert parse_config(doc.replace(str(seed), str(2 ** 64 - 1))) \
+            .seed == 2 ** 64 - 1

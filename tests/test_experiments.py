@@ -44,6 +44,23 @@ def strong_config(**overrides):
     return StudyConfig(**base)
 
 
+def splitting_config(**overrides):
+    base = dict(
+        kind="splitting_dt",
+        covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
+        drift=AC,
+        levels=(2.0 ** -4,),
+        dt_levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
+        dt_ref=2.0 ** -7,
+        horizon=0.25,
+        samples=200,
+        batch_size=100,
+        seed=5,
+    )
+    base.update(overrides)
+    return StudyConfig(**base)
+
+
 class TestFitRate:
     def test_exact_first_order(self):
         levels = [(h, h, 0.0) for h in (0.5, 0.25, 0.125, 0.0625)]
@@ -250,10 +267,35 @@ class TestCoupledDraws:
         engine = _CoupledEngine(cfg)
         n_steps = round(cfg.horizon / cfg.dt_ref)
         assert report.noise == {
-            "joint_dim": engine.noise.dim,
-            "factor_nnz": engine.noise._chol.nnz + engine.ref_noise._chol.nnz,
+            "joint_dim": engine.probe_noise.dim,
+            "factor_nnz": (engine.probe_noise._chol.nnz
+                           + engine.ref_noise._chol.nnz),
             "cholesky_jitter": 0.0,
             "draws": 2 * n_steps + n_steps}
+
+    def test_splitting_dt_draws_once_per_reference_step(self, monkeypatch):
+        calls = []
+        sample = _JointNoise.sample
+
+        def counted(noise, *args):
+            calls.append(noise.dt)
+            return sample(noise, *args)
+
+        monkeypatch.setattr(_JointNoise, "sample", counted)
+        cfg = splitting_config()
+        engine = _CoupledEngine(cfg)
+        assert engine.probe_noise is None
+        assert engine.mesh_of == [0] * (len(cfg.dt_levels) + 1)
+        out = engine.run_batch(0)
+        assert calls == [cfg.dt_ref] * engine.n_steps
+        assert out["draws"] == engine.n_steps and "probe" not in out
+        report = run_splitting_dt_study(cfg)
+        assert report.probe_ratio is None
+        assert report.noise == {
+            "joint_dim": engine.ref_noise.dim,
+            "factor_nnz": engine.ref_noise._chol.nnz,
+            "cholesky_jitter": engine.ref_noise.cholesky_jitter,
+            "draws": engine.n_batches * engine.n_steps}
 
 
 class TestExponents:
@@ -505,10 +547,14 @@ class TestWeakOracle:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self):
-        cfg = strong_config(samples=300)
-        serial = run_strong_study(cfg, workers=1)
-        forked = run_strong_study(cfg, workers=3)
+    @pytest.mark.parametrize("cfg", [
+        strong_config(samples=300),
+        strong_config(kind="weak", dt_ref=2.0 ** -6, samples=300),
+        splitting_config(samples=300),
+    ], ids=["strong", "weak", "splitting_dt"])
+    def test_worker_count_does_not_change_bytes(self, cfg):
+        serial = run_study(cfg, workers=1)
+        forked = run_study(cfg, workers=3)
         assert serial.to_csv() == forked.to_csv()
 
     def test_map_fn_seam_matches_serial(self):
