@@ -98,7 +98,8 @@ def _phi_exp_neg_sq(space, basis, nodal):
 
 def _phi_cos_mode(space, basis, nodal, mode=1):
     """cos(<x, e_mode>): bounded with all derivatives bounded."""
-    pairing = space.coupling(basis)[:, mode - 1] @ nodal
+    index, overlap = space.alias_overlaps(basis)
+    pairing = overlap[mode - 1] * space.to_eigen(nodal)[index[mode - 1]]
     return np.cos(pairing)
 
 
@@ -202,11 +203,6 @@ class StudyConfig:
             if not self.h_ref < min(self.levels) / 2.0:
                 raise ValueError("reference width must be finer than half "
                                  "the smallest tested width")
-            for ratio in self.step_ratios:
-                if round(self.horizon / self.dt_ref) % ratio:
-                    raise ValueError(
-                        "h2beta step sizes must divide the horizon's "
-                        "dt_ref grid evenly")
         if self.kind == "splitting_dt":
             if len(self.dt_levels) < 3:
                 raise ValueError("need at least 3 step sizes to fit a rate")
@@ -220,6 +216,12 @@ class StudyConfig:
                 raise ValueError("splitting_dt studies use exactly one mesh")
             for dt in self.dt_levels:
                 _check_multiple(dt, self.dt_ref, "tested dt", "dt_ref")
+        if self.kind in ("strong", "weak", "splitting_dt"):
+            for ratio in self.step_ratios:
+                if round(self.horizon / self.dt_ref) % ratio:
+                    raise ValueError(
+                        "level step sizes must divide the horizon's "
+                        "dt_ref grid evenly")
         if self.kind == "weak":
             validate_functional_id(self.functional)
             match = _COS_MODE_PATTERN.match(self.functional)

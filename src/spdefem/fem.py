@@ -14,19 +14,20 @@ scaled type-I discrete sine transform.  The eigensystem gives the
 discrete heat semigroup and fractional operator powers as diagonal
 multipliers, mirroring the spectral module.
 
-Interplay with the sine basis (projections, noise coupling, operator error
-norms) runs through the coupling matrix C[i, k] = <phi_i, e_k>, assembled in
-closed form: the integral of a hat function against a sine has an elementary
-antiderivative, so no quadrature error enters at any mode number.
-
 Sine modes alias on the nodes: mode k takes the nodal values of mode
 +-(k mod 2N) folded into 1..N-1, and vanishes at every node when k = 0 or
 N (mod 2N).  So each sine mode overlaps at most one discrete eigenvector
-(`_mode_alias`).  The joint noise covariance of a mesh hierarchy and the
-operator error norms are built from that one rule: each error operator is
-block diagonal over the alias classes, each block a diagonal plus a
-rank-one term, and its norm is the largest exact 2-norm of the small
-blocks.
+(`_mode_alias`), and the sparse overlap matrix B[i, k] = <e_k, e_i^h>
+holds at most one nonzero per column (`FemSpace.alias_overlaps`).  The
+whole interplay with the sine basis runs through that map and the eigen
+transforms: the coupling C[j, k] = <phi_j, e_k> factors as C = M V B, so
+the L2 and Ritz projections, the sine coefficients of a nodal field, the
+joint noise covariance of a mesh hierarchy and the operator error norms
+never form C.  Each error operator is block diagonal over the alias
+classes, each block a diagonal plus a rank-one term, and its norm is the
+largest exact 2-norm of the small blocks.  `FemSpace.coupling` keeps the
+dense closed form of C (the integral of a hat against a sine has an
+elementary antiderivative) as a reference.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.fft import dst
 
@@ -105,13 +105,6 @@ def _mode_alias(n_elements: int, k_max: int):
     return index, np.where(reflected, -1.0, 1.0)
 
 
-def _as_banded_upper(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    ab = np.zeros((2, diag.size))
-    ab[1] = diag
-    ab[0, 1:] = off
-    return ab
-
-
 def _scale_columns(factors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Scale entry i of a vector, or row i of every column, by factors[i]."""
     if coeffs.ndim == 1:
@@ -123,13 +116,16 @@ class FemSpace:
     """Assembled P1 space on the interior nodes of a uniform mesh.
 
     Holds the tridiagonal mass and stiffness matrices as sparse CSR
-    (assembled on first use), their banded Cholesky factors, and the
-    closed-form M-orthonormal eigensystem of S v = lambda M v:
+    (assembled on first use) and the closed-form M-orthonormal
+    eigensystem of S v = lambda M v:
     eigenvector i is the discrete sine sin(i pi j / N) scaled by
     c_i = (N/2 mu_i)^(-1/2), where mu_i = h (2 + cos(i pi/N)) / 3 is its
     mass-matrix eigenvalue.
-    Eigen transforms are type-I discrete sine transforms.  Raises
-    ValueError unless the element lengths agree to within 1e-12 h.
+    Eigen transforms are type-I discrete sine transforms, and mass and
+    stiffness solves are diagonal between two of them.  The sine basis
+    enters only through the alias map (`alias_overlaps`); `coupling` is
+    the dense closed-form reference.  Raises ValueError unless the
+    element lengths agree to within 1e-12 h.
     """
 
     def __init__(self, mesh: Mesh1D):
@@ -146,8 +142,6 @@ class FemSpace:
         s_off = -1.0 / right[:-1]
         self._mass_bands = [m_off, m_diag, m_off]
         self._stiffness_bands = [s_off, s_diag, s_off]
-        self._mass_chol = sla.cholesky_banded(_as_banded_upper(m_diag, m_off))
-        self._stiff_chol = sla.cholesky_banded(_as_banded_upper(s_diag, s_off))
         n_el = self.n + 1
         h = mesh.length / n_el
         theta = np.arange(1, n_el) * np.pi / n_el
@@ -162,8 +156,6 @@ class FemSpace:
         lam_cont = (np.arange(1, self.n + 1) * np.pi / mesh.length) ** 2
         ratio = self.eigenvalues / lam_cont
         self.eigenvalue_ratio_range = (float(ratio.min()), float(ratio.max()))
-        self._coupling_cache: dict[int, np.ndarray] = {}
-        self._beig_cache: dict[int, np.ndarray] = {}
 
     # -- matrices, built on first use: most studies never read them -------
 
@@ -180,10 +172,15 @@ class FemSpace:
     # -- linear algebra helpers -------------------------------------------
 
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
-        return sla.cho_solve_banded((self._mass_chol, False), b)
+        """M^{-1} b = V V^T b (V^T M V = I); V^T b is a scaled DST-I."""
+        vt_b = dst(np.asarray(b, dtype=float), type=1, axis=0)
+        return self.from_eigen(_scale_columns(self._from_eigen_scale, vt_b))
 
     def solve_stiffness(self, b: np.ndarray) -> np.ndarray:
-        return sla.cho_solve_banded((self._stiff_chol, False), b)
+        """S^{-1} b = V Lambda_h^{-1} V^T b."""
+        vt_b = dst(np.asarray(b, dtype=float), type=1, axis=0)
+        return self.from_eigen(_scale_columns(
+            self._from_eigen_scale / self.eigenvalues, vt_b))
 
     def to_eigen(self, v: np.ndarray) -> np.ndarray:
         """Nodal values -> coefficients in the discrete eigenbasis, V^T M v.
@@ -242,14 +239,10 @@ class FemSpace:
                 / (h * w ** 2))
 
     def coupling(self, basis: SpectralBasis) -> np.ndarray:
-        """Matrix C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max)."""
-        key = (basis.k_max, basis.length)
-        cached = self._coupling_cache.get(key)
-        if cached is None:
-            cached = (np.sin(np.outer(self.mesh.interior, basis.frequencies))
-                      * self._hat_integrals(basis))
-            self._coupling_cache[key] = cached
-        return cached
+        """Dense C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max): a
+        reference; the package uses C = M V B (`mode_overlap`) instead."""
+        return (np.sin(np.outer(self.mesh.interior, basis.frequencies))
+                * self._hat_integrals(basis))
 
     def alias_overlaps(self, basis: SpectralBasis):
         """Each sine mode's single nonzero overlap with the eigenbasis.
@@ -267,45 +260,43 @@ class FemSpace:
                         * self._hat_integrals(basis)[hit])
         return index, overlap
 
-    def mode_overlap(self, basis: SpectralBasis) -> np.ndarray:
-        """Matrix <e_k, e_i^h> (discrete eigenfunction i against sine mode k),
-        shape (n, k_max); each column holds at most one nonzero."""
-        key = (basis.k_max, basis.length)
-        cached = self._beig_cache.get(key)
-        if cached is None:
-            index, overlap = self.alias_overlaps(basis)
-            hit = np.flatnonzero(index >= 0)
-            cached = np.zeros((self.n, basis.k_max))
-            cached[index[hit], hit] = overlap[hit]
-            self._beig_cache[key] = cached
-        return cached
+    def mode_overlap(self, basis: SpectralBasis) -> sp.csr_matrix:
+        """B[i, k] = <e_k, e_i^h> (discrete eigenfunction i against sine
+        mode k) as sparse CSR, shape (n, k_max), with at most one nonzero
+        per column; the coupling is C = M V B."""
+        index, overlap = self.alias_overlaps(basis)
+        hit = np.flatnonzero(index >= 0)
+        return sp.csr_matrix((overlap[hit], (index[hit], hit)),
+                             shape=(self.n, basis.k_max))
 
     def l2_project(self, basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
-        """L2 projection of a (truncated) sine expansion: solve M v = C x."""
+        """L2 projection M^{-1} C x of a (truncated) sine expansion: V B x."""
         coeffs = np.asarray(coeffs, dtype=float)
-        return self.solve_mass(self.coupling(basis) @ coeffs)
+        return self.from_eigen(self.mode_overlap(basis) @ coeffs)
 
     def ritz_project(self, basis: SpectralBasis, coeffs: np.ndarray = None,
                      *, nodal: np.ndarray = None) -> np.ndarray:
         """Ritz projection: solve S v = b with the H^1_0 pairing load.
 
         For a sine expansion the load is b = C (lambda * x) (integration by
-        parts).  Passing `nodal=` instead uses the exact load S w of a member
-        of the space itself, which reproduces w to machine precision (the
-        truncated-coefficient route carries an O(1/k_max) series tail).
+        parts), so v = V Lambda_h^{-1} B (lambda * x).  Passing `nodal=`
+        instead uses the exact load S w of a member of the space itself,
+        which reproduces w to machine precision (the truncated-coefficient
+        route carries an O(1/k_max) series tail).
         """
         if (coeffs is None) == (nodal is None):
             raise ValueError("pass exactly one of coeffs or nodal")
         if nodal is not None:
-            b = self.stiffness @ np.asarray(nodal, dtype=float)
-        else:
-            coeffs = np.asarray(coeffs, dtype=float)
-            b = self.coupling(basis) @ (basis.eigenvalues * coeffs)
-        return self.solve_stiffness(b)
+            return self.solve_stiffness(
+                self.stiffness @ np.asarray(nodal, dtype=float))
+        coeffs = _scale_columns(basis.eigenvalues,
+                                np.asarray(coeffs, dtype=float))
+        return self.from_eigen(_scale_columns(
+            1.0 / self.eigenvalues, self.mode_overlap(basis) @ coeffs))
 
     def spectral_coeffs(self, basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
-        """Sine coefficients <v_h, e_k> of a nodal field (exact, truncated)."""
-        return self.coupling(basis).T @ v
+        """Sine coefficients <v_h, e_k> = B^T V^T M v of a nodal field."""
+        return self.mode_overlap(basis).T @ self.to_eigen(v)
 
 
 def field_values(space: FemSpace, v: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -395,16 +386,12 @@ def _power_iteration_norm(matvec, rmatvec, dim: int, tol: float = 1e-11,
     return float(sigma_prev)
 
 
-def _alias_classes(n_elements: int, k_max: int):
-    """0-based indices of the sine modes 1..k_max, grouped by nodal alias.
-
-    Groups the modes by `_mode_alias`: returns the null class (k = 0 or N
-    mod 2N, vanishing at every node) and one index array per discrete
-    sine j = 1..N-1, each in ascending k.
-    """
-    index, _ = _mode_alias(n_elements, k_max)
+def _alias_classes(index: np.ndarray, n: int):
+    """0-based sine mode indices grouped by their eigen index (`_mode_alias`):
+    the null class (index -1, vanishing at every node) and one array per
+    discrete sine i = 1..n, each in ascending k."""
     order = np.argsort(index, kind="stable")
-    sizes = np.bincount(index + 1, minlength=n_elements)
+    sizes = np.bincount(index + 1, minlength=n + 1)
     groups = np.split(order, np.cumsum(sizes)[:-1])
     return groups[0], groups[1:]
 
@@ -420,12 +407,14 @@ def operator_error_norm(space: FemSpace, basis: SpectralBasis,
 
     The operator is restricted to span{e_k, k <= k_max}; the basis must hold
     at least 4 * n modes so the tail it cannot see is negligible at the
-    exponents above.  On the uniform mesh of a `FemSpace` the discrete
-    sines diagonalize M and S, so the operator is block diagonal over the
-    alias classes of the sine modes (see `_alias_classes`): each block is
-    a diagonal plus a rank-one term, and the null class, whose modes
-    vanish at every node, is a pure diagonal.  The norm is the largest
-    exact 2-norm over the blocks, so it is exact to roundoff; no
+    exponents above.  With C = M V B (`FemSpace.mode_overlap`) each
+    operator is block diagonal over the alias classes (`_alias_classes`):
+    on the class of eigenvector i, with b its modes' overlaps, the block
+    is diag(d) - g_i b b^T diag(rho), weighted by A^{s/2} and A^{-r/2}
+    (l2: d = g = rho = 1; ritz: d = 1, g = 1/lambda_h, rho = lambda;
+    semigroup, up to sign: d = e^{-lambda t}, g = e^{-lambda_h t}, rho =
+    1), and the null class is the diagonal alone.  The norm is the
+    largest exact 2-norm over the blocks, exact to roundoff; no
     k_max x k_max matrix is formed.
     """
     if which not in _OPERATORS:
@@ -446,26 +435,24 @@ def operator_error_norm(space: FemSpace, basis: SpectralBasis,
     if basis.k_max < 4 * space.n:
         raise ValueError("basis too small: need k_max >= 4 * n interior nodes")
 
-    # The error operator is +-(diag(d) - left^T right), zero off the
-    # alias-class blocks; the sign (negative for the semigroup) leaves the
-    # norm unchanged.
     lam = basis.eigenvalues
     w_in = lam ** (-r / 2.0)
     w_out = lam ** (s / 2.0)
+    d = rho = np.ones(basis.k_max)
+    gain = np.ones(space.n)
     if which == "semigroup":
-        left = space.mode_overlap(basis)
-        right = np.exp(-space.eigenvalues * t)[:, None] * left
         d = np.exp(-lam * t)
-    else:
-        left = space.coupling(basis)
-        right = (space.solve_mass(left) if which == "l2"
-                 else space.solve_stiffness(left * lam))
-        d = np.ones(basis.k_max)
+        gain = np.exp(-space.eigenvalues * t)
+    elif which == "ritz":
+        rho = lam
+        gain = 1.0 / space.eigenvalues
 
-    null, classes = _alias_classes(space.n + 1, basis.k_max)
+    index, overlap = space.alias_overlaps(basis)
+    null, classes = _alias_classes(index, space.n)
     norm = float((w_out[null] * d[null] * w_in[null]).max())
-    for idx in classes:
-        block = np.diag(d[idx]) - left[:, idx].T @ right[:, idx]
+    for g, idx in zip(gain, classes):
+        b = overlap[idx]
+        block = np.diag(d[idx]) - g * np.outer(b, b * rho[idx])
         block *= w_out[idx, None] * w_in[None, idx]
         norm = max(norm, float(np.linalg.norm(block, 2)))
     return norm

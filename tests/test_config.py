@@ -2,7 +2,8 @@
 
 import pytest
 
-from spdefem import ConfigError, load_config, parse_config
+from spdefem import (ConfigError, CovarianceSpec, PolynomialDrift,
+                     StudyConfig, load_config, parse_config)
 
 MINIMAL_STRONG = """
 study:
@@ -254,6 +255,29 @@ class TestDownstreamValidation:
         assert cfg.x0 == "mode1"
         with pytest.raises(ConfigError, match="x0"):
             parse_config(MINIMAL_STRONG + "\ninitial:\n  profile: bump\n")
+
+    @pytest.mark.parametrize("ratios", [(12, 6, 3), (16, 8, 6)],
+                             ids=["12-6-3", "16-8-6"])
+    def test_splitting_steps_must_divide_the_horizon(self, ratios):
+        # 3 and 6 reference steps do not tile the horizon's 256, so those
+        # levels would stop short of T = 1 while the reference reaches it
+        dt_levels = [r * 2.0 ** -8 for r in ratios]
+        with pytest.raises(ValueError, match="divide the horizon"):
+            StudyConfig(kind="splitting_dt",
+                        covariance=CovarianceSpec.power_decay(2.0, 64),
+                        drift=PolynomialDrift.allen_cahn(),
+                        levels=(2.0 ** -5,), dt_levels=tuple(dt_levels),
+                        dt_ref=2.0 ** -8, samples=100)
+        doc = """
+study: {kind: splitting_dt, samples: 100}
+mesh: {levels_log2: [5]}
+noise: {family: power_decay, rho: 2.0, k_trunc: 64}
+time: {dt_ref_log2: 8, dt_levels: %s}
+"""
+        with pytest.raises(ConfigError, match="divide the horizon"):
+            parse_config(doc % dt_levels)
+        assert parse_config(doc % [r * 2.0 ** -8 for r in (16, 8, 4)]) \
+            .step_ratios == (16, 8, 4)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_64_bits_rejected(self, seed):

@@ -351,12 +351,17 @@ class TestFunctionals:
         got = evaluate_functional("exp_neg_sq_norm", self.space, self.basis, v)
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_cos_mode_matches_direct_pairing(self):
+    @pytest.mark.parametrize("mode", [3, 29, 16, 32])
+    def test_cos_mode_matches_direct_pairing(self, mode):
+        # On N = 16: mode 29 aliases to discrete sine 3 with sign -1, and
+        # modes 16 and 32 vanish at every node.
         rng = np.random.default_rng(0)
-        v = rng.standard_normal(self.space.n)
-        pairing = float(self.space.coupling(self.basis)[:, 2] @ v)
-        got = evaluate_functional("cos_mode_3", self.space, self.basis, v)
-        assert got == pytest.approx(math.cos(pairing), rel=1e-12)
+        v = rng.standard_normal((self.space.n, 4))
+        pairing = self.space.coupling(self.basis)[:, mode - 1] @ v
+        got = evaluate_functional(f"cos_mode_{mode}", self.space,
+                                  self.basis, v)
+        assert got.shape == (4,)
+        assert got == pytest.approx(np.cos(pairing), rel=1e-12)
 
     def test_bounded_on_large_fields(self):
         big = 1e3 * np.ones(self.space.n)

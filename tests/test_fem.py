@@ -188,7 +188,7 @@ class TestClosedForms:
             <= 1e-10 * np.abs(coupling).max()
         _, vecs = dense_eigensystem(space)
         dense = vecs.T @ coupling
-        overlap = space.mode_overlap(basis)
+        overlap = space.mode_overlap(basis).toarray()
         assert np.abs(overlap - dense).max() <= 1e-10 * np.abs(dense).max()
         # one nonzero per column, none for the modes that vanish at
         # every node (k = 0 or N mod 2N); the other entries are exact zeros
@@ -197,6 +197,41 @@ class TestClosedForms:
         null = (k % n_el) == 0
         assert np.all(per_column[null] == 0)
         assert np.all(per_column[~null] == 1)
+
+    @pytest.mark.parametrize("n_el,k_max", [
+        (n_el, k_max) for n_el in (2, 3, 8, 64)
+        for k_max in (n_el + 1, 4 * n_el + 3)])
+    def test_eigen_route_products_match_dense(self, n_el, k_max):
+        # C = M V B: the projections, sine coefficients and solves against
+        # the hat coupling and dense solves with M and S.  Below 2N modes
+        # alias by reflection; k = N (and 2N above) vanish at every node.
+        space = FemSpace(uniform_mesh(n_el))
+        basis = SpectralBasis(k_max=k_max)
+        coupling = hat_coupling(space, basis)
+        mass, stiffness = space.mass.toarray(), space.stiffness.toarray()
+        lam = basis.eigenvalues
+        gen = substream(31, purpose="test")
+        for batch in [(), (3,)]:
+            x = gen.standard_normal((k_max,) + batch)
+            v = gen.standard_normal((space.n,) + batch)
+            lam_x = lam.reshape((k_max,) + (1,) * len(batch)) * x
+            cases = {
+                "l2_project": (space.l2_project(basis, x),
+                               np.linalg.solve(mass, coupling @ x)),
+                "ritz_project": (space.ritz_project(basis, x),
+                                 np.linalg.solve(stiffness,
+                                                 coupling @ lam_x)),
+                "spectral_coeffs": (space.spectral_coeffs(basis, v),
+                                    coupling.T @ v),
+                "solve_mass": (space.solve_mass(v),
+                               np.linalg.solve(mass, v)),
+                "solve_stiffness": (space.solve_stiffness(v),
+                                    np.linalg.solve(stiffness, v)),
+            }
+            for name, (got, want) in cases.items():
+                assert got.shape == want.shape, name
+                assert np.abs(got - want).max() \
+                    <= 1e-12 * np.abs(want).max(), (name, batch)
 
 
 class TestProjections:

@@ -67,7 +67,7 @@ class TestCovarianceSpec:
 def dense_step_covariance(space, basis, spec, dt):
     """One-step convolution covariance from the dense overlap table."""
     lam = space.eigenvalues
-    b = space.mode_overlap(basis)[:, :spec.k_trunc]
+    b = space.mode_overlap(basis).toarray()[:, :spec.k_trunc]
     pair = lam[:, None] + lam[None, :]
     return (b * spec.weights) @ b.T * (-np.expm1(-pair * dt) / pair)
 
@@ -110,7 +110,7 @@ class TestConvolutionSampler:
 
     def test_stationary_variance_reached_at_large_dt(self):
         # Z(t) -> N(0, q_i / (2 lam_i)) per mode, q_i = sum_k q_k b_ik^2
-        b = self.space.mode_overlap(self.basis)
+        b = self.space.mode_overlap(self.basis).toarray()
         stationary = (b ** 2 @ self.spec.weights) \
             / (2.0 * self.space.eigenvalues)
         assert np.allclose(np.diag(self.step_covariance(5.0)), stationary,

@@ -2,9 +2,10 @@
 
 `perfbench.spans.instrument` wraps package callables by name, so a
 refactor that renames or removes one breaks the benchmark's tracer.
-This test instruments a fresh process, runs a tiny strong and a tiny
-splitting_dt study, and checks that both recorded their batch and
-joint-draw spans.
+This test instruments a fresh process, runs a tiny strong, a tiny
+splitting_dt and a tiny operators study, and checks that the coupled
+studies recorded their batch and joint-draw spans and the operators study
+its operator-norm spans.
 """
 
 import json
@@ -31,6 +32,8 @@ configs = {
     "splitting_dt": StudyConfig(kind="splitting_dt", levels=(0.125,),
                                 dt_levels=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
                                 dt_ref=2.0 ** -8, **common),
+    "operators": StudyConfig(kind="operators",
+                             levels=(0.25, 0.125, 0.0625), **common),
 }
 calls = {}
 for kind, cfg in configs.items():
@@ -52,3 +55,5 @@ def test_tracer_records_batches_and_draws_of_coupled_studies():
     for kind in ("strong", "splitting_dt"):
         assert calls[kind]["experiments.batch"] == 1, kind
         assert calls[kind]["noise.draw"] > 0, kind
+    # three default operator pairs on three meshes
+    assert calls["operators"]["fem.operator_norm"] == 9
