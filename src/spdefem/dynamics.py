@@ -233,9 +233,9 @@ class Integrator:
     over columns.
 
     With ``covariance=None`` the dynamics are deterministic.  Otherwise a
-    spectral basis must be supplied, and the linear substep adds the
-    exact stochastic convolution increment, drawn as L @ standard normals
-    with L the sparse one-step factor of `noise._joint_factor`.
+    spectral basis must be supplied, and `step` adds the exact stochastic
+    convolution increment, drawn as L @ standard normals with L the
+    sparse one-step factor of `noise._joint_factor`.
     """
 
     def __init__(self, space, drift: PolynomialDrift, config: SchemeConfig,
@@ -252,36 +252,26 @@ class Integrator:
             self._noise_factor, _ = _joint_factor([space], basis, covariance,
                                                   config.dt)
 
-    def drift_substep(self, state: np.ndarray) -> np.ndarray:
-        """The nonlinear half of the step: the nodewise exact flow over dt."""
-        return self.drift.flow(self.dt, state)
-
-    def linear_substep(self, state: np.ndarray,
-                       generator: np.random.Generator | None) -> np.ndarray:
-        """Semigroup decay plus the exact convolution increment."""
-        stochastic = self._noise_factor is not None
-        if stochastic and generator is None:
-            raise ValueError("stochastic step requires a generator")
-        coeffs = _scale_columns(self._decay, self.space.to_eigen(state))
-        if stochastic:
-            coeffs = coeffs + self._noise_factor \
-                @ generator.standard_normal(coeffs.shape)
-        return self.space.from_eigen(coeffs)
-
     def step(self, state: np.ndarray,
              generator: np.random.Generator | None = None) -> np.ndarray:
-        return self.linear_substep(self.drift_substep(state), generator)
+        """One step, drawing the convolution increment from ``generator``."""
+        if self._noise_factor is None:
+            return self.step_with_eigen_noise(state, 0.0)
+        if generator is None:
+            raise ValueError("stochastic step requires a generator")
+        return self.step_with_eigen_noise(
+            state, self._noise_factor @ generator.standard_normal(state.shape))
 
     def step_with_eigen_noise(self, state: np.ndarray,
                               noise_eigen: np.ndarray) -> np.ndarray:
-        """Deterministic step plus a caller-supplied convolution increment.
+        """The nodewise exact flow over dt, then the semigroup decay plus a
+        caller-supplied convolution increment.
 
         ``noise_eigen`` must be the integrated noise for this step in
         discrete eigen coordinates; coupled multi-mesh studies build it
         from one shared amplitude path and pass it in per mesh.
         """
-        flowed = self.drift_substep(state)
-        coeffs = self.space.to_eigen(flowed)
+        coeffs = self.space.to_eigen(self.drift.flow(self.dt, state))
         coeffs = _scale_columns(self._decay, coeffs) + noise_eigen
         return self.space.from_eigen(coeffs)
 

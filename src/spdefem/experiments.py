@@ -19,14 +19,16 @@ every mesh's exact increment per step in one draw.  The identity
 G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates steps without error,
 so coarse step sizes see exactly the noise the fine grid saw.
 
-Strong, weak and splitting_dt studies are one computation, run by one
-step-and-aggregate loop (`_CoupledEngine`): a reference and tested
-levels, each mapped to a mesh and a drift step.  Strong and weak levels
-refine the mesh, splitting_dt levels share the reference's mesh and
-coarsen the drift step.  In strong and weak studies a dt-halving probe
-rides on the same randomness in the first batch, which instead draws
-two half steps from a second factor and aggregates them, to bound the
-drift-splitting time error.
+Strong, weak, splitting_dt and moment studies are one computation, run
+by one step-and-aggregate loop (`_CoupledEngine`): a table of levels,
+each mapped to a mesh, a drift, a start state and a drift step.  Strong
+and weak levels refine the mesh against a reference level, splitting_dt
+levels share the reference's mesh and coarsen the drift step, and a
+moment study runs on each mesh the full dynamics X and, on the same
+path, the stochastic convolution Z.  In strong and weak studies a
+dt-halving probe rides on the same randomness in the first batch, which
+instead draws two half steps from a second factor and aggregates them,
+to bound the drift-splitting time error.
 
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
@@ -466,6 +468,8 @@ class MomentReport:
     config_hash: str
     seed: int
     provenance: str = ""
+    aborted_total: int = 0
+    noise: dict | None = None
     runtime_seconds: float = 0.0
     workers: int = 1
 
@@ -481,6 +485,8 @@ class MomentReport:
             "x_sup_moment": self.x_sup_moment,
             "x_sup_stderr": self.x_sup_stderr,
             "exponents": self.exponents,
+            "aborted_total": self.aborted_total,
+            "noise": self.noise,
             "seed": self.seed,
             "config_hash": self.config_hash,
             "provenance": self.provenance,
@@ -491,36 +497,24 @@ class MomentReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# batch plumbing shared by the Monte-Carlo engines
-
-class _BatchEngine:
-    """Fixed-size sample batches of ``self.cfg``; subclasses run them."""
-
-    def batch_bounds(self, index):
-        start = index * self.cfg.batch_size
-        return start, min(start + self.cfg.batch_size, self.cfg.samples)
-
-    @property
-    def n_batches(self):
-        return -(-self.cfg.samples // self.cfg.batch_size)
-
-
 def _discard_overflow(state, aborted):
     """Abort the columns of ``state`` that overflowed or went non-finite.
 
     Marks them in ``aborted`` and zeroes them in place, so they step on
-    harmlessly until the reduction drops their samples.
+    harmlessly until the reduction drops their samples.  Returns each
+    column's sup norm, taken before the zeroing; the comparison is
+    negated so that NaN counts as an overflow.
     """
-    bad = ~np.isfinite(state).all(axis=0) \
-        | (np.abs(state).max(axis=0) > OVERFLOW_LIMIT)
+    sup = np.abs(state).max(axis=0)
+    bad = ~(sup <= OVERFLOW_LIMIT)
     if bad.any():
         aborted |= bad
         state[:, bad] = 0.0
+    return sup
 
 
 # ---------------------------------------------------------------------------
-# coupled engine (strong, weak and splitting_dt studies)
+# the coupled engine (every Monte-Carlo study)
 
 def _mesh_for(width: float, length: float) -> FemSpace:
     n = round(length / width)
@@ -578,17 +572,26 @@ def _noise_summary(factors, results) -> dict:
             "draws": sum(r["draws"] for r in results)}
 
 
-class _CoupledEngine(_BatchEngine):
-    """The one step-and-aggregate loop of every coupled rate study.
+class _CoupledEngine:
+    """The one step-and-aggregate loop of every Monte-Carlo study.
 
-    A study has tested levels and a reference, and each steps on the mesh
-    that ``mesh_of`` maps it to.  Strong and weak levels each own a mesh,
-    and the reference owns the finest, so the map is the identity;
-    splitting_dt levels and their reference all share the one mesh and
-    differ only in drift step.  Every reference step draws the joint
-    increment of all meshes once, from the factor at dt_ref, steps the
-    reference on it, and aggregates it exactly into each level's drift
-    step, ``ratios[i]`` reference steps long.
+    A study is a table of levels.  Level i steps on the mesh
+    ``mesh_of[i]`` with its own drift and start state, and its drift step
+    is ``ratios[i]`` reference steps long.  Every reference step draws the
+    joint increment of all meshes once, from the factor at dt_ref; a
+    ratio-1 level steps on it directly, a coarser level aggregates it
+    exactly over its step first.  Every step is checked for overflow, and
+    each level keeps the running sup norm of its state.
+
+    - Strong and weak: the tested meshes, then the reference mesh as the
+      last level with ratio 1.
+    - splitting_dt: every level on the one mesh, differing only in drift
+      step; the reference is the last level.
+    - Moments: each mesh twice.  X runs the configured drift from the
+      initial profile at ratio 1; Z runs no drift from zero at ratio
+      n_steps, so its one exact step over the horizon yields the
+      stochastic convolution Z(T) on X's path, the decomposition
+      X = Z + Y the moment bounds rest on.
 
     Strong and weak studies also run the dt-halving probe on the first
     batch: that batch draws two half steps from the factor at dt_ref / 2,
@@ -600,34 +603,47 @@ class _CoupledEngine(_BatchEngine):
         self.cfg = cfg
         self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
                                    length=cfg.length)
-        if cfg.kind == "splitting_dt":
-            self.resolutions = list(cfg.dt_levels)
+        self.n_steps = round(cfg.horizon / cfg.dt_ref)
+        self.resolutions = list(cfg.levels)
+        if cfg.kind == "moments":
+            n_meshes = len(cfg.levels)
             widths = list(cfg.levels)
-            self.mesh_of = [0] * (len(cfg.dt_levels) + 1)
+            self.mesh_of = list(range(n_meshes)) * 2
+            self.ratios = [1] * n_meshes + [self.n_steps] * n_meshes
+            drifts = ([cfg.drift] * n_meshes
+                      + [PolynomialDrift.zero()] * n_meshes)
         else:
-            self.resolutions = list(cfg.levels)
-            widths = list(cfg.levels) + [cfg.h_ref]
-            self.mesh_of = list(range(len(widths)))
+            if cfg.kind == "splitting_dt":
+                self.resolutions = list(cfg.dt_levels)
+                widths = list(cfg.levels)
+                self.mesh_of = [0] * (len(cfg.dt_levels) + 1)
+            else:
+                widths = list(cfg.levels) + [cfg.h_ref]
+                self.mesh_of = list(range(len(widths)))
+            self.ratios = list(cfg.step_ratios) + [1]
+            drifts = [cfg.drift] * len(self.mesh_of)
         self.spaces = [_mesh_for(w, cfg.length) for w in widths]
         self.ref_index = len(self.mesh_of) - 1
-        self.n_steps = round(cfg.horizon / cfg.dt_ref)
-        self.ratios = cfg.step_ratios
         self.ref_noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
                                      cfg.dt_ref)
         self.integrators = [
-            Integrator(self.spaces[m], cfg.drift,
+            Integrator(self.spaces[m], drift,
                        SchemeConfig(ratio * cfg.dt_ref, self.n_steps // ratio))
-            for m, ratio in zip(self.mesh_of, list(self.ratios) + [1])
+            for m, ratio, drift in zip(self.mesh_of, self.ratios, drifts)
         ]
         ref_decay = [np.exp(-s.eigenvalues * cfg.dt_ref)[:, None]
                      for s in self.spaces]
-        self.decay = [ref_decay[m] for m in self.mesh_of[:-1]]
-        self.x0 = _initial_states(cfg, self.spaces, self.basis)
+        self.decay = [ref_decay[m] for m in self.mesh_of]
+        starts = _initial_states(cfg, self.spaces, self.basis)
+        self.x0 = [starts[m] for m in self.mesh_of]
+        self.factors = (self.ref_noise,)
+        self.probe_noise = None
+        if cfg.kind == "moments":
+            self.x0[len(self.spaces):] = [np.zeros(s.n) for s in self.spaces]
+            return
         ref_space = self.spaces[self.mesh_of[-1]]
         self.comparers = [L2Comparer(ref_space, self.spaces[m])
                           for m in self.mesh_of[:-1]]
-        self.factors = (self.ref_noise,)
-        self.probe_noise = None
         if cfg.kind == "splitting_dt":
             return
         # the probe reruns the reference and the finest tested level at
@@ -646,19 +662,27 @@ class _CoupledEngine(_BatchEngine):
             for i in self.probe_indices
         }
 
+    def batch_bounds(self, index):
+        start = index * self.cfg.batch_size
+        return start, min(start + self.cfg.batch_size, self.cfg.samples)
+
+    @property
+    def n_batches(self):
+        return -(-self.cfg.samples // self.cfg.batch_size)
+
     def run_batch(self, index):
         cfg = self.cfg
         start, stop = self.batch_bounds(index)
         batch = stop - start
-        states = [np.tile(self.x0[m][:, None], (1, batch))
-                  for m in self.mesh_of]
-        acc = [np.zeros((self.spaces[m].n, batch)) for m in self.mesh_of[:-1]]
+        states = [np.tile(x0[:, None], (1, batch)) for x0 in self.x0]
+        sups = [np.abs(state).max(axis=0) for state in states]
+        acc = [np.zeros((self.spaces[m].n, batch)) if ratio > 1 else None
+               for m, ratio in zip(self.mesh_of, self.ratios)]
         with_probe = index == 0 and self.probe_noise is not None
         probe = ({i: states[i].copy() for i in self.probe_indices}
                  if with_probe else None)
         draws, noise = ((2, self.probe_noise) if with_probe
                         else (1, self.ref_noise))
-        mesh_of, ref_i = self.mesh_of, self.ref_index
         aborted = np.zeros(batch, dtype=bool)
         for step in range(self.n_steps):
             joint = None
@@ -673,20 +697,29 @@ class _CoupledEngine(_BatchEngine):
                 # exact substep aggregation to the dt_ref grid
                 joint = sub if joint is None else self.sub_decay * joint + sub
             by_mesh = [joint[rows] for rows in noise.slices]
-            states[ref_i] = self.integrators[ref_i].step_with_eigen_noise(
-                states[ref_i], by_mesh[mesh_of[ref_i]])
             for i, ratio in enumerate(self.ratios):
-                acc[i] *= self.decay[i]
-                acc[i] += by_mesh[mesh_of[i]]
-                if (step + 1) % ratio:
-                    continue
+                increment = by_mesh[self.mesh_of[i]]
+                if ratio > 1:
+                    # exact aggregation to the level's drift step
+                    acc[i] *= self.decay[i]
+                    acc[i] += increment
+                    if (step + 1) % ratio:
+                        continue
+                    increment, acc[i] = acc[i], np.zeros_like(acc[i])
                 states[i] = self.integrators[i].step_with_eigen_noise(
-                    states[i], acc[i])
-                acc[i][:] = 0.0
-                _discard_overflow(states[i], aborted)
+                    states[i], increment)
+                np.maximum(sups[i], _discard_overflow(states[i], aborted),
+                           out=sups[i])
         out = {"aborted": aborted, "draws": draws * self.n_steps}
+        ref_i = self.ref_index
         fine = ref_i - 1  # the finest tested level
-        if cfg.kind == "weak":
+        if cfg.kind == "moments":
+            n_meshes = len(self.spaces)
+            out["x_sup"] = [sup ** 2 for sup in sups[:n_meshes]]
+            out["z_sup"] = [sup ** 2 for sup in sups[n_meshes:]]
+            out["z_l2"] = [space.l2_norm(z) ** 2
+                           for space, z in zip(self.spaces, states[n_meshes:])]
+        elif cfg.kind == "weak":
             phi = [self._phi(i, state) for i, state in enumerate(states)]
             out["values"] = [phi[ref_i] - p for p in phi[:ref_i]]
             out["phi"] = phi
@@ -857,70 +890,25 @@ def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
 # ---------------------------------------------------------------------------
 # moment study
 
-class _MomentEngine(_BatchEngine):
-    """Per-level moments of the pure convolution and the full dynamics."""
-
-    def __init__(self, cfg: StudyConfig):
-        self.cfg = cfg
-        self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
-                                   length=cfg.length)
-        self.spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
-        # one exact step of size T samples Z(T) without temporal error
-        self.z_factors = [
-            _joint_factor([s], self.basis, cfg.covariance, cfg.horizon)[0]
-            for s in self.spaces
-        ]
-        self.n_steps = round(cfg.horizon / cfg.dt_ref)
-        self.integrators = [
-            Integrator(s, cfg.drift,
-                       SchemeConfig(cfg.dt_ref, self.n_steps),
-                       covariance=cfg.covariance, basis=self.basis)
-            for s in self.spaces
-        ]
-        self.x0 = _initial_states(cfg, self.spaces, self.basis)
-
-    def run_batch(self, index):
-        cfg = self.cfg
-        start, stop = self.batch_bounds(index)
-        batch = stop - start
-        out = {"z_sup": [], "z_l2": [], "x_sup": []}
-        for lvl, space in enumerate(self.spaces):
-            gen = substream(cfg.seed, sample=index, step=lvl,
-                            purpose="moment-z")
-            z = space.from_eigen(self.z_factors[lvl]
-                                 @ gen.standard_normal((space.n, batch)))
-            out["z_sup"].append(np.abs(z).max(axis=0) ** 2)
-            out["z_l2"].append(space.l2_norm(z) ** 2)
-            gen = substream(cfg.seed, sample=index, step=lvl,
-                            purpose="moment-x")
-            state = np.tile(self.x0[lvl][:, None], (1, batch))
-            running = np.abs(state).max(axis=0) ** 2
-            for _ in range(self.n_steps):
-                state = self.integrators[lvl].step(state, gen)
-                running = np.maximum(running,
-                                     np.abs(state).max(axis=0) ** 2)
-            out["x_sup"].append(running)
-        return out
-
-
 def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
                      ) -> MomentReport:
     """Second moments of sup and L2 norms across the mesh hierarchy.
 
-    Z moments come from one exact convolution step to the horizon (no
-    temporal error); the full-dynamics sup norm is tracked pathwise over
-    every step of the time grid.
+    On each mesh the coupled engine runs the full dynamics X, whose sup
+    norm is tracked pathwise over every step of the time grid, and on the
+    same path the stochastic convolution Z(T), one exact step to the
+    horizon (no temporal error).  Aborted samples are dropped.
     """
     if cfg.kind != "moments":
         raise ValueError("config kind must be 'moments'")
     t0 = time.perf_counter()
-    engine = _MomentEngine(cfg)
+    engine = _CoupledEngine(cfg)
     results = _map_batches(engine, map_fn, workers)
-    n_levels = len(cfg.levels)
+    keep = ~np.concatenate([r["aborted"] for r in results])
     series = {"z_sup": ([], []), "z_l2": ([], []), "x_sup": ([], [])}
     for key, (mean_list, se_list) in series.items():
-        for lvl in range(n_levels):
-            vals = np.concatenate([r[key][lvl] for r in results])
+        for lvl in range(len(cfg.levels)):
+            vals = np.concatenate([r[key][lvl] for r in results])[keep]
             mean_list.append(float(vals.mean()))
             se_list.append(float(vals.std(ddof=1) / math.sqrt(vals.size)))
     exponents = {}
@@ -934,7 +922,8 @@ def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
         z_l2_moment=series["z_l2"][0], z_l2_stderr=series["z_l2"][1],
         x_sup_moment=series["x_sup"][0], x_sup_stderr=series["x_sup"][1],
         exponents=exponents, config_hash=cfg.config_hash, seed=cfg.seed,
-        provenance=cfg.provenance,
+        provenance=cfg.provenance, aborted_total=int((~keep).sum()),
+        noise=_noise_summary(engine.factors, results),
         runtime_seconds=time.perf_counter() - t0, workers=workers)
 
 
@@ -949,12 +938,12 @@ def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     """
     if cfg.kind != "operators":
         raise ValueError("config kind must be 'operators'")
-    t0 = time.perf_counter()
     finest_n = round(cfg.length / min(cfg.levels))
     basis = SpectralBasis(k_max=max(8 * finest_n, 2048), length=cfg.length)
     spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
     reports = {}
     for s_exp, r_exp, which in cfg.operator_pairs:
+        t0 = time.perf_counter()
         t_eval = cfg.horizon if which == "semigroup" else None
         levels = []
         for i, space in enumerate(spaces):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, RateReport,
                      run_operator_study, run_splitting_dt_study,
                      run_strong_study, run_study, run_weak_study,
                      simulate_trajectory, uniform_mesh)
+from spdefem.dynamics import OVERFLOW_LIMIT
 from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
                                  validate_functional_id)
+from spdefem.noise import _joint_factor
 from test_fem import dense_eigensystem, hat_coupling
 
 AC = PolynomialDrift.allen_cahn()
@@ -630,6 +633,41 @@ class TestMoments:
         assert report.exponents["z_sup_envelope"] < 1.3
         assert abs(report.exponents["z_l2"]) < 0.15
 
+    def test_convolution_l2_moment_matches_exact_law(self):
+        # Z_h(T) = L_T xi in eigen coordinates, M-orthonormal, so
+        # E|Z_h(T)|^2 = |L_T|_F^2 with L_T the one-step factor over [0, T]
+        cfg = StudyConfig(
+            kind="moments",
+            covariance=CovarianceSpec.power_decay(2.0, k_trunc=256),
+            drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
+            horizon=1.0, dt_ref=2.0 ** -5,
+            samples=200, batch_size=100, seed=4)
+        report = run_moment_study(cfg)
+        basis = SpectralBasis(k_max=256)
+        for h, mean, se in zip(cfg.levels, report.z_l2_moment,
+                               report.z_l2_stderr):
+            space = FemSpace(uniform_mesh(round(1.0 / h)))
+            factor, _ = _joint_factor([space], basis, cfg.covariance,
+                                      cfg.horizon)
+            exact = float(factor.multiply(factor).sum())
+            assert abs(mean - exact) < 4.0 * se, (h, mean, exact, se)
+
+    def test_overflowing_samples_are_aborted_not_averaged(self):
+        cfg = StudyConfig(
+            kind="moments",
+            covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
+            drift=PolynomialDrift.linear(26.0),
+            levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
+            horizon=1.0, dt_ref=2.0 ** -4, x0="zero",
+            samples=100, batch_size=100, seed=1)
+        report = run_moment_study(cfg)
+        assert 0 < report.aborted_total < cfg.samples
+        for series in (report.z_sup_moment, report.z_l2_moment,
+                       report.x_sup_moment):
+            assert all(math.isfinite(m) for m in series)
+        # every kept sample stayed under the limit at every step
+        assert max(report.x_sup_moment) <= OVERFLOW_LIMIT ** 2
+
 
 class TestOperators:
     def test_projection_and_ritz_rates(self):
@@ -642,6 +680,19 @@ class TestOperators:
         assert fits[(0.0, 2.0, "l2")].slope == pytest.approx(2.0, abs=0.1)
         assert fits[(1.0, 2.0, "ritz")].slope == pytest.approx(1.0, abs=0.1)
         assert fits[(0.0, 1.0, "l2")].slope == pytest.approx(1.0, abs=0.1)
+
+    def test_pair_runtimes_sum_within_the_call(self):
+        cfg = StudyConfig(
+            kind="operators",
+            covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
+            drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
+            seed=0)
+        start = time.perf_counter()
+        fits = run_operator_study(cfg)
+        wall = time.perf_counter() - start
+        runtimes = [fit.runtime_seconds for fit in fits.values()]
+        assert all(r > 0.0 for r in runtimes)
+        assert sum(runtimes) <= wall
 
 
 class TestRunStudyDispatch:
@@ -711,6 +762,14 @@ class TestReports:
             samples=100, batch_size=100, seed=1)
         doc = json.loads(run_moment_study(cfg).to_json())
         for key in ("resolutions", "z_sup_moment", "z_l2_moment",
-                    "x_sup_moment", "exponents", "config_hash"):
+                    "x_sup_moment", "exponents", "config_hash",
+                    "aborted_total", "noise"):
             assert key in doc
         assert set(doc["exponents"]) >= {"z_sup", "z_l2", "x_sup"}
+        assert doc["aborted_total"] == 0
+        # one joint factor over the meshes (n = 3, 7, 15), one draw per step
+        assert doc["noise"]["joint_dim"] == sum(
+            round(1.0 / h) - 1 for h in cfg.levels)
+        n_batches = -(-cfg.samples // cfg.batch_size)
+        n_steps = round(cfg.horizon / cfg.dt_ref)
+        assert doc["noise"]["draws"] == n_batches * n_steps

@@ -3,9 +3,9 @@
 `perfbench.spans.instrument` wraps package callables by name, so a
 refactor that renames or removes one breaks the benchmark's tracer.
 This test instruments a fresh process, runs a tiny strong, a tiny
-splitting_dt and a tiny operators study, and checks that the coupled
-studies recorded their batch and joint-draw spans and the operators study
-its operator-norm spans.
+splitting_dt, a tiny moments and a tiny operators study, and checks that
+the coupled studies recorded their batch and joint-draw spans and the
+operators study its operator-norm spans.
 """
 
 import json
@@ -32,6 +32,8 @@ configs = {
     "splitting_dt": StudyConfig(kind="splitting_dt", levels=(0.125,),
                                 dt_levels=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
                                 dt_ref=2.0 ** -8, **common),
+    "moments": StudyConfig(kind="moments", levels=(0.25, 0.125, 0.0625),
+                           dt_ref=2.0 ** -5, **common),
     "operators": StudyConfig(kind="operators",
                              levels=(0.25, 0.125, 0.0625), **common),
 }
@@ -52,7 +54,7 @@ def test_tracer_records_batches_and_draws_of_coupled_studies():
                          text=True, env=env, cwd=ROOT, timeout=300)
     assert out.returncode == 0, out.stderr
     calls = json.loads(out.stdout)
-    for kind in ("strong", "splitting_dt"):
+    for kind in ("strong", "splitting_dt", "moments"):
         assert calls[kind]["experiments.batch"] == 1, kind
         assert calls[kind]["noise.draw"] > 0, kind
     # three default operator pairs on three meshes
