@@ -180,6 +180,8 @@ def _run_study(args) -> int:
                             if not k.endswith("_envelope"))
         print(f"moments study {cfg.config_hash}: {summary} "
               f"runtime={report.runtime_seconds:.1f}s")
+        for note in report.notes:
+            print(f"  note: {note}")
         print(f"wrote {stem}.csv and {stem}.json")
         return 0
     # operator study: a mapping of (s, r, which) -> fit

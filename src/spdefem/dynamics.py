@@ -125,37 +125,61 @@ class PolynomialDrift:
             return True
         return self.coeffs[0] == 0.0 and self.coeffs[2] == 0.0
 
-    def flow(self, t: float, x):
-        """Value of the ODE flow Phi_t(x), elementwise in x."""
-        return self._flow(t, x, derivative=False)[0]
+    def flow(self, t: float, x, out=None, scratch=None):
+        """Value of the ODE flow Phi_t(x), elementwise in x.
+
+        With ``out`` (a float array of x's shape, not x itself) the value
+        is written there; the closed-form cubic keeps an intermediate in
+        ``scratch``, allocated when omitted.  Either way the bits are the
+        same.
+        """
+        return self._flow(t, x, False, out, scratch)[0]
 
     def flow_with_derivative(self, t: float, x):
         """(Phi_t(x), d/dx Phi_t(x)) as arrays shaped like x."""
-        return self._flow(t, x, derivative=True)
+        return self._flow(t, x, True)
 
-    def _flow(self, t: float, x, derivative: bool):
+    def _flow(self, t: float, x, derivative: bool, out=None, scratch=None):
         """(Phi_t(x), its x-derivative or None when not asked for)."""
         if t < 0.0:
             raise ValueError("flow time must be nonnegative")
         x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x)
         if t == 0.0:
-            return x.copy(), np.ones_like(x) if derivative else None
+            np.copyto(out, x)
+            return out, np.ones_like(x) if derivative else None
         if not self._has_closed_flow:
-            return self._rk4_flow(t, x, derivative)
+            y, d = self._rk4_flow(t, x, derivative)
+            np.copyto(out, y)
+            return out, d
         if self.degree <= 1:
             a0 = self.coeffs[0]
             a1 = self.coeffs[1] if self.degree == 1 else 0.0
             growth = math.exp(a1 * t)
             shift = a0 * (math.expm1(a1 * t) / a1 if a1 != 0.0 else t)
-            return (x * growth + shift,
-                    np.full_like(x, growth) if derivative else None)
+            np.multiply(x, growth, out=out)
+            out += shift
+            return out, np.full_like(x, growth) if derivative else None
         a1, a3 = self.coeffs[1], self.coeffs[3]
         g = math.expm1(2.0 * a1 * t) / a1 if a1 != 0.0 else 2.0 * t
         growth = math.exp(a1 * t)
-        radicand = 1.0 - a3 * g * x * x
-        inv_root = 1.0 / np.sqrt(radicand)
-        return (x * growth * inv_root,
-                growth * inv_root / radicand if derivative else None)
+        # 1 - a3 g x^2, then x growth / sqrt of it, in that rounding order
+        if scratch is None:
+            scratch = np.empty_like(x)
+        radicand = np.multiply(x, a3 * g, out=scratch)
+        radicand *= x
+        np.subtract(1.0, radicand, out=radicand)
+        if derivative:
+            inv_root = 1.0 / np.sqrt(radicand)
+            deriv = growth * inv_root / radicand
+        else:
+            inv_root = np.sqrt(radicand, out=radicand)
+            np.divide(1.0, inv_root, out=inv_root)
+            deriv = None
+        np.multiply(x, growth, out=out)
+        out *= inv_root
+        return out, deriv
 
     def _rk4_flow(self, t: float, x: np.ndarray, derivative: bool):
         """Step-doubling RK4 for the flow and, if asked, its x-derivative.
@@ -263,17 +287,23 @@ class Integrator:
             state, self._noise_factor @ generator.standard_normal(state.shape))
 
     def step_with_eigen_noise(self, state: np.ndarray,
-                              noise_eigen: np.ndarray) -> np.ndarray:
+                              noise_eigen: np.ndarray, out=None,
+                              scratch=None) -> np.ndarray:
         """The nodewise exact flow over dt, then the semigroup decay plus a
         caller-supplied convolution increment.
 
         ``noise_eigen`` must be the integrated noise for this step in
         discrete eigen coordinates; coupled multi-mesh studies build it
-        from one shared amplitude path and pass it in per mesh.
+        from one shared amplitude path and pass it in per mesh.  The new
+        state is written to ``out`` (a float array of state's shape, not
+        state itself) through the work array ``scratch``; both are
+        allocated when omitted, with the same bits either way.
         """
-        coeffs = self.space.to_eigen(self.drift.flow(self.dt, state))
-        coeffs = _scale_columns(self._decay, coeffs) + noise_eigen
-        return self.space.from_eigen(coeffs)
+        flowed = self.drift.flow(self.dt, state, out=out, scratch=scratch)
+        coeffs = self.space.to_eigen(flowed, out=flowed)
+        coeffs = _scale_columns(self._decay, coeffs, out=coeffs)
+        coeffs += noise_eigen
+        return self.space.from_eigen(coeffs, out=coeffs)
 
     def run(self, x0: np.ndarray,
             generator: np.random.Generator | None = None, *,

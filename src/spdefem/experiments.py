@@ -25,10 +25,10 @@ each mapped to a mesh, a drift, a start state and a drift step.  Strong
 and weak levels refine the mesh against a reference level, splitting_dt
 levels share the reference's mesh and coarsen the drift step, and a
 moment study runs on each mesh the full dynamics X and, on the same
-path, the stochastic convolution Z.  In strong and weak studies a
-dt-halving probe rides on the same randomness in the first batch, which
-instead draws two half steps from a second factor and aggregates them,
-to bound the drift-splitting time error.
+path, the stochastic convolution Z.  In strong and weak studies the
+first batch also reruns the finest tested mesh and the reference at
+twice their drift steps, on the same draws, to bound the
+drift-splitting time error (the dt-doubling probe).
 
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
@@ -472,6 +472,7 @@ class MomentReport:
     noise: dict | None = None
     runtime_seconds: float = 0.0
     workers: int = 1
+    notes: tuple[str, ...] = ()
 
     def to_json(self) -> str:
         from . import __version__
@@ -493,19 +494,21 @@ class MomentReport:
             "runtime_seconds": self.runtime_seconds,
             "workers": self.workers,
             "version": __version__,
+            "notes": list(self.notes),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _discard_overflow(state, aborted):
+def _discard_overflow(state, aborted, scratch):
     """Abort the columns of ``state`` that overflowed or went non-finite.
 
     Marks them in ``aborted`` and zeroes them in place, so they step on
     harmlessly until the reduction drops their samples.  Returns each
-    column's sup norm, taken before the zeroing; the comparison is
-    negated so that NaN counts as an overflow.
+    column's sup norm, taken before the zeroing through ``scratch``, a
+    work array of state's shape; the comparison is negated so that NaN
+    counts as an overflow.
     """
-    sup = np.abs(state).max(axis=0)
+    sup = np.abs(state, out=scratch).max(axis=0)
     bad = ~(sup <= OVERFLOW_LIMIT)
     if bad.any():
         aborted |= bad
@@ -563,28 +566,21 @@ class _JointNoise:
                 "cholesky_jitter": self.cholesky_jitter}
 
 
-def _noise_summary(factors, results) -> dict:
-    """The JSON noise block: joint draws made, over every factor built."""
-    parts = [f.diagnostics() for f in factors]
-    return {"joint_dim": parts[0]["joint_dim"],
-            "factor_nnz": sum(p["factor_nnz"] for p in parts),
-            "cholesky_jitter": max(p["cholesky_jitter"] for p in parts),
-            "draws": sum(r["draws"] for r in results)}
-
-
 class _CoupledEngine:
     """The one step-and-aggregate loop of every Monte-Carlo study.
 
     A study is a table of levels.  Level i steps on the mesh
     ``mesh_of[i]`` with its own drift and start state, and its drift step
     is ``ratios[i]`` reference steps long.  Every reference step draws the
-    joint increment of all meshes once, from the factor at dt_ref; a
+    joint increment of all meshes once, from the one factor at dt_ref; a
     ratio-1 level steps on it directly, a coarser level aggregates it
     exactly over its step first.  Every step is checked for overflow, and
-    each level keeps the running sup norm of its state.
+    each level keeps the running sup norm of its state.  States are
+    stepped in per-batch buffers: each level swaps its state with a spare
+    every step and keeps one scratch array.
 
-    - Strong and weak: the tested meshes, then the reference mesh as the
-      last level with ratio 1.
+    - Strong and weak: the tested meshes, then the reference mesh with
+      ratio 1 (``ref_index``).
     - splitting_dt: every level on the one mesh, differing only in drift
       step; the reference is the last level.
     - Moments: each mesh twice.  X runs the configured drift from the
@@ -593,10 +589,11 @@ class _CoupledEngine:
       stochastic convolution Z(T) on X's path, the decomposition
       X = Z + Y the moment bounds rest on.
 
-    Strong and weak studies also run the dt-halving probe on the first
-    batch: that batch draws two half steps from the factor at dt_ref / 2,
-    steps the probe on each, and aggregates them exactly to dt_ref; both
-    routes give the same law.
+    Strong and weak studies end the table with the dt-doubling probe:
+    the finest tested mesh and the reference again, at twice their drift
+    steps (``probe_rows``).  Only the first batch runs them, on its
+    ordinary draws.  When twice the finest level's step does not divide
+    the horizon the probe is left out and ``notes`` says so.
     """
 
     def __init__(self, cfg: StudyConfig):
@@ -605,6 +602,8 @@ class _CoupledEngine:
                                    length=cfg.length)
         self.n_steps = round(cfg.horizon / cfg.dt_ref)
         self.resolutions = list(cfg.levels)
+        self.probe_rows = ()
+        self.notes = ()
         if cfg.kind == "moments":
             n_meshes = len(cfg.levels)
             widths = list(cfg.levels)
@@ -622,10 +621,13 @@ class _CoupledEngine:
                 self.mesh_of = list(range(len(widths)))
             self.ratios = list(cfg.step_ratios) + [1]
             drifts = [cfg.drift] * len(self.mesh_of)
-        self.spaces = [_mesh_for(w, cfg.length) for w in widths]
         self.ref_index = len(self.mesh_of) - 1
-        self.ref_noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
-                                     cfg.dt_ref)
+        if cfg.kind in ("strong", "weak"):
+            self._add_probe_rows()
+            drifts += [cfg.drift] * len(self.probe_rows)
+        self.spaces = [_mesh_for(w, cfg.length) for w in widths]
+        self.noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
+                                 cfg.dt_ref)
         self.integrators = [
             Integrator(self.spaces[m], drift,
                        SchemeConfig(ratio * cfg.dt_ref, self.n_steps // ratio))
@@ -636,31 +638,26 @@ class _CoupledEngine:
         self.decay = [ref_decay[m] for m in self.mesh_of]
         starts = _initial_states(cfg, self.spaces, self.basis)
         self.x0 = [starts[m] for m in self.mesh_of]
-        self.factors = (self.ref_noise,)
-        self.probe_noise = None
         if cfg.kind == "moments":
             self.x0[len(self.spaces):] = [np.zeros(s.n) for s in self.spaces]
             return
-        ref_space = self.spaces[self.mesh_of[-1]]
+        ref_space = self.spaces[self.mesh_of[self.ref_index]]
         self.comparers = [L2Comparer(ref_space, self.spaces[m])
-                          for m in self.mesh_of[:-1]]
-        if cfg.kind == "splitting_dt":
+                          for m in self.mesh_of[:self.ref_index]]
+
+    def _add_probe_rows(self):
+        """Append the finest tested mesh and the reference at twice their
+        drift steps; e(2 dt) - e(dt) estimates a first-order temporal
+        error at dt."""
+        fine = self.ref_index - 1
+        doubled = [2 * self.ratios[fine], 2 * self.ratios[self.ref_index]]
+        if self.n_steps % doubled[0]:
+            self.notes = ("dt-doubling probe skipped: twice the finest "
+                          "level's step does not divide the horizon",)
             return
-        # the probe reruns the reference and the finest tested level at
-        # half the reference step on the same noise; it runs on the first
-        # batch only, which is plenty for a 10% contamination diagnostic
-        dt_sub = cfg.dt_ref / 2.0
-        self.probe_noise = _JointNoise(self.spaces, self.basis,
-                                       cfg.covariance, dt_sub)
-        self.factors = (self.probe_noise, self.ref_noise)
-        eigenvalues = np.concatenate([s.eigenvalues for s in self.spaces])
-        self.sub_decay = np.exp(-eigenvalues * dt_sub)[:, None]
-        self.probe_indices = (self.ref_index, len(cfg.levels) - 1)
-        self.probe_integrators = {
-            i: Integrator(self.spaces[i], cfg.drift,
-                          SchemeConfig(dt_sub, 2 * self.n_steps))
-            for i in self.probe_indices
-        }
+        self.probe_rows = (len(self.mesh_of), len(self.mesh_of) + 1)
+        self.mesh_of += [self.mesh_of[fine], self.mesh_of[self.ref_index]]
+        self.ratios += doubled
 
     def batch_bounds(self, index):
         start = index * self.cfg.batch_size
@@ -674,45 +671,46 @@ class _CoupledEngine:
         cfg = self.cfg
         start, stop = self.batch_bounds(index)
         batch = stop - start
-        states = [np.tile(x0[:, None], (1, batch)) for x0 in self.x0]
+        # the probe rows close the table and run on the first batch only
+        n_rows = len(self.mesh_of) - (len(self.probe_rows) if index else 0)
+        rows = range(n_rows)
+        states = [np.tile(x0[:, None], (1, batch)) for x0 in self.x0[:n_rows]]
+        spares = [np.empty_like(state) for state in states]
+        scratch = [np.empty_like(state) for state in states]
         sups = [np.abs(state).max(axis=0) for state in states]
-        acc = [np.zeros((self.spaces[m].n, batch)) if ratio > 1 else None
-               for m, ratio in zip(self.mesh_of, self.ratios)]
-        with_probe = index == 0 and self.probe_noise is not None
-        probe = ({i: states[i].copy() for i in self.probe_indices}
-                 if with_probe else None)
-        draws, noise = ((2, self.probe_noise) if with_probe
-                        else (1, self.ref_noise))
+        acc = [np.zeros_like(state) if self.ratios[i] > 1 else None
+               for i, state in enumerate(states)]
+        # a probe row that overflows drops its sample from the probe only
         aborted = np.zeros(batch, dtype=bool)
+        probe_aborted = np.zeros(batch, dtype=bool)
+        guards = [probe_aborted if i in self.probe_rows else aborted
+                  for i in rows]
         for step in range(self.n_steps):
-            joint = None
-            for draw in range(draws):
-                sub = noise.sample(cfg.seed, index, draws * step + draw,
-                                   batch)
-                if with_probe:
-                    for i in self.probe_indices:
-                        probe[i] = self.probe_integrators[i] \
-                            .step_with_eigen_noise(probe[i],
-                                                   sub[noise.slices[i]])
-                # exact substep aggregation to the dt_ref grid
-                joint = sub if joint is None else self.sub_decay * joint + sub
-            by_mesh = [joint[rows] for rows in noise.slices]
-            for i, ratio in enumerate(self.ratios):
-                increment = by_mesh[self.mesh_of[i]]
+            joint = self.noise.sample(cfg.seed, index, step, batch)
+            for i in rows:
+                ratio = self.ratios[i]
+                increment = joint[self.noise.slices[self.mesh_of[i]]]
                 if ratio > 1:
                     # exact aggregation to the level's drift step
                     acc[i] *= self.decay[i]
                     acc[i] += increment
                     if (step + 1) % ratio:
                         continue
-                    increment, acc[i] = acc[i], np.zeros_like(acc[i])
-                states[i] = self.integrators[i].step_with_eigen_noise(
-                    states[i], increment)
-                np.maximum(sups[i], _discard_overflow(states[i], aborted),
+                    increment = acc[i]
+                self.integrators[i].step_with_eigen_noise(
+                    states[i], increment, out=spares[i], scratch=scratch[i])
+                states[i], spares[i] = spares[i], states[i]
+                if ratio > 1:
+                    acc[i].fill(0.0)
+                np.maximum(sups[i], _discard_overflow(states[i], guards[i],
+                                                      scratch[i]),
                            out=sups[i])
-        out = {"aborted": aborted, "draws": draws * self.n_steps}
+        out = {"aborted": aborted, "draws": self.n_steps}
         ref_i = self.ref_index
         fine = ref_i - 1  # the finest tested level
+        probe = self.probe_rows if index == 0 else ()
+        if probe:
+            out["probe_aborted"] = probe_aborted
         if cfg.kind == "moments":
             n_meshes = len(self.spaces)
             out["x_sup"] = [sup ** 2 for sup in sups[:n_meshes]]
@@ -720,18 +718,18 @@ class _CoupledEngine:
             out["z_l2"] = [space.l2_norm(z) ** 2
                            for space, z in zip(self.spaces, states[n_meshes:])]
         elif cfg.kind == "weak":
-            phi = [self._phi(i, state) for i, state in enumerate(states)]
+            phi = [self._phi(i, states[i]) for i in range(ref_i + 1)]
             out["values"] = [phi[ref_i] - p for p in phi[:ref_i]]
             out["phi"] = phi
-            if with_probe:
-                out["probe"] = (self._phi(ref_i, probe[ref_i])
-                                - self._phi(fine, probe[fine]))
+            if probe:
+                out["probe"] = (self._phi(ref_i, states[probe[1]])
+                                - self._phi(fine, states[probe[0]]))
         else:
             out["values"] = [cmp_.distance(states[ref_i], state)
                              for cmp_, state in zip(self.comparers, states)]
-            if with_probe:
-                out["probe"] = self.comparers[fine].distance(probe[ref_i],
-                                                             probe[fine])
+            if probe:
+                out["probe"] = self.comparers[fine].distance(
+                    states[probe[1]], states[probe[0]])
         return out
 
     def _phi(self, i, nodal):
@@ -788,8 +786,19 @@ def _weak_level_stats(values):
     return error, stderr
 
 
-def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
-                       workers, noise_factors):
+def _aborted_note(aborted_total, samples):
+    return (f"{aborted_total} of {samples} samples aborted (overflow or "
+            "non-finite state) and were discarded")
+
+
+def _noise_summary(engine, results) -> dict:
+    """The JSON noise block: the factor's diagnostics and the draws made."""
+    return {**engine.noise.diagnostics(),
+            "draws": sum(r["draws"] for r in results)}
+
+
+def _reduce_rate_study(engine, results, stats_fn, t_start, workers):
+    cfg, resolutions = engine.cfg, engine.resolutions
     keep = ~np.concatenate([r["aborted"] for r in results])
     aborted_total = int((~keep).sum())
     levels = []
@@ -799,24 +808,22 @@ def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
         usable = error > 0.0 and error > NOISE_FLOOR_FACTOR * stderr
         levels.append(LevelResult(index=i, resolution=res, error=error,
                                   stderr=stderr, usable=usable))
-    notes = []
+    notes = list(engine.notes)
     probe_ratio = None
-    probes = [r["probe"] for r in results if "probe" in r]
-    if probes:
+    first = results[0]
+    if "probe" in first:
         # compare against the finest level on the probe's own samples
         # (batch 0), so Monte-Carlo scatter cancels and the ratio
-        # isolates the temporal part; halving dt halves an O(dt) error,
-        # hence the factor 2 extrapolation
-        probe_keep = ~results[0]["aborted"]
-        probe_vals = probes[0][probe_keep]
-        probe_error, _ = stats_fn(probe_vals)
-        base_vals = results[0]["values"][len(resolutions) - 1][probe_keep]
-        base_error, _ = stats_fn(base_vals)
-        if probe_error > 0:
-            probe_ratio = 2.0 * abs(base_error - probe_error) / probe_error
+        # isolates the temporal part; doubling dt doubles an O(dt)
+        # error, so e(2 dt) - e(dt) estimates the error at dt
+        probe_keep = ~(first["aborted"] | first["probe_aborted"])
+        probe_error, _ = stats_fn(first["probe"][probe_keep])
+        base_error, _ = stats_fn(first["values"][-1][probe_keep])
+        if base_error > 0:
+            probe_ratio = abs(probe_error - base_error) / base_error
             if probe_ratio > 0.1:
                 notes.append(
-                    "dt-halving probe above 10%: temporal error may "
+                    "dt-doubling probe above 10%: temporal error may "
                     "contaminate the finest level")
     functional_means = None
     if results and "phi" in results[0]:
@@ -840,15 +847,14 @@ def _reduce_rate_study(cfg, results, resolutions, stats_fn, t_start,
     if not monotonic:
         notes.append("usable errors are not monotone in resolution")
     if aborted_total:
-        notes.append(f"{aborted_total} of {cfg.samples} samples aborted "
-                     "(overflow or non-finite state) and were discarded")
+        notes.append(_aborted_note(aborted_total, cfg.samples))
     return RateReport(
         kind=cfg.kind, levels=levels, slope=slope, ci_lo=ci_lo, ci_hi=ci_hi,
         noise_floor=not all(lv.usable for lv in levels), monotonic=monotonic,
         config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, probe_ratio=probe_ratio,
         aborted_total=aborted_total, functional_means=functional_means,
-        noise=_noise_summary(noise_factors, results),
+        noise=_noise_summary(engine, results),
         runtime_seconds=time.perf_counter() - t_start, workers=workers,
         notes=tuple(notes))
 
@@ -865,8 +871,7 @@ def _run_rate_study(cfg, kind, map_fn, workers) -> RateReport:
     else:
         def stats_fn(values):
             return _strong_level_stats(values, cfg.p_order)
-    return _reduce_rate_study(cfg, results, engine.resolutions, stats_fn, t0,
-                              workers, engine.factors)
+    return _reduce_rate_study(engine, results, stats_fn, t0, workers)
 
 
 def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
@@ -916,15 +921,20 @@ def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
         exponents[key] = growth_exponent(cfg.levels, mean_list)
         exponents[key + "_envelope"] = envelope_exponent(cfg.levels,
                                                          mean_list)
+    aborted_total = int((~keep).sum())
+    notes = ()
+    if aborted_total:
+        notes = (_aborted_note(aborted_total, cfg.samples),)
     return MomentReport(
         kind=cfg.kind, resolutions=list(cfg.levels),
         z_sup_moment=series["z_sup"][0], z_sup_stderr=series["z_sup"][1],
         z_l2_moment=series["z_l2"][0], z_l2_stderr=series["z_l2"][1],
         x_sup_moment=series["x_sup"][0], x_sup_stderr=series["x_sup"][1],
         exponents=exponents, config_hash=cfg.config_hash, seed=cfg.seed,
-        provenance=cfg.provenance, aborted_total=int((~keep).sum()),
-        noise=_noise_summary(engine.factors, results),
-        runtime_seconds=time.perf_counter() - t0, workers=workers)
+        provenance=cfg.provenance, aborted_total=aborted_total,
+        noise=_noise_summary(engine, results),
+        runtime_seconds=time.perf_counter() - t0, workers=workers,
+        notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,20 @@ def _mode_alias(n_elements: int, k_max: int):
     return index, np.where(reflected, -1.0, 1.0)
 
 
-def _scale_columns(factors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _scale_columns(factors: np.ndarray, coeffs: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Scale entry i of a vector, or row i of every column, by factors[i]."""
     if coeffs.ndim == 1:
-        return factors * coeffs
-    return factors[:, None] * coeffs
+        return np.multiply(factors, coeffs, out=out)
+    return np.multiply(factors[:, None], coeffs, out=out)
+
+
+def _dst_in_place(a: np.ndarray) -> np.ndarray:
+    """Type-I DST along axis 0, written over the float array ``a``."""
+    result = dst(a, type=1, axis=0, overwrite_x=True)
+    if not np.may_share_memory(result, a):
+        np.copyto(a, result)
+    return a
 
 
 class FemSpace:
@@ -182,19 +191,29 @@ class FemSpace:
         return self.from_eigen(_scale_columns(
             self._from_eigen_scale / self.eigenvalues, vt_b))
 
-    def to_eigen(self, v: np.ndarray) -> np.ndarray:
+    def to_eigen(self, v: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
         """Nodal values -> coefficients in the discrete eigenbasis, V^T M v.
 
-        Accepts a vector or an (n, batch) array of columns.
+        Accepts a vector or an (n, batch) array of columns.  With ``out``
+        (a float array of v's shape, possibly v itself) the coefficients
+        are written there, with the same bits.
         """
         v = np.asarray(v, dtype=float)
-        return _scale_columns(self._to_eigen_scale, dst(v, type=1, axis=0))
+        if out is None:
+            out = v.copy()
+        elif out is not v:
+            np.copyto(out, v)
+        return _scale_columns(self._to_eigen_scale, _dst_in_place(out),
+                              out=out)
 
-    def from_eigen(self, c: np.ndarray) -> np.ndarray:
-        """Eigen coefficients -> nodal values, V c (inverse of to_eigen)."""
+    def from_eigen(self, c: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """Eigen coefficients -> nodal values, V c (inverse of to_eigen);
+        ``out`` as in `to_eigen`."""
         c = np.asarray(c, dtype=float)
-        return dst(_scale_columns(self._from_eigen_scale, c), type=1, axis=0,
-                   overwrite_x=True)
+        return _dst_in_place(_scale_columns(self._from_eigen_scale, c,
+                                            out=out))
 
     # -- norms --------------------------------------------------------------
 

@@ -81,9 +81,9 @@ class TestStudyCommand:
         assert noise["joint_dim"] == 3 + 7 + 15 + 63
         assert 0 < noise["factor_nnz"] < noise["joint_dim"] ** 2 / 2
         assert noise["cholesky_jitter"] >= 0.0
-        # 4 reference steps: the probe batch draws two half steps each,
-        # the second batch one full step each
-        assert noise["draws"] == 2 * 4 + 4
+        # 4 reference steps, one draw each, in each of the two batches;
+        # the probe rows of the first batch run on its ordinary draws
+        assert noise["draws"] == 4 + 4
         assert "factor" not in text and "jitter" not in text
         assert "draws" not in text
         out = capsys.readouterr().out
@@ -125,6 +125,22 @@ class TestStudyCommand:
         payload = json.loads(next(tmp_path.glob("moments_*.json"))
                              .read_text())
         assert "exponents" in payload
+
+    def test_moments_study_reports_aborted_samples(self, tmp_path, capsys):
+        doc = tmp_path / "moments.yaml"
+        doc.write_text(MOMENTS_DOC.replace("seed: 3", "seed: 1")
+                       .replace("horizon: 0.25", "horizon: 1.0")
+                       + "drift:\n  preset: linear\n  rate: 26.0\n"
+                       + "initial:\n  profile: zero\n")
+        assert cli.main(["study", str(doc), "--out", str(tmp_path)]) == 0
+        payload = json.loads(next(tmp_path.glob("moments_*.json"))
+                             .read_text())
+        aborted = payload["aborted_total"]
+        assert 0 < aborted < 100
+        note = (f"{aborted} of 100 samples aborted (overflow or "
+                "non-finite state) and were discarded")
+        assert payload["notes"] == [note]
+        assert f"  note: {note}" in capsys.readouterr().out
 
     def test_operators_study(self, tmp_path):
         doc = tmp_path / "operators.yaml"

@@ -125,6 +125,29 @@ class TestFlow:
             assert np.array_equal(drift.flow(t, grid),
                                   drift.flow_with_derivative(t, grid)[0])
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, -1.0), (2.0, -0.5),
+                                        (1.0, 0.5, 0.3, -1.0)])
+    def test_flow_into_buffers_keeps_the_bits(self, coeffs):
+        # closed-form cubic, affine, and the RK4 fallback
+        drift = PolynomialDrift(coeffs)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(4, 3)
+        for t in (0.0, 0.1):
+            out, scratch = np.full_like(grid, np.nan), np.empty_like(grid)
+            got = drift.flow(t, grid, out=out, scratch=scratch)
+            assert got is out
+            assert got.tobytes() == drift.flow(t, grid).tobytes()
+            assert np.array_equal(grid, np.linspace(-3.0, 3.0, 12)
+                                  .reshape(4, 3))
+
+    def test_cubic_flow_keeps_its_rounding_order(self):
+        # x e^{a1 t} (1 - a3 g x^2)^{-1/2}, evaluated left to right
+        drift = PolynomialDrift.allen_cahn()
+        x = substream(3, purpose="test").standard_normal((5, 4)) * 3.0
+        t = 2.0 ** -7
+        g = math.expm1(2.0 * t)
+        expected = x * math.exp(t) * (1.0 / np.sqrt(1.0 - -1.0 * g * x * x))
+        assert drift.flow(t, x).tobytes() == expected.tobytes()
+
     def test_affine_flow(self):
         drift = PolynomialDrift((2.0, -0.5))
         t, x = 0.8, 1.5
@@ -203,6 +226,33 @@ class TestSchemes:
             .standard_normal(space.n)
         external = integ.step_with_eigen_noise(x0, noise)
         assert np.array_equal(internal, external)
+
+    @pytest.mark.parametrize("shape", [(15,), (15, 4)])
+    def test_step_into_buffers_keeps_the_bits(self, small_setup, shape):
+        space, _, _ = small_setup
+        integ = Integrator(space, PolynomialDrift.allen_cahn(),
+                           SchemeConfig(dt=2.0 ** -5, n_steps=1))
+        gen = substream(9, purpose="test")
+        state = 2.0 * gen.standard_normal(shape)
+        noise = 0.1 * gen.standard_normal(shape)
+        before = state.copy(), noise.copy()
+        out, scratch = np.full(shape, np.nan), np.empty(shape)
+        got = integ.step_with_eigen_noise(state, noise, out=out,
+                                          scratch=scratch)
+        assert got is out
+        assert got.tobytes() == integ.step_with_eigen_noise(
+            state, noise).tobytes()
+        assert np.array_equal(state, before[0])
+        assert np.array_equal(noise, before[1])
+        # the transforms' own operation order: scaled DST-I, the decay
+        # and the increment, scaled DST-I back
+        column = (slice(None),) + (None,) * (len(shape) - 1)
+        flowed = integ.drift.flow(integ.dt, state)
+        coeffs = space._to_eigen_scale[column] * dst(flowed, type=1, axis=0)
+        coeffs = integ._decay[column] * coeffs + noise
+        expected = dst(space._from_eigen_scale[column] * coeffs, type=1,
+                       axis=0)
+        assert got.tobytes() == expected.tobytes()
 
     def test_batched_steps_draw_factor_times_normals(self, small_setup):
         # every stochastic step draws factor @ normals from the generator,

@@ -13,8 +13,9 @@ import pytest
 from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
-from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, RateReport,
-                     SpectralBasis, StudyConfig, default_initial_profile,
+from spdefem import (CovarianceSpec, FemSpace, Integrator, PolynomialDrift,
+                     RateReport, SpectralBasis, StudyConfig,
+                     default_initial_profile,
                      envelope_exponent, evaluate_functional, fit_rate,
                      growth_exponent, linear_weak_reference, run_moment_study,
                      run_operator_study, run_splitting_dt_study,
@@ -246,35 +247,70 @@ class TestJointNoise:
 
 
 class TestCoupledDraws:
-    def test_only_the_probe_batch_draws_half_steps(self, monkeypatch):
+    def test_only_the_probe_batch_runs_probe_rows(self, monkeypatch):
         calls = []
         sample = _JointNoise.sample
 
         def counted(noise, *args):
-            calls.append(noise.dt)
+            calls.append((noise.dt, args[2]))
             return sample(noise, *args)
 
         monkeypatch.setattr(_JointNoise, "sample", counted)
         cfg = strong_config()
         engine = _CoupledEngine(cfg)
-        engine.run_batch(0)
-        assert calls == [cfg.dt_ref / 2.0] * (2 * engine.n_steps)
+        # the finest tested mesh and the reference again, at twice their
+        # drift steps, close the table
+        fine, ref = len(cfg.levels) - 1, engine.ref_index
+        assert engine.probe_rows == (ref + 1, ref + 2)
+        assert engine.mesh_of[ref + 1:] == [fine, ref]
+        assert engine.ratios[ref + 1:] == [2 * engine.ratios[fine], 2]
+        steps = [(cfg.dt_ref, step) for step in range(engine.n_steps)]
+        out = engine.run_batch(0)
+        assert calls == steps
+        assert out["draws"] == engine.n_steps
+        assert out["probe"].shape == out["probe_aborted"].shape == (100,)
         calls.clear()
         out = engine.run_batch(1)
-        assert calls == [cfg.dt_ref] * engine.n_steps
+        assert calls == steps
         assert out["draws"] == engine.n_steps
+        assert "probe" not in out and "probe_aborted" not in out
+        assert len(out["values"]) == len(cfg.levels)
 
-    def test_report_counts_draws_over_both_factors(self):
+    def test_batch_one_steps_no_probe_rows(self, monkeypatch):
+        stepped = []
+        step = Integrator.step_with_eigen_noise
+
+        def counted(integrator, *args, **kwargs):
+            stepped.append(integrator)
+            return step(integrator, *args, **kwargs)
+
+        monkeypatch.setattr(Integrator, "step_with_eigen_noise", counted)
+        engine = _CoupledEngine(strong_config())
+        probes = {id(engine.integrators[i]) for i in engine.probe_rows}
+        engine.run_batch(1)
+        assert stepped and not probes & {id(i) for i in stepped}
+        stepped.clear()
+        engine.run_batch(0)
+        assert probes <= {id(i) for i in stepped}
+
+    def test_report_counts_draws_of_the_one_factor(self, monkeypatch):
+        built = []
+        init = _JointNoise.__init__
+
+        def counted(noise, *args):
+            built.append(noise)
+            init(noise, *args)
+
+        monkeypatch.setattr(_JointNoise, "__init__", counted)
         cfg = strong_config()
         report = run_strong_study(cfg)
-        engine = _CoupledEngine(cfg)
+        assert len(built) == 1
         n_steps = round(cfg.horizon / cfg.dt_ref)
         assert report.noise == {
-            "joint_dim": engine.probe_noise.dim,
-            "factor_nnz": (engine.probe_noise._chol.nnz
-                           + engine.ref_noise._chol.nnz),
+            "joint_dim": built[0].dim,
+            "factor_nnz": built[0]._chol.nnz,
             "cholesky_jitter": 0.0,
-            "draws": 2 * n_steps + n_steps}
+            "draws": 2 * n_steps}
 
     def test_splitting_dt_draws_once_per_reference_step(self, monkeypatch):
         calls = []
@@ -287,7 +323,7 @@ class TestCoupledDraws:
         monkeypatch.setattr(_JointNoise, "sample", counted)
         cfg = splitting_config()
         engine = _CoupledEngine(cfg)
-        assert engine.probe_noise is None
+        assert engine.probe_rows == ()
         assert engine.mesh_of == [0] * (len(cfg.dt_levels) + 1)
         out = engine.run_batch(0)
         assert calls == [cfg.dt_ref] * engine.n_steps
@@ -295,10 +331,51 @@ class TestCoupledDraws:
         report = run_splitting_dt_study(cfg)
         assert report.probe_ratio is None
         assert report.noise == {
-            "joint_dim": engine.ref_noise.dim,
-            "factor_nnz": engine.ref_noise._chol.nnz,
-            "cholesky_jitter": engine.ref_noise.cholesky_jitter,
+            "joint_dim": engine.noise.dim,
+            "factor_nnz": engine.noise._chol.nnz,
+            "cholesky_jitter": engine.noise.cholesky_jitter,
             "draws": engine.n_batches * engine.n_steps}
+
+
+class TestTemporalProbe:
+    def test_coarse_reference_step_trips_the_note(self):
+        # a deep double well, 20 x - 20 x^3, split at steps of 1/8: its
+        # temporal error at the finest level is 20% of the spatial one
+        report = run_strong_study(strong_config(
+            drift=PolynomialDrift((0.0, 20.0, 0.0, -20.0)),
+            dt_ref=2.0 ** -3))
+        assert report.probe_ratio > 0.1
+        assert any(note.startswith("dt-doubling probe above 10%")
+                   for note in report.notes)
+
+    def test_fine_reference_step_stays_quiet(self):
+        report = run_strong_study(strong_config())
+        assert report.probe_ratio < 0.1
+        assert not any("probe" in note for note in report.notes)
+
+    def test_probe_is_skipped_when_doubling_overruns_the_horizon(self):
+        # three reference steps: a doubled step cannot land on the horizon
+        cfg = strong_config(horizon=0.75, dt_ref=2.0 ** -2)
+        engine = _CoupledEngine(cfg)
+        assert engine.probe_rows == ()
+        assert all(i.config.horizon == cfg.horizon
+                   for i in engine.integrators)
+        report = run_strong_study(cfg)
+        assert report.probe_ratio is None
+        assert any(note.startswith("dt-doubling probe skipped")
+                   for note in report.notes)
+        assert json.loads(report.to_json())["probe_ratio"] is None
+
+    def test_probe_rows_at_doubled_h2beta_steps(self):
+        cfg = StudyConfig(
+            kind="weak", covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
+            drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
+            h_ref=2.0 ** -6, horizon=0.25, dt_ref=2.0 ** -6, samples=100,
+            batch_size=100, seed=3)
+        engine = _CoupledEngine(cfg)
+        fine = len(cfg.levels) - 1
+        assert engine.ratios[-2:] == [2 * cfg.step_ratios[fine], 2]
+        assert run_weak_study(cfg).probe_ratio is not None
 
 
 class TestExponents:
@@ -662,6 +739,9 @@ class TestMoments:
             samples=100, batch_size=100, seed=1)
         report = run_moment_study(cfg)
         assert 0 < report.aborted_total < cfg.samples
+        assert report.notes == (
+            f"{report.aborted_total} of 100 samples aborted (overflow or "
+            "non-finite state) and were discarded",)
         for series in (report.z_sup_moment, report.z_l2_moment,
                        report.x_sup_moment):
             assert all(math.isfinite(m) for m in series)
@@ -766,7 +846,7 @@ class TestReports:
                     "aborted_total", "noise"):
             assert key in doc
         assert set(doc["exponents"]) >= {"z_sup", "z_l2", "x_sup"}
-        assert doc["aborted_total"] == 0
+        assert doc["aborted_total"] == 0 and doc["notes"] == []
         # one joint factor over the meshes (n = 3, 7, 15), one draw per step
         assert doc["noise"]["joint_dim"] == sum(
             round(1.0 / h) - 1 for h in cfg.levels)
