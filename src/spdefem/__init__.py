@@ -1,7 +1,7 @@
 """Finite element rate studies for semilinear stochastic heat equations."""
 
 from .spectral import SpectralBasis
-from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh, field_values,
+from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh,
                   operator_error_norm)
 from .rng import substream, substream_key
 from .noise import CovarianceSpec, implied_beta
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SpectralBasis", "Mesh1D", "FemSpace", "L2Comparer", "uniform_mesh",
-    "field_values", "operator_error_norm", "substream",
+    "operator_error_norm", "substream",
     "substream_key", "CovarianceSpec", "implied_beta",
     "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
     "tangent_integrate",

@@ -14,7 +14,8 @@ then the current directory).
 Artifacts are named after the study kind and config hash, so a rerun of
 the same document lands on the same files.  Rate-study CSVs carry no
 wall-clock metadata and are byte-identical across reruns and worker
-counts; the JSON summaries carry runtime and worker count.
+counts; the JSON summaries carry runtime and the number of worker
+processes that ran batches (1 for serial runs and operator studies).
 
 Exit status: 0 on success, 1 when a rate fit failed (every level under
 the Monte-Carlo noise floor), 2 for configuration or I/O errors.
@@ -121,7 +122,7 @@ def _operator_csv(cfg, fits) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _operator_json(cfg, fits, runtime: float, workers: int) -> str:
+def _operator_json(cfg, fits, runtime: float) -> str:
     payload = {
         "kind": cfg.kind,
         "fits": [
@@ -133,7 +134,7 @@ def _operator_json(cfg, fits, runtime: float, workers: int) -> str:
         "config_hash": cfg.config_hash,
         "provenance": cfg.provenance,
         "runtime_seconds": runtime,
-        "workers": workers,
+        "workers": 1,              # operator studies never start a pool
         "version": __version__,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -187,7 +188,7 @@ def _run_study(args) -> int:
     # operator study: a mapping of (s, r, which) -> fit
     runtime = time.perf_counter() - start
     _write(stem + ".csv", _operator_csv(cfg, report))
-    _write(stem + ".json", _operator_json(cfg, report, runtime, args.workers))
+    _write(stem + ".json", _operator_json(cfg, report, runtime))
     for (s, r, which), fit in report.items():
         print(f"operator ({s:g}, {r:g}, {which}): slope={fit.slope:.4f}")
     print(f"wrote {stem}.csv and {stem}.json")

@@ -247,10 +247,6 @@ class SchemeConfig:
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.n_steps
-
 
 class Integrator:
     """The splitting one-step map for the semidiscrete equation, batched

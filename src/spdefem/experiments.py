@@ -294,8 +294,8 @@ def _check_grid(horizon, dt, name):
 def _check_multiple(coarse, fine, coarse_name, fine_name):
     ratio = coarse / fine
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
-        raise ValueError(f"every {coarse_name} must be an even multiple "
-                         f"of {fine_name}")
+        raise ValueError(f"every {coarse_name} must be an integer multiple "
+                         f"(at least 2) of {fine_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -756,16 +756,23 @@ def _engine_batch(index):
     return _ENGINE.run_batch(index)
 
 
+def _batch_processes(engine, map_fn, workers):
+    """Size of `_map_batches`' pool, or 1 when the batches run in this
+    process (serially, or through the caller's ``map_fn``)."""
+    return 1 if map_fn is not None else max(1, min(workers, engine.n_batches))
+
+
 def _map_batches(engine, map_fn, workers):
     _set_engine(engine)
     try:
         indices = range(engine.n_batches)
         if map_fn is not None:
             return list(map_fn(_engine_batch, indices))
-        if workers <= 1 or engine.n_batches == 1:
+        processes = _batch_processes(engine, map_fn, workers)
+        if processes == 1:
             return [engine.run_batch(i) for i in indices]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, engine.n_batches)) as pool:
+        with ctx.Pool(processes) as pool:
             return pool.map(_engine_batch, indices)
     finally:
         _set_engine(None)
@@ -871,7 +878,8 @@ def _run_rate_study(cfg, kind, map_fn, workers) -> RateReport:
     else:
         def stats_fn(values):
             return _strong_level_stats(values, cfg.p_order)
-    return _reduce_rate_study(engine, results, stats_fn, t0, workers)
+    return _reduce_rate_study(engine, results, stats_fn, t0,
+                              _batch_processes(engine, map_fn, workers))
 
 
 def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
@@ -933,8 +941,8 @@ def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
         exponents=exponents, config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, aborted_total=aborted_total,
         noise=_noise_summary(engine, results),
-        runtime_seconds=time.perf_counter() - t0, workers=workers,
-        notes=notes)
+        runtime_seconds=time.perf_counter() - t0,
+        workers=_batch_processes(engine, map_fn, workers), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +952,8 @@ def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
                        ) -> dict:
     """Measured projection/Ritz/semigroup error norms and their orders.
 
-    Semigroup pairs are evaluated at t = cfg.horizon.
+    Semigroup pairs are evaluated at t = cfg.horizon.  The study runs in
+    this process; ``map_fn`` and ``workers`` are ignored.
     """
     if cfg.kind != "operators":
         raise ValueError("config kind must be 'operators'")
@@ -971,7 +980,7 @@ def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
             monotonic=all(a > b for a, b in zip(errs, errs[1:])),
             config_hash=cfg.config_hash, seed=cfg.seed,
             provenance=cfg.provenance,
-            runtime_seconds=time.perf_counter() - t0, workers=workers)
+            runtime_seconds=time.perf_counter() - t0, workers=1)
     return reports
 
 

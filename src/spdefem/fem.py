@@ -10,9 +10,7 @@ eigenvectors are the discrete sines sin(i pi j / N), i = 1..N-1, with
     lambda_i = 6/h^2 (1 - cos(i pi/N)) / (2 + cos(i pi/N)),
 
 so moving between nodal values and M-orthonormal eigen coordinates is a
-scaled type-I discrete sine transform.  The eigensystem gives the
-discrete heat semigroup and fractional operator powers as diagonal
-multipliers, mirroring the spectral module.
+scaled type-I discrete sine transform.
 
 Sine modes alias on the nodes: mode k takes the nodal values of mode
 +-(k mod 2N) folded into 1..N-1, and vanishes at every node when k = 0 or
@@ -21,13 +19,13 @@ N (mod 2N).  So each sine mode overlaps at most one discrete eigenvector
 holds at most one nonzero per column (`FemSpace.alias_overlaps`).  The
 whole interplay with the sine basis runs through that map and the eigen
 transforms: the coupling C[j, k] = <phi_j, e_k> factors as C = M V B, so
-the L2 and Ritz projections, the sine coefficients of a nodal field, the
-joint noise covariance of a mesh hierarchy and the operator error norms
-never form C.  Each error operator is block diagonal over the alias
-classes, each block a diagonal plus a rank-one term, and its norm is the
-largest exact 2-norm of the small blocks.  `FemSpace.coupling` keeps the
-dense closed form of C (the integral of a hat against a sine has an
-elementary antiderivative) as a reference.
+the L2 projection of a sine expansion, the joint noise covariance of a
+mesh hierarchy and the operator error norms never form C.  Each error
+operator is block diagonal over the alias classes, each block a diagonal
+plus a rank-one term, and its norm is the largest exact 2-norm of the
+small blocks.  `FemSpace.coupling`, `solve_mass`, `solve_stiffness` and
+`_power_iteration_norm` are never called by the package: they stay only
+because `perfbench/spans.py` patches them by name.
 """
 
 from __future__ import annotations
@@ -132,9 +130,8 @@ class FemSpace:
     mass-matrix eigenvalue.
     Eigen transforms are type-I discrete sine transforms, and mass and
     stiffness solves are diagonal between two of them.  The sine basis
-    enters only through the alias map (`alias_overlaps`); `coupling` is
-    the dense closed-form reference.  Raises ValueError unless the
-    element lengths agree to within 1e-12 h.
+    enters only through the alias map (`alias_overlaps`).  Raises
+    ValueError unless the element lengths agree to within 1e-12 h.
     """
 
     def __init__(self, mesh: Mesh1D):
@@ -162,9 +159,6 @@ class FemSpace:
         self._vec_scale = 1.0 / np.sqrt(0.5 * n_el * mass_eig)
         self._to_eigen_scale = 0.5 * self._vec_scale * mass_eig
         self._from_eigen_scale = 0.5 * self._vec_scale
-        lam_cont = (np.arange(1, self.n + 1) * np.pi / mesh.length) ** 2
-        ratio = self.eigenvalues / lam_cont
-        self.eigenvalue_ratio_range = (float(ratio.min()), float(ratio.max()))
 
     # -- matrices, built on first use: most studies never read them -------
 
@@ -181,12 +175,14 @@ class FemSpace:
     # -- linear algebra helpers -------------------------------------------
 
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
-        """M^{-1} b = V V^T b (V^T M V = I); V^T b is a scaled DST-I."""
+        """M^{-1} b = V V^T b (V^T M V = I); V^T b is a scaled DST-I.
+        Unused: kept only because `perfbench/spans.py` patches it by name."""
         vt_b = dst(np.asarray(b, dtype=float), type=1, axis=0)
         return self.from_eigen(_scale_columns(self._from_eigen_scale, vt_b))
 
     def solve_stiffness(self, b: np.ndarray) -> np.ndarray:
-        """S^{-1} b = V Lambda_h^{-1} V^T b."""
+        """S^{-1} b = V Lambda_h^{-1} V^T b.
+        Unused: kept only because `perfbench/spans.py` patches it by name."""
         vt_b = dst(np.asarray(b, dtype=float), type=1, axis=0)
         return self.from_eigen(_scale_columns(
             self._from_eigen_scale / self.eigenvalues, vt_b))
@@ -223,25 +219,6 @@ class FemSpace:
             return float(np.sqrt(v @ self.mass @ v))
         return np.sqrt(np.einsum("ij,ij->j", v, self.mass @ v))
 
-    def sup_norm(self, v: np.ndarray) -> float | np.ndarray:
-        v = np.asarray(v)
-        out = np.abs(v).max(axis=0)
-        return float(out) if v.ndim == 1 else out
-
-    # -- discrete operator --------------------------------------------------
-
-    def semigroup_apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        """Discrete heat semigroup exp(-t M^{-1} S) v, t >= 0."""
-        if t < 0.0:
-            raise ValueError("semigroup time must be >= 0")
-        decay = np.exp(-self.eigenvalues * t)
-        return self.from_eigen(_scale_columns(decay, self.to_eigen(v)))
-
-    def fractional_apply(self, power: float, v: np.ndarray) -> np.ndarray:
-        """Fractional power of the discrete operator (signed exponent)."""
-        scale = self.eigenvalues ** power
-        return self.from_eigen(_scale_columns(scale, self.to_eigen(v)))
-
     # -- coupling to the sine basis ------------------------------------------
 
     def _hat_integrals(self, basis: SpectralBasis) -> np.ndarray:
@@ -258,8 +235,8 @@ class FemSpace:
                 / (h * w ** 2))
 
     def coupling(self, basis: SpectralBasis) -> np.ndarray:
-        """Dense C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max): a
-        reference; the package uses C = M V B (`mode_overlap`) instead."""
+        """Dense C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max).
+        Unused: kept only because `perfbench/spans.py` patches it by name."""
         return (np.sin(np.outer(self.mesh.interior, basis.frequencies))
                 * self._hat_integrals(basis))
 
@@ -292,37 +269,6 @@ class FemSpace:
         """L2 projection M^{-1} C x of a (truncated) sine expansion: V B x."""
         coeffs = np.asarray(coeffs, dtype=float)
         return self.from_eigen(self.mode_overlap(basis) @ coeffs)
-
-    def ritz_project(self, basis: SpectralBasis, coeffs: np.ndarray = None,
-                     *, nodal: np.ndarray = None) -> np.ndarray:
-        """Ritz projection: solve S v = b with the H^1_0 pairing load.
-
-        For a sine expansion the load is b = C (lambda * x) (integration by
-        parts), so v = V Lambda_h^{-1} B (lambda * x).  Passing `nodal=`
-        instead uses the exact load S w of a member of the space itself,
-        which reproduces w to machine precision (the truncated-coefficient
-        route carries an O(1/k_max) series tail).
-        """
-        if (coeffs is None) == (nodal is None):
-            raise ValueError("pass exactly one of coeffs or nodal")
-        if nodal is not None:
-            return self.solve_stiffness(
-                self.stiffness @ np.asarray(nodal, dtype=float))
-        coeffs = _scale_columns(basis.eigenvalues,
-                                np.asarray(coeffs, dtype=float))
-        return self.from_eigen(_scale_columns(
-            1.0 / self.eigenvalues, self.mode_overlap(basis) @ coeffs))
-
-    def spectral_coeffs(self, basis: SpectralBasis, v: np.ndarray) -> np.ndarray:
-        """Sine coefficients <v_h, e_k> = B^T V^T M v of a nodal field."""
-        return self.mode_overlap(basis).T @ self.to_eigen(v)
-
-
-def field_values(space: FemSpace, v: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate a nodal field (zero at the ends) at arbitrary points."""
-    padded = np.zeros(space.n + 2)
-    padded[1:-1] = v
-    return np.interp(points, space.mesh.nodes, padded)
 
 
 def _evaluation_matrix(space: FemSpace, points: np.ndarray) -> sp.csr_matrix:

@@ -43,9 +43,7 @@ class CovarianceSpec:
 
     ``beta`` is the spatial regularity index in (0, 1]: the largest
     exponent such that sum_k lambda_k^(b-1) q_k converges for every
-    b < beta.  ``beta_attained`` records whether the series still
-    converges at beta itself (true exactly when rho > 1, so white noise
-    and the rho = 1 boundary sit strictly below their index).
+    b < beta.
     """
 
     kind: str
@@ -53,7 +51,6 @@ class CovarianceSpec:
     rho: float | None = None
     custom_weights: tuple[float, ...] | None = None
     beta: float = field(init=False, default=0.0)
-    beta_attained: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power_decay", "white", "custom"):
@@ -76,9 +73,7 @@ class CovarianceSpec:
         elif self.custom_weights is not None:
             raise ValueError("weights are only meaningful for custom kind")
         if self.kind != "custom":
-            beta, attained = implied_beta(self)
-            object.__setattr__(self, "beta", beta)
-            object.__setattr__(self, "beta_attained", attained)
+            object.__setattr__(self, "beta", implied_beta(self))
 
     @classmethod
     def power_decay(cls, rho: float, k_trunc: int = 4096) -> "CovarianceSpec":
@@ -107,23 +102,9 @@ class CovarianceSpec:
             return np.ones(self.k_trunc)
         return np.asarray(self.custom_weights, dtype=float)
 
-    @property
-    def is_trace_class(self) -> bool:
-        """Whether the untruncated series sum_k q_k converges.
 
-        Decided from the exponent, not from partial sums: k^(-rho) is
-        summable exactly when rho > 1, and white noise never is.  Custom
-        sequences are finite by construction, so they qualify.
-        """
-        if self.kind == "power_decay":
-            return self.rho > 1.0
-        if self.kind == "white":
-            return False
-        return True
-
-
-def implied_beta(spec: CovarianceSpec) -> tuple[float, bool]:
-    """Regularity index implied by the weight decay, with attainment flag.
+def implied_beta(spec: CovarianceSpec) -> float:
+    """Regularity index implied by the weight decay.
 
     With lambda_k growing like k^2, the series sum_k lambda_k^(b-1) q_k
     for q_k = k^(-rho) behaves like sum k^(2b-2-rho), which converges
@@ -134,7 +115,7 @@ def implied_beta(spec: CovarianceSpec) -> tuple[float, bool]:
         raise ValueError("custom weights carry no implied index; "
                          "pass beta explicitly")
     rho = 0.0 if spec.kind == "white" else float(spec.rho)
-    return min(1.0, (rho + 1.0) / 2.0), rho > 1.0
+    return min(1.0, (rho + 1.0) / 2.0)
 
 
 def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):

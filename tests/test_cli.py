@@ -154,6 +154,16 @@ class TestStudyCommand:
                   for f in payload["fits"]}
         assert slopes[(0.0, 2.0, "l2")] == pytest.approx(2.0, abs=0.1)
 
+    def test_operators_json_reports_one_worker(self, tmp_path):
+        # an operator study never starts a pool, whatever --workers asks
+        doc = tmp_path / "operators.yaml"
+        doc.write_text(OPERATORS_DOC)
+        assert cli.main(["study", str(doc), "--workers", "2",
+                         "--out", str(tmp_path)]) == 0
+        payload = json.loads(next(tmp_path.glob("operators_*.json"))
+                             .read_text())
+        assert payload["workers"] == 1
+
     def test_operators_runtime_covers_the_study(self, tmp_path,
                                                 monkeypatch):
         doc = tmp_path / "operators.yaml"

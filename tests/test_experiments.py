@@ -358,7 +358,7 @@ class TestTemporalProbe:
         cfg = strong_config(horizon=0.75, dt_ref=2.0 ** -2)
         engine = _CoupledEngine(cfg)
         assert engine.probe_rows == ()
-        assert all(i.config.horizon == cfg.horizon
+        assert all(i.config.dt * i.config.n_steps == cfg.horizon
                    for i in engine.integrators)
         report = run_strong_study(cfg)
         assert report.probe_ratio is None
@@ -501,6 +501,17 @@ class TestStudyConfig:
                 drift=AC, levels=(0.125,),
                 dt_levels=(0.2, 0.1, 0.05),
                 dt_ref=2.0 ** -8, samples=100, batch_size=100)
+
+    def test_splitting_dt_accepts_odd_integer_multiples(self):
+        # the step ratios need only be integers >= 2, not even ones
+        cfg = splitting_config(dt_levels=(12 / 96, 6 / 96, 3 / 96),
+                               dt_ref=1 / 96)
+        assert cfg.step_ratios == (12, 6, 3)
+
+    def test_splitting_dt_rejects_fractional_multiple(self):
+        with pytest.raises(ValueError, match=r"every tested dt must be an "
+                           r"integer multiple \(at least 2\) of dt_ref"):
+            splitting_config(dt_levels=(0.125, 0.0625, 2.5 * 2.0 ** -7))
 
     def test_weak_functional_must_validate(self):
         with pytest.raises(ValueError, match="unknown functional"):
@@ -656,6 +667,16 @@ class TestDeterminism:
             doc.pop("runtime_seconds")
             doc.pop("workers")
         assert a == b
+
+    def test_json_workers_counts_processes_that_ran_batches(self):
+        # one batch runs serially; two batches fill a pool of two
+        one_batch = strong_config(samples=100)
+        assert run_strong_study(one_batch, workers=2).workers == 1
+        assert run_strong_study(strong_config(), workers=3).workers == 2
+        assert run_strong_study(strong_config(), map_fn=map,
+                                workers=2).workers == 1
+        reports = run_study(strong_config(kind="operators"), workers=2)
+        assert {r.workers for r in reports.values()} == {1}
 
     def test_seed_changes_results(self):
         a = run_strong_study(strong_config(seed=1))

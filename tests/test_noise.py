@@ -11,6 +11,8 @@ from spdefem.noise import (CovarianceSpec, _joint_factor,
                            _regularized_cholesky, implied_beta)
 from spdefem.rng import substream
 
+from oracles import semigroup
+
 
 def series_converges(rho, exponent_b):
     """Sympy oracle: does sum_k k^(2(b-1)-rho) converge?"""
@@ -25,21 +27,14 @@ class TestCovarianceSpec:
         uncapped = (float(rho) + 1.0) / 2.0
         assert series_converges(rho, sp.Rational(rho + 1, 2) - sp.Rational(1, 20))
         assert not series_converges(rho, sp.Rational(rho + 1, 2) + sp.Rational(1, 20))
-        beta, attained = implied_beta(CovarianceSpec.power_decay(float(rho), 8))
+        beta = implied_beta(CovarianceSpec.power_decay(float(rho), 8))
         assert beta == min(1.0, uncapped)
-        assert attained == (float(rho) > 1.0)
 
     def test_frozen_examples(self):
-        assert implied_beta(CovarianceSpec.power_decay(2.0, 8)) == (1.0, True)
-        assert implied_beta(CovarianceSpec.power_decay(1.0, 8)) == (1.0, False)
-        assert implied_beta(CovarianceSpec.white(8)) == (0.5, False)
-        assert implied_beta(CovarianceSpec.power_decay(0.5, 8)) == (0.75, False)
-
-    def test_trace_class_flags(self):
-        assert CovarianceSpec.power_decay(2.0, 8).is_trace_class
-        assert not CovarianceSpec.power_decay(1.0, 8).is_trace_class
-        assert not CovarianceSpec.white(8).is_trace_class
-        assert CovarianceSpec.custom([1.0, 0.5], beta=1.0).is_trace_class
+        assert implied_beta(CovarianceSpec.power_decay(2.0, 8)) == 1.0
+        assert implied_beta(CovarianceSpec.power_decay(1.0, 8)) == 1.0
+        assert implied_beta(CovarianceSpec.white(8)) == 0.5
+        assert implied_beta(CovarianceSpec.power_decay(0.5, 8)) == 0.75
 
     def test_weight_sequences(self):
         w = CovarianceSpec.power_decay(1.0, 4).weights
@@ -95,7 +90,7 @@ class TestConvolutionSampler:
         assert integ._noise_factor.nnz == 0
         state = substream(5, purpose="test").standard_normal(self.space.n)
         out = integ.step(state, substream(6, purpose="test"))
-        expected = self.space.semigroup_apply(0.125, state)
+        expected = semigroup(self.space, 0.125, state)
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_exact_in_time_matrix_identity(self):
@@ -166,7 +161,7 @@ class TestConvolutionSampler:
         state = substream(10, purpose="test").standard_normal(self.space.n)
         out = integ.step(state, substream(11, purpose="test"))
         assert out.shape == (self.space.n,)
-        decay_part = self.space.semigroup_apply(0.5, state)
+        decay_part = semigroup(self.space, 0.5, state)
         noise = out - decay_part
         assert self.space.l2_norm(noise) > 0.0
 
