@@ -12,20 +12,23 @@ output directory (the SPDEFEM_OUT environment variable is the fallback,
 then the current directory).
 
 Artifacts are named after the study kind and config hash, so a rerun of
-the same document lands on the same files.  Rate-study CSVs carry no
-wall-clock metadata and are byte-identical across reruns and worker
-counts; the JSON summaries carry runtime and the number of worker
-processes that ran batches (1 for serial runs and operator studies).
+the same document lands on the same files.  The CLI formats no study
+artifact: each report `run_study` returns writes its own CSV, JSON and
+console summary.  Study CSVs carry no wall-clock metadata and are
+byte-identical across reruns and worker counts; the JSON summaries carry
+runtime and the number of worker processes that ran batches (1 for
+serial runs and operator studies).  The trajectory command rejects
+operator studies, which have no sample path.
 
 Exit status: 0 on success, 1 when a rate fit failed (every level under
-the Monte-Carlo noise floor), 2 for configuration or I/O errors.
+the Monte-Carlo noise floor) or a trajectory overflowed (no artifacts
+written), 2 for configuration or I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -34,7 +37,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .experiments import (MomentReport, RateReport, run_study,
+from .dynamics import IntegrationError
+from .experiments import (_artifact_csv, _artifact_json, run_study,
                           simulate_trajectory)
 from .selftest import run_selftest
 
@@ -105,98 +109,24 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _stem(cfg) -> str:
-    return f"{cfg.kind}_{cfg.config_hash}_s{cfg.seed}"
-
-
-def _operator_csv(cfg, fits) -> str:
-    lines = [
-        f"# config_hash={cfg.config_hash}",
-        f"# seed={cfg.seed}",
-        f"# version={__version__}",
-        "s,r,which,slope,ci_lo,ci_hi",
-    ]
-    for (s, r, which), fit in fits.items():
-        lines.append(f"{s:.17g},{r:.17g},{which},{fit.slope:.17g},"
-                     f"{fit.ci_lo:.17g},{fit.ci_hi:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def _operator_json(cfg, fits, runtime: float) -> str:
-    payload = {
-        "kind": cfg.kind,
-        "fits": [
-            {"s": s, "r": r, "which": which, "slope": fit.slope,
-             "ci_lo": fit.ci_lo, "ci_hi": fit.ci_hi}
-            for (s, r, which), fit in fits.items()
-        ],
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash,
-        "provenance": cfg.provenance,
-        "runtime_seconds": runtime,
-        "workers": 1,              # operator studies never start a pool
-        "version": __version__,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _moment_csv(cfg, report: MomentReport) -> str:
-    lines = [
-        f"# config_hash={cfg.config_hash}",
-        f"# seed={cfg.seed}",
-        f"# version={__version__}",
-        "level,h,z_sup,z_sup_stderr,z_l2,z_l2_stderr,x_sup,x_sup_stderr",
-    ]
-    rows = zip(report.resolutions, report.z_sup_moment, report.z_sup_stderr,
-               report.z_l2_moment, report.z_l2_stderr,
-               report.x_sup_moment, report.x_sup_stderr)
-    for index, row in enumerate(rows):
-        lines.append(f"{index}," + ",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _run_study(args) -> int:
     cfg = _load(args)
     directory = _out_dir(args)
-    start = time.perf_counter()
     report = run_study(cfg, workers=args.workers)
-    stem = os.path.join(directory, _stem(cfg))
-    if isinstance(report, RateReport):
-        _write(stem + ".csv", report.to_csv())
-        _write(stem + ".json", report.to_json())
-        slope = report.slope
-        print(f"{cfg.kind} study {cfg.config_hash}: slope={slope:.4f} "
-              f"ci=[{report.ci_lo:.4f}, {report.ci_hi:.4f}] "
-              f"levels={len(report.levels)} "
-              f"runtime={report.runtime_seconds:.1f}s")
-        for note in report.notes:
-            print(f"  note: {note}")
-        print(f"wrote {stem}.csv and {stem}.json")
-        return 1 if report.fit_failed else 0
-    if isinstance(report, MomentReport):
-        _write(stem + ".csv", _moment_csv(cfg, report))
-        _write(stem + ".json", report.to_json())
-        summary = ", ".join(f"{k}={v:.3f}"
-                            for k, v in sorted(report.exponents.items())
-                            if not k.endswith("_envelope"))
-        print(f"moments study {cfg.config_hash}: {summary} "
-              f"runtime={report.runtime_seconds:.1f}s")
-        for note in report.notes:
-            print(f"  note: {note}")
-        print(f"wrote {stem}.csv and {stem}.json")
-        return 0
-    # operator study: a mapping of (s, r, which) -> fit
-    runtime = time.perf_counter() - start
-    _write(stem + ".csv", _operator_csv(cfg, report))
-    _write(stem + ".json", _operator_json(cfg, report, runtime))
-    for (s, r, which), fit in report.items():
-        print(f"operator ({s:g}, {r:g}, {which}): slope={fit.slope:.4f}")
+    stem = os.path.join(directory, f"{cfg.kind}_{cfg.config_hash}_s{cfg.seed}")
+    _write(stem + ".csv", report.to_csv())
+    _write(stem + ".json", report.to_json())
+    print(report.summary())
+    for note in report.notes:
+        print(f"  note: {note}")
     print(f"wrote {stem}.csv and {stem}.json")
-    return 0
+    return 1 if report.fit_failed else 0
 
 
 def _run_trajectory(args) -> int:
     cfg = _load(args)
+    if cfg.kind == "operators":
+        raise ConfigError("an operator study has no sample path to simulate")
     directory = _out_dir(args)
     start = time.perf_counter()
     space, times, states = simulate_trajectory(cfg)
@@ -205,21 +135,15 @@ def _run_trajectory(args) -> int:
 
     # nodal values per step, boundary nodes included for plotting
     nodes = space.mesh.nodes
-    lines = [
-        f"# config_hash={cfg.config_hash}",
-        f"# seed={cfg.seed}",
-        f"# version={__version__}",
+    padded = np.zeros((states.shape[0], nodes.size))
+    padded[:, 1:-1] = states
+    _write(stem + ".csv", _artifact_csv(cfg.config_hash, cfg.seed, [
         "# columns: t then nodal values at x=" +
         ",".join(f"{x:.17g}" for x in nodes),
         "t," + ",".join(f"x{i}" for i in range(nodes.size)),
-    ]
-    padded = np.zeros((states.shape[0], nodes.size))
-    padded[:, 1:-1] = states
-    for t, row in zip(times, padded):
-        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row))
-    _write(stem + ".csv", "\n".join(lines) + "\n")
-
-    summary = {
+        *(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
+          for t, row in zip(times, padded))]))
+    _write(stem + ".json", _artifact_json({
         "kind": "trajectory",
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
@@ -229,10 +153,7 @@ def _run_trajectory(args) -> int:
         "final_sup_norm": float(np.abs(states[-1]).max()),
         "runtime_seconds": runtime,
         "workers": 1,
-        "version": __version__,
-    }
-    _write(stem + ".json", json.dumps(summary, indent=2, sort_keys=True)
-           + "\n")
+    }))
     print(f"trajectory {cfg.config_hash}: {states.shape[0] - 1} steps on "
           f"{space.n} interior nodes, runtime={runtime:.1f}s")
     print(f"wrote {stem}.csv and {stem}.json")
@@ -253,14 +174,12 @@ def _run_selftest(args) -> int:
           f"in {total:.1f}s")
     if args.out is not None or os.environ.get("SPDEFEM_OUT"):
         directory = _out_dir(args)
-        payload = {
+        path = os.path.join(directory, "selftest.json")
+        _write(path, _artifact_json({
             "passed": not failures,
             "checks": [dataclasses.asdict(r) for r in results],
             "runtime_seconds": total,
-            "version": __version__,
-        }
-        path = os.path.join(directory, "selftest.json")
-        _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        }))
         print(f"wrote {path}")
     return 1 if failures else 0
 
@@ -274,6 +193,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except IntegrationError as exc:
+        print(f"integration error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

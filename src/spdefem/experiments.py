@@ -44,7 +44,7 @@ import math
 import multiprocessing
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import stdtrit
@@ -370,7 +370,21 @@ def envelope_exponent(hs, moments) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# reports and their artifacts
+
+def _artifact_csv(config_hash, seed, lines) -> str:
+    """The provenance header, then ``lines``: a column line and the rows."""
+    from . import __version__
+    return "\n".join([f"# config_hash={config_hash}", f"# seed={seed}",
+                      f"# version={__version__}", *lines]) + "\n"
+
+
+def _artifact_json(payload: dict) -> str:
+    """``payload`` and the package version, keys sorted."""
+    from . import __version__
+    return json.dumps({**payload, "version": __version__}, indent=2,
+                      sort_keys=True) + "\n"
+
 
 @dataclass
 class LevelResult:
@@ -412,46 +426,26 @@ class RateReport:
         summary carries it) so reruns with different worker counts can
         be compared byte for byte.
         """
-        from . import __version__
-        lines = [
-            f"# config_hash={self.config_hash}",
-            f"# seed={self.seed}",
-            f"# version={__version__}",
+        return _artifact_csv(self.config_hash, self.seed, [
             "level,h,error,stderr,usable",
-        ]
-        for lv in self.levels:
-            lines.append(
-                f"{lv.index},{lv.resolution:.17g},{lv.error:.17g},"
-                f"{lv.stderr:.17g},{'true' if lv.usable else 'false'}")
-        return "\n".join(lines) + "\n"
+            *(f"{lv.index},{lv.resolution:.17g},{lv.error:.17g},"
+              f"{lv.stderr:.17g},{'true' if lv.usable else 'false'}"
+              for lv in self.levels)])
 
     def to_json(self) -> str:
-        from . import __version__
-        payload = {
-            "kind": self.kind,
-            "slope": self.slope,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "levels": [
-                {"level": lv.index, "h": lv.resolution, "error": lv.error,
-                 "stderr": lv.stderr, "usable": lv.usable}
-                for lv in self.levels
-            ],
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "provenance": self.provenance,
-            "noise_floor": self.noise_floor,
-            "monotonic": self.monotonic,
-            "probe_ratio": self.probe_ratio,
-            "aborted_total": self.aborted_total,
-            "runtime_seconds": self.runtime_seconds,
-            "workers": self.workers,
-            "functional_means": self.functional_means,
-            "noise": self.noise,
-            "version": __version__,
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        payload = asdict(self)
+        payload["levels"] = [
+            {"level": lv.index, "h": lv.resolution, "error": lv.error,
+             "stderr": lv.stderr, "usable": lv.usable}
+            for lv in self.levels]
+        return _artifact_json(payload)
+
+    def summary(self) -> str:
+        return (f"{self.kind} study {self.config_hash}: "
+                f"slope={self.slope:.4f} "
+                f"ci=[{self.ci_lo:.4f}, {self.ci_hi:.4f}] "
+                f"levels={len(self.levels)} "
+                f"runtime={self.runtime_seconds:.1f}s")
 
 
 @dataclass
@@ -473,30 +467,69 @@ class MomentReport:
     runtime_seconds: float = 0.0
     workers: int = 1
     notes: tuple[str, ...] = ()
+    fit_failed = False         # a moment study fits no rate
+
+    def to_csv(self) -> str:
+        rows = zip(self.resolutions, self.z_sup_moment, self.z_sup_stderr,
+                   self.z_l2_moment, self.z_l2_stderr,
+                   self.x_sup_moment, self.x_sup_stderr)
+        return _artifact_csv(self.config_hash, self.seed, [
+            "level,h,z_sup,z_sup_stderr,z_l2,z_l2_stderr,x_sup,x_sup_stderr",
+            *(f"{index}," + ",".join(f"{v:.17g}" for v in row)
+              for index, row in enumerate(rows))])
 
     def to_json(self) -> str:
-        from . import __version__
-        payload = {
+        return _artifact_json(asdict(self))
+
+    def summary(self) -> str:
+        exponents = ", ".join(f"{k}={v:.3f}"
+                              for k, v in sorted(self.exponents.items())
+                              if not k.endswith("_envelope"))
+        return (f"moments study {self.config_hash}: {exponents} "
+                f"runtime={self.runtime_seconds:.1f}s")
+
+
+class OperatorReport(dict):
+    """An operator study: maps each (s, r, which) pair to the `RateReport`
+    of its error norms, and writes the study's artifacts."""
+
+    kind = "operators"
+    notes = ()
+    fit_failed = False
+    workers = 1                # operator studies never start a pool
+
+    def __init__(self, fits, config_hash, seed, provenance,
+                 runtime_seconds):
+        super().__init__(fits)
+        self.config_hash = config_hash
+        self.seed = seed
+        self.provenance = provenance
+        self.runtime_seconds = runtime_seconds
+
+    def to_csv(self) -> str:
+        return _artifact_csv(self.config_hash, self.seed, [
+            "s,r,which,slope,ci_lo,ci_hi",
+            *(f"{s:.17g},{r:.17g},{which},{fit.slope:.17g},"
+              f"{fit.ci_lo:.17g},{fit.ci_hi:.17g}"
+              for (s, r, which), fit in self.items())])
+
+    def to_json(self) -> str:
+        return _artifact_json({
             "kind": self.kind,
-            "resolutions": self.resolutions,
-            "z_sup_moment": self.z_sup_moment,
-            "z_sup_stderr": self.z_sup_stderr,
-            "z_l2_moment": self.z_l2_moment,
-            "z_l2_stderr": self.z_l2_stderr,
-            "x_sup_moment": self.x_sup_moment,
-            "x_sup_stderr": self.x_sup_stderr,
-            "exponents": self.exponents,
-            "aborted_total": self.aborted_total,
-            "noise": self.noise,
+            "fits": [{"s": s, "r": r, "which": which, "slope": fit.slope,
+                      "ci_lo": fit.ci_lo, "ci_hi": fit.ci_hi}
+                     for (s, r, which), fit in self.items()],
             "seed": self.seed,
             "config_hash": self.config_hash,
             "provenance": self.provenance,
             "runtime_seconds": self.runtime_seconds,
             "workers": self.workers,
-            "version": __version__,
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
+
+    def summary(self) -> str:
+        return "\n".join(f"operator ({s:g}, {r:g}, {which}): "
+                         f"slope={fit.slope:.4f}"
+                         for (s, r, which), fit in self.items())
 
 
 def _discard_overflow(state, aborted, scratch):
@@ -949,7 +982,7 @@ def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
 # operator study (deterministic)
 
 def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                       ) -> dict:
+                       ) -> OperatorReport:
     """Measured projection/Ritz/semigroup error norms and their orders.
 
     Semigroup pairs are evaluated at t = cfg.horizon.  The study runs in
@@ -957,6 +990,7 @@ def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
     """
     if cfg.kind != "operators":
         raise ValueError("config kind must be 'operators'")
+    start = time.perf_counter()
     finest_n = round(cfg.length / min(cfg.levels))
     basis = SpectralBasis(k_max=max(8 * finest_n, 2048), length=cfg.length)
     spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
@@ -981,7 +1015,8 @@ def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
             config_hash=cfg.config_hash, seed=cfg.seed,
             provenance=cfg.provenance,
             runtime_seconds=time.perf_counter() - t0, workers=1)
-    return reports
+    return OperatorReport(reports, cfg.config_hash, cfg.seed,
+                          cfg.provenance, time.perf_counter() - start)
 
 
 def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):

@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 import time
 
 import pytest
 
 import spdefem.cli as cli
-from spdefem.experiments import LevelResult, RateReport
+import spdefem.experiments as experiments
+from spdefem.config import parse_config
+from spdefem.experiments import LevelResult, RateReport, run_study
 
 STRONG_DOC = """
 study:
@@ -52,6 +55,38 @@ noise:
   rho: 2.0
   k_trunc: 64
 """
+
+SPLITTING_DT_DOC = """
+study:
+  kind: splitting_dt
+  samples: 100
+  seed: 5
+mesh:
+  levels_log2: [3]
+noise:
+  family: power_decay
+  rho: 2.0
+  k_trunc: 64
+time:
+  horizon: 0.25
+  dt_levels_log2: [2, 3, 4]
+  dt_ref_log2: 6
+"""
+
+# a linear drift this strong overflows the path within a few steps
+OVERFLOW_DOC = (STRONG_DOC.replace("seed: 17", "seed: 1")
+                .replace("horizon: 0.25", "horizon: 1.0")
+                + "drift:\n  preset: linear\n  rate: 40.0\n"
+                + "initial:\n  profile: zero\n")
+
+# one small document per study kind
+STUDY_DOCS = {
+    "strong": STRONG_DOC,
+    "weak": STRONG_DOC.replace("kind: strong", "kind: weak"),
+    "splitting_dt": SPLITTING_DT_DOC,
+    "moments": MOMENTS_DOC,
+    "operators": OPERATORS_DOC,
+}
 
 
 @pytest.fixture
@@ -168,17 +203,21 @@ class TestStudyCommand:
                                                 monkeypatch):
         doc = tmp_path / "operators.yaml"
         doc.write_text(OPERATORS_DOC)
-        real_run_study = cli.run_study
+        real_norm = experiments.operator_error_norm
+        calls = []
 
-        def slow_run_study(cfg, workers):
-            time.sleep(0.2)
-            return real_run_study(cfg, workers=workers)
+        def slow_norm(*args, **kwargs):
+            calls.append(None)
+            time.sleep(0.02)
+            return real_norm(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_study", slow_run_study)
+        monkeypatch.setattr(experiments, "operator_error_norm", slow_norm)
         assert cli.main(["study", str(doc), "--out", str(tmp_path)]) == 0
         payload = json.loads(next(tmp_path.glob("operators_*.json"))
                              .read_text())
-        assert payload["runtime_seconds"] >= 0.2
+        # 3 pairs on 4 meshes
+        assert len(calls) == 12
+        assert payload["runtime_seconds"] >= 0.02 * len(calls)
 
     def test_noise_floor_only_fit_exits_nonzero(self, strong_doc,
                                                 tmp_path, monkeypatch):
@@ -193,6 +232,25 @@ class TestStudyCommand:
         monkeypatch.setattr(cli, "run_study", lambda cfg, workers: drowned)
         code = cli.main(["study", str(strong_doc), "--out", str(tmp_path)])
         assert code == 1
+
+
+class TestLibraryParity:
+    @pytest.mark.parametrize("kind", sorted(STUDY_DOCS))
+    def test_report_writes_the_cli_artifacts(self, kind, tmp_path):
+        doc = tmp_path / f"{kind}.yaml"
+        doc.write_text(STUDY_DOCS[kind])
+        report = run_study(parse_config(STUDY_DOCS[kind]))
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert next(tmp_path.glob(f"{kind}_*.csv")).read_text() \
+            == report.to_csv()
+
+        def drop_runtime(text):
+            return re.sub(r'\n *"runtime_seconds": [^\n]*', "", text)
+
+        written = next(tmp_path.glob(f"{kind}_*.json")).read_text()
+        assert "runtime_seconds" in written
+        assert drop_runtime(written) == drop_runtime(report.to_json())
+        assert code == (1 if report.fit_failed else 0)
 
 
 class TestTrajectoryCommand:
@@ -223,6 +281,25 @@ class TestTrajectoryCommand:
                          "--out", str(out_b)]) == 0
         assert next(out_a.glob("*.csv")).read_bytes() \
             == next(out_b.glob("*.csv")).read_bytes()
+
+
+    def test_overflow_exits_one_without_artifacts(self, tmp_path, capsys):
+        doc = tmp_path / "overflow.yaml"
+        doc.write_text(OVERFLOW_DOC)
+        out = tmp_path / "out"
+        assert cli.main(["trajectory", str(doc), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "integration error: state overflow at step" in err
+        assert "Traceback" not in err
+        assert not any(out.glob("*"))
+
+    def test_operator_study_exits_two(self, tmp_path, capsys):
+        doc = tmp_path / "operators.yaml"
+        doc.write_text(OPERATORS_DOC)
+        out = tmp_path / "out"
+        assert cli.main(["trajectory", str(doc), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorPaths:
