@@ -6,8 +6,7 @@ sup-norm moment creeps upward, at a pace consistent with log(1/h)
 rather than any power of 1/h.
 """
 
-from spdefem import (CovarianceSpec, PolynomialDrift, StudyConfig,
-                     run_moment_study)
+from spdefem import CovarianceSpec, PolynomialDrift, StudyConfig, run_study
 
 LEVELS = tuple(2.0 ** -k for k in range(3, 8))
 
@@ -24,7 +23,7 @@ def run(covariance):
         batch_size=100,
         seed=5,
     )
-    return run_moment_study(cfg, workers=2)
+    return run_study(cfg, workers=2)
 
 
 def show(label, report):

@@ -7,8 +7,7 @@ measured slopes land on r - s to three decimal places.  The semigroup
 variant shows the same order once the smoothing of e^{-tA} kicks in.
 """
 
-from spdefem import (CovarianceSpec, PolynomialDrift, StudyConfig,
-                     run_operator_study)
+from spdefem import CovarianceSpec, PolynomialDrift, StudyConfig, run_study
 
 
 def main():
@@ -25,7 +24,7 @@ def main():
         ),
         seed=0,
     )
-    fits = run_operator_study(cfg)
+    fits = run_study(cfg)
     print("operator errors between Sobolev levels s -> r")
     print("    s    r   variant     slope     expected")
     for (s, r, which), fit in fits.items():

@@ -6,8 +6,7 @@ the reaction against the semigroup: a clean first-order signature, with
 no mesh error in sight because every run shares one mesh.
 """
 
-from spdefem import (CovarianceSpec, PolynomialDrift, StudyConfig,
-                     run_splitting_dt_study)
+from spdefem import CovarianceSpec, PolynomialDrift, StudyConfig, run_study
 
 
 def main():
@@ -23,7 +22,7 @@ def main():
         batch_size=100,
         seed=2,
     )
-    report = run_splitting_dt_study(cfg, workers=2)
+    report = run_study(cfg, workers=2)
     print("mesh width fixed at 2^-5, drift step halving")
     print("  level      dt         error      stderr")
     for lv in report.levels:

@@ -7,8 +7,7 @@ half for white noise, and climbing towards the deterministic order 2 as
 the noise smooths out.  Desk-scale sizes; a minute or so in total.
 """
 
-from spdefem import (CovarianceSpec, PolynomialDrift, StudyConfig,
-                     run_strong_study)
+from spdefem import CovarianceSpec, PolynomialDrift, StudyConfig, run_study
 
 LEVELS = tuple(2.0 ** -k for k in range(3, 7))
 
@@ -33,7 +32,7 @@ def main():
             batch_size=100,
             seed=11,
         )
-        report = run_strong_study(cfg, workers=2)
+        report = run_study(cfg, workers=2)
         print(f"\n{label}")
         print("  level        h        error      stderr")
         for lv in report.levels:

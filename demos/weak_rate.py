@@ -12,7 +12,7 @@ whole pipeline against an independent formula.
 
 from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, SpectralBasis,
                      StudyConfig, default_initial_profile,
-                     linear_weak_reference, run_weak_study, uniform_mesh)
+                     linear_weak_reference, run_study, uniform_mesh)
 
 COV = CovarianceSpec.power_decay(2.0, k_trunc=512)
 LEVELS = tuple(2.0 ** -k for k in range(2, 6))
@@ -32,7 +32,7 @@ def run(drift, functional, seed):
         functional=functional,
         seed=seed,
     )
-    return cfg, run_weak_study(cfg, workers=2)
+    return cfg, run_study(cfg, workers=2)
 
 
 def main():

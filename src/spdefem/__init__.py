@@ -10,10 +10,8 @@ from .dynamics import (PolynomialDrift, SchemeConfig, Integrator,
 from .config import ConfigError, load_config, parse_config
 from .selftest import SelfTestResult, run_selftest
 from .experiments import (StudyConfig, RateReport, MomentReport, FitResult,
-                          fit_rate, run_study, run_strong_study,
-                          run_weak_study, run_splitting_dt_study,
-                          run_moment_study, run_operator_study,
-                          simulate_trajectory, linear_weak_reference,
+                          fit_rate, run_study, simulate_trajectory,
+                          linear_weak_reference,
                           default_initial_profile, evaluate_functional,
                           growth_exponent, envelope_exponent, FUNCTIONALS)
 
@@ -26,9 +24,7 @@ __all__ = [
     "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
     "tangent_integrate",
     "StudyConfig", "RateReport", "MomentReport", "FitResult", "fit_rate",
-    "run_study", "run_strong_study", "run_weak_study",
-    "run_splitting_dt_study", "run_moment_study", "run_operator_study",
-    "simulate_trajectory", "linear_weak_reference",
+    "run_study", "simulate_trajectory", "linear_weak_reference",
     "default_initial_profile", "evaluate_functional", "growth_exponent",
     "envelope_exponent", "FUNCTIONALS",
     "__version__",

@@ -125,12 +125,13 @@ def _run_study(args) -> int:
 
 def _run_trajectory(args) -> int:
     cfg = _load(args)
-    if cfg.kind == "operators":
-        raise ConfigError("an operator study has no sample path to simulate")
-    directory = _out_dir(args)
     start = time.perf_counter()
-    space, times, states = simulate_trajectory(cfg)
+    try:
+        space, times, states = simulate_trajectory(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     runtime = time.perf_counter() - start
+    directory = _out_dir(args)
     stem = os.path.join(directory, f"trajectory_{cfg.config_hash}_s{cfg.seed}")
 
     # nodal values per step, boundary nodes included for plotting

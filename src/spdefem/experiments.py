@@ -51,7 +51,8 @@ from scipy.special import stdtrit
 
 from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
-from .fem import FemSpace, L2Comparer, operator_error_norm, uniform_mesh
+from .fem import (FemSpace, L2Comparer, _check_operator_pair,
+                  operator_error_norm, uniform_mesh)
 from .noise import CovarianceSpec, _joint_factor
 from .rng import substream
 from .spectral import SpectralBasis
@@ -62,11 +63,6 @@ __all__ = [
     "MomentReport",
     "FitResult",
     "fit_rate",
-    "run_strong_study",
-    "run_weak_study",
-    "run_splitting_dt_study",
-    "run_moment_study",
-    "run_operator_study",
     "run_study",
     "simulate_trajectory",
     "linear_weak_reference",
@@ -112,7 +108,6 @@ def _phi_inv_one_plus_sq(space, basis, nodal):
 
 FUNCTIONALS = {
     "exp_neg_sq_norm": _phi_exp_neg_sq,
-    "cos_first_mode": _phi_cos_mode,
     "inv_one_plus_sq_norm": _phi_inv_one_plus_sq,
 }
 
@@ -192,13 +187,18 @@ class StudyConfig:
             if not 1 <= self.batch_size <= self.samples:
                 raise ValueError("batch_size must lie in [1, samples]")
             _check_grid(self.horizon, self.dt_ref, "dt_ref")
+        for h in (*self.levels, *([] if self.h_ref is None else [self.h_ref])):
+            if not h > 0:
+                raise ValueError("mesh widths must be positive")
+            _elements(h, self.length)
         if self.kind in ("strong", "weak", "moments", "operators"):
             if len(self.levels) < 3:
                 raise ValueError("need at least 3 mesh levels to fit a rate")
-            if any(h <= 0 for h in self.levels):
-                raise ValueError("mesh widths must be positive")
             if list(self.levels) != sorted(set(self.levels), reverse=True):
                 raise ValueError("mesh levels must be strictly decreasing")
+        if self.kind == "operators":
+            for pair in self.operator_pairs:
+                _check_operator_pair(*pair)
         if self.kind in ("strong", "weak"):
             if self.h_ref is None:
                 raise ValueError("coupled studies need a reference width")
@@ -289,6 +289,15 @@ def _check_grid(horizon, dt, name):
     steps = horizon / dt
     if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         raise ValueError(f"{name} must divide the horizon evenly")
+
+
+def _elements(width, length):
+    """Element count of the uniform mesh of ``width``, which must tile."""
+    n = round(length / width)
+    if n < 2 or abs(length / n - width) > 1e-12 * length:
+        raise ValueError(f"mesh width {width:g} does not tile the domain "
+                         f"[0, {length:g}]")
+    return n
 
 
 def _check_multiple(coarse, fine, coarse_name, fine_name):
@@ -553,10 +562,7 @@ def _discard_overflow(state, aborted, scratch):
 # the coupled engine (every Monte-Carlo study)
 
 def _mesh_for(width: float, length: float) -> FemSpace:
-    n = round(length / width)
-    if n < 2 or abs(length / n - width) > 1e-12 * length:
-        raise ValueError(f"width {width} does not tile the domain")
-    return FemSpace(uniform_mesh(n, length=length))
+    return FemSpace(uniform_mesh(_elements(width, length), length=length))
 
 
 def _initial_states(cfg, spaces, basis):
@@ -811,19 +817,22 @@ def _map_batches(engine, map_fn, workers):
         _set_engine(None)
 
 
-def _strong_level_stats(values, p_order):
-    powered = values ** p_order
-    mean_p = powered.mean()
-    se_p = powered.std(ddof=1) / math.sqrt(powered.size)
-    error = mean_p ** (1.0 / p_order)
-    stderr = se_p * error / (p_order * mean_p) if mean_p > 0 else 0.0
+def _mean_stderr(values):
+    """Sample mean and its standard error (numpy scalars)."""
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.size)
+
+
+def _level_stats(cfg, values):
+    """A level's (error, stderr): the weak error is |mean|; the strong
+    and splitting_dt errors are L^p means, their stderr by the delta
+    method."""
+    if cfg.kind == "weak":
+        mean, stderr = _mean_stderr(values)
+        return abs(float(mean)), float(stderr)
+    mean_p, se_p = _mean_stderr(values ** cfg.p_order)
+    error = mean_p ** (1.0 / cfg.p_order)
+    stderr = se_p * error / (cfg.p_order * mean_p) if mean_p > 0 else 0.0
     return float(error), float(stderr)
-
-
-def _weak_level_stats(values):
-    error = abs(float(values.mean()))
-    stderr = float(values.std(ddof=1) / math.sqrt(values.size))
-    return error, stderr
 
 
 def _aborted_note(aborted_total, samples):
@@ -837,14 +846,14 @@ def _noise_summary(engine, results) -> dict:
             "draws": sum(r["draws"] for r in results)}
 
 
-def _reduce_rate_study(engine, results, stats_fn, t_start, workers):
+def _reduce_rate_study(engine, results, t_start, workers):
     cfg, resolutions = engine.cfg, engine.resolutions
     keep = ~np.concatenate([r["aborted"] for r in results])
     aborted_total = int((~keep).sum())
     levels = []
     for i, res in enumerate(resolutions):
         values = np.concatenate([r["values"][i] for r in results])[keep]
-        error, stderr = stats_fn(values)
+        error, stderr = _level_stats(cfg, values)
         usable = error > 0.0 and error > NOISE_FLOOR_FACTOR * stderr
         levels.append(LevelResult(index=i, resolution=res, error=error,
                                   stderr=stderr, usable=usable))
@@ -857,8 +866,8 @@ def _reduce_rate_study(engine, results, stats_fn, t_start, workers):
         # isolates the temporal part; doubling dt doubles an O(dt)
         # error, so e(2 dt) - e(dt) estimates the error at dt
         probe_keep = ~(first["aborted"] | first["probe_aborted"])
-        probe_error, _ = stats_fn(first["probe"][probe_keep])
-        base_error, _ = stats_fn(first["values"][-1][probe_keep])
+        probe_error, _ = _level_stats(cfg, first["probe"][probe_keep])
+        base_error, _ = _level_stats(cfg, first["values"][-1][probe_keep])
         if base_error > 0:
             probe_ratio = abs(probe_error - base_error) / base_error
             if probe_ratio > 0.1:
@@ -869,12 +878,10 @@ def _reduce_rate_study(engine, results, stats_fn, t_start, workers):
     if results and "phi" in results[0]:
         functional_means = []
         for i, res in enumerate(list(resolutions) + [cfg.h_ref]):
-            phi = np.concatenate([r["phi"][i] for r in results])[keep]
-            functional_means.append({
-                "h": res,
-                "mean": float(phi.mean()),
-                "stderr": float(phi.std(ddof=1) / math.sqrt(phi.size)),
-            })
+            mean, stderr = _mean_stderr(
+                np.concatenate([r["phi"][i] for r in results])[keep])
+            functional_means.append({"h": res, "mean": float(mean),
+                                     "stderr": float(stderr)})
     try:
         fit = fit_rate([(lv.resolution, lv.error, lv.stderr)
                         for lv in levels])
@@ -899,73 +906,24 @@ def _reduce_rate_study(engine, results, stats_fn, t_start, workers):
         notes=tuple(notes))
 
 
-def _run_rate_study(cfg, kind, map_fn, workers) -> RateReport:
-    """Build the coupled engine, run its batches, reduce them to a rate."""
-    if cfg.kind != kind:
-        raise ValueError(f"config kind must be {kind!r}")
-    t0 = time.perf_counter()
-    engine = _CoupledEngine(cfg)
-    results = _map_batches(engine, map_fn, workers)
-    if kind == "weak":
-        stats_fn = _weak_level_stats
-    else:
-        def stats_fn(values):
-            return _strong_level_stats(values, cfg.p_order)
-    return _reduce_rate_study(engine, results, stats_fn, t0,
-                              _batch_processes(engine, map_fn, workers))
-
-
-def run_strong_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                     ) -> RateReport:
-    """Coupled pathwise L^p error against the reference mesh, per level."""
-    return _run_rate_study(cfg, "strong", map_fn, workers)
-
-
-def run_weak_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                   ) -> RateReport:
-    """Coupled difference of a bounded functional's expectations."""
-    return _run_rate_study(cfg, "weak", map_fn, workers)
-
-
-def run_splitting_dt_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                           ) -> RateReport:
-    """Strong error of coarse step sizes against a fine-step reference."""
-    return _run_rate_study(cfg, "splitting_dt", map_fn, workers)
-
-
-# ---------------------------------------------------------------------------
-# moment study
-
-def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                     ) -> MomentReport:
-    """Second moments of sup and L2 norms across the mesh hierarchy.
-
-    On each mesh the coupled engine runs the full dynamics X, whose sup
-    norm is tracked pathwise over every step of the time grid, and on the
-    same path the stochastic convolution Z(T), one exact step to the
-    horizon (no temporal error).  Aborted samples are dropped.
-    """
-    if cfg.kind != "moments":
-        raise ValueError("config kind must be 'moments'")
-    t0 = time.perf_counter()
-    engine = _CoupledEngine(cfg)
-    results = _map_batches(engine, map_fn, workers)
+def _reduce_moment_study(engine, results, t_start, workers):
+    cfg = engine.cfg
     keep = ~np.concatenate([r["aborted"] for r in results])
     series = {"z_sup": ([], []), "z_l2": ([], []), "x_sup": ([], [])}
     for key, (mean_list, se_list) in series.items():
         for lvl in range(len(cfg.levels)):
-            vals = np.concatenate([r[key][lvl] for r in results])[keep]
-            mean_list.append(float(vals.mean()))
-            se_list.append(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+            mean, stderr = _mean_stderr(
+                np.concatenate([r[key][lvl] for r in results])[keep])
+            mean_list.append(float(mean))
+            se_list.append(float(stderr))
     exponents = {}
     for key, (mean_list, _) in series.items():
         exponents[key] = growth_exponent(cfg.levels, mean_list)
         exponents[key + "_envelope"] = envelope_exponent(cfg.levels,
                                                          mean_list)
     aborted_total = int((~keep).sum())
-    notes = ()
-    if aborted_total:
-        notes = (_aborted_note(aborted_total, cfg.samples),)
+    notes = ((_aborted_note(aborted_total, cfg.samples),) if aborted_total
+             else ())
     return MomentReport(
         kind=cfg.kind, resolutions=list(cfg.levels),
         z_sup_moment=series["z_sup"][0], z_sup_stderr=series["z_sup"][1],
@@ -974,24 +932,14 @@ def run_moment_study(cfg: StudyConfig, map_fn=None, workers: int = 1
         exponents=exponents, config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, aborted_total=aborted_total,
         noise=_noise_summary(engine, results),
-        runtime_seconds=time.perf_counter() - t0,
-        workers=_batch_processes(engine, map_fn, workers), notes=notes)
+        runtime_seconds=time.perf_counter() - t_start, workers=workers,
+        notes=notes)
 
 
-# ---------------------------------------------------------------------------
-# operator study (deterministic)
-
-def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
-                       ) -> OperatorReport:
-    """Measured projection/Ritz/semigroup error norms and their orders.
-
-    Semigroup pairs are evaluated at t = cfg.horizon.  The study runs in
-    this process; ``map_fn`` and ``workers`` are ignored.
-    """
-    if cfg.kind != "operators":
-        raise ValueError("config kind must be 'operators'")
-    start = time.perf_counter()
-    finest_n = round(cfg.length / min(cfg.levels))
+def _operator_study(cfg, start) -> OperatorReport:
+    """Exact projection/Ritz/semigroup error norms and their orders;
+    semigroup pairs are evaluated at t = cfg.horizon."""
+    finest_n = _elements(min(cfg.levels), cfg.length)
     basis = SpectralBasis(k_max=max(8 * finest_n, 2048), length=cfg.length)
     spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
     reports = {}
@@ -1020,14 +968,22 @@ def run_operator_study(cfg: StudyConfig, map_fn=None, workers: int = 1
 
 
 def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
-    runner = {
-        "strong": run_strong_study,
-        "weak": run_weak_study,
-        "splitting_dt": run_splitting_dt_study,
-        "moments": run_moment_study,
-        "operators": run_operator_study,
-    }[cfg.kind]
-    return runner(cfg, map_fn=map_fn, workers=workers)
+    """Run the study ``cfg`` describes and return its report.
+
+    An operator study is deterministic and runs in this process, ignoring
+    ``map_fn`` and ``workers``.  Every other kind runs the coupled
+    engine's batches through ``map_fn`` when given, else on ``workers``
+    forked processes; the report is the same to the last digit either way.
+    """
+    start = time.perf_counter()
+    if cfg.kind == "operators":
+        return _operator_study(cfg, start)
+    engine = _CoupledEngine(cfg)
+    results = _map_batches(engine, map_fn, workers)
+    reduce = (_reduce_moment_study if cfg.kind == "moments"
+              else _reduce_rate_study)
+    return reduce(engine, results, start,
+                  _batch_processes(engine, map_fn, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,8 +993,10 @@ def simulate_trajectory(cfg: StudyConfig, seed: int | None = None):
     """One sample path on the finest tested mesh, checkpointed per step.
 
     Returns (space, times, values) with ``values`` of shape
-    (n_steps + 1, n_interior).
+    (n_steps + 1, n_interior).  Operator studies have no sample path.
     """
+    if cfg.kind == "operators":
+        raise ValueError("an operator study has no sample path to simulate")
     basis = SpectralBasis(k_max=cfg.covariance.k_trunc, length=cfg.length)
     space = _mesh_for(min(cfg.levels), cfg.length)
     n_steps = round(cfg.horizon / cfg.dt_ref)

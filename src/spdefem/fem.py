@@ -322,9 +322,6 @@ class L2Comparer:
 
 # -- operator error norms ----------------------------------------------------
 
-_OPERATORS = ("l2", "ritz", "semigroup")
-
-
 def _power_iteration_norm(matvec, rmatvec, dim: int, tol: float = 1e-11,
                           max_iter: int = 5000) -> float:
     """Largest singular value via power iteration on T^T T.
@@ -361,6 +358,20 @@ def _alias_classes(index: np.ndarray, n: int):
     return groups[0], groups[1:]
 
 
+def _check_operator_pair(s: float, r: float, which: str) -> None:
+    """Raise ValueError unless `operator_error_norm` measures (s, r, which)."""
+    rules = {"l2": (0.0 <= s <= 1.0 and s <= r <= 2.0,
+                    "0 <= s <= 1 and s <= r <= 2"),
+             "ritz": (0.0 <= s <= 1.0 <= r <= 2.0, "0 <= s <= 1 <= r <= 2"),
+             "semigroup": (s == 0.0 and 0.0 <= r <= 2.0, "s = 0 <= r <= 2")}
+    if which not in rules:
+        raise ValueError(f"which must be one of {tuple(rules)}")
+    valid, rule = rules[which]
+    if not valid:
+        raise ValueError(f"the {which} error norm needs {rule}, "
+                         f"got s = {s:g}, r = {r:g}")
+
+
 def operator_error_norm(space: FemSpace, basis: SpectralBasis,
                         s: float = 0.0, r: float = 0.0,
                         which: str = "l2", t: float | None = None) -> float:
@@ -382,21 +393,9 @@ def operator_error_norm(space: FemSpace, basis: SpectralBasis,
     largest exact 2-norm over the blocks, exact to roundoff; no
     k_max x k_max matrix is formed.
     """
-    if which not in _OPERATORS:
-        raise ValueError(f"which must be one of {_OPERATORS}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("need 0 <= s <= 1")
-    if which == "l2" and not s <= r <= 2.0:
-        raise ValueError("need s <= r <= 2 for the L2 projection error")
-    if which == "ritz" and not max(1.0, s) <= r <= 2.0:
-        raise ValueError("need max(1, s) <= r <= 2 for the Ritz error")
-    if which == "semigroup":
-        if s != 0.0:
-            raise ValueError("semigroup error norm is measured in L2 (s = 0)")
-        if not 0.0 <= r <= 2.0:
-            raise ValueError("need 0 <= r <= 2")
-        if t is None or t <= 0.0:
-            raise ValueError("semigroup error needs t > 0")
+    _check_operator_pair(s, r, which)
+    if which == "semigroup" and (t is None or t <= 0.0):
+        raise ValueError("semigroup error needs t > 0")
     if basis.k_max < 4 * space.n:
         raise ValueError("basis too small: need k_max >= 4 * n interior nodes")
 

@@ -23,8 +23,7 @@ import numpy as np
 from .dynamics import Integrator, PolynomialDrift, SchemeConfig, \
     tangent_integrate
 from .experiments import (StudyConfig, default_initial_profile, fit_rate,
-                          linear_weak_reference, run_strong_study,
-                          run_weak_study)
+                          linear_weak_reference, run_study)
 from .fem import FemSpace, operator_error_norm, uniform_mesh
 from .noise import CovarianceSpec, _joint_factor
 from .rng import substream
@@ -175,7 +174,7 @@ def check_deterministic_semigroup_rate() -> None:
         levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
         h_ref=2.0 ** -7, horizon=0.5, dt_ref=2.0 ** -3,
         samples=100, batch_size=100, x0="mode1", seed=0)
-    report = run_strong_study(cfg)
+    report = run_study(cfg)
     _check(abs(report.slope - 2.0) < 0.1,
            f"semigroup slope {report.slope:.3f}, expected 2")
     _check(max(lv.stderr for lv in report.levels) < 1e-14,
@@ -191,7 +190,7 @@ def check_weak_gaussian_oracle(seed: int) -> None:
         levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), h_ref=2.0 ** -6,
         horizon=0.5, dt_ref=2.0 ** -4, samples=200, batch_size=100,
         functional="cos_mode_1", seed=seed)
-    report = run_weak_study(cfg)
+    report = run_study(cfg)
     basis = SpectralBasis(k_max=cov.k_trunc)
     for entry in report.functional_means:
         space = FemSpace(uniform_mesh(round(1.0 / entry["h"])))
@@ -251,11 +250,11 @@ def check_determinism(seed: int, workers: int) -> None:
         levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), h_ref=2.0 ** -6,
         horizon=0.25, dt_ref=2.0 ** -4, samples=200, batch_size=100,
         seed=seed)
-    first = run_strong_study(cfg).to_csv()
-    again = run_strong_study(cfg).to_csv()
+    first = run_study(cfg).to_csv()
+    again = run_study(cfg).to_csv()
     _check(first == again, "rerun changed the CSV bytes")
     if workers > 1:
-        forked = run_strong_study(cfg, workers=workers).to_csv()
+        forked = run_study(cfg, workers=workers).to_csv()
         _check(first == forked,
                f"workers={workers} changed the CSV bytes")
 

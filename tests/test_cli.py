@@ -319,6 +319,25 @@ class TestErrorPaths:
         assert "k_trunc = 64" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
+    def test_untiled_mesh_width_exits_two(self, tmp_path, capsys):
+        doc = tmp_path / "strong.yaml"
+        doc.write_text(STRONG_DOC.replace("levels_log2: [2, 3, 4]",
+                                          "levels: [0.3, 0.2, 0.1]"))
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "width 0.3 does not tile" in err and "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_operator_pair_out_of_range_exits_two(self, tmp_path, capsys):
+        doc = tmp_path / "operators.yaml"
+        doc.write_text(OPERATORS_DOC + "operators:\n  pairs: [[0, 3, l2]]\n")
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "got s = 0, r = 3" in err and "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_two(self, strong_doc, tmp_path, capsys,
                                         workers):

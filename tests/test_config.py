@@ -222,10 +222,10 @@ time:
 study: {kind: operators}
 mesh: {levels_log2: [3, 4, 5]}
 operators:
-  pairs: [[0, 2, l2], [0.5, 1.5, semigroup]]
+  pairs: [[0, 2, l2], [0, 1.5, semigroup]]
 """)
         assert cfg.operator_pairs == ((0.0, 2.0, "l2"),
-                                      (0.5, 1.5, "semigroup"))
+                                      (0.0, 1.5, "semigroup"))
 
     def test_operators_pairs_validated(self):
         with pytest.raises(ConfigError, match=r"operators\.pairs\[0\]"):

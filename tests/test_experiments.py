@@ -17,9 +17,7 @@ from spdefem import (CovarianceSpec, FemSpace, Integrator, PolynomialDrift,
                      RateReport, SpectralBasis, StudyConfig,
                      default_initial_profile,
                      envelope_exponent, evaluate_functional, fit_rate,
-                     growth_exponent, linear_weak_reference, run_moment_study,
-                     run_operator_study, run_splitting_dt_study,
-                     run_strong_study, run_study, run_weak_study,
+                     growth_exponent, linear_weak_reference, run_study,
                      simulate_trajectory, uniform_mesh)
 from spdefem.dynamics import OVERFLOW_LIMIT
 from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
@@ -303,7 +301,7 @@ class TestCoupledDraws:
 
         monkeypatch.setattr(_JointNoise, "__init__", counted)
         cfg = strong_config()
-        report = run_strong_study(cfg)
+        report = run_study(cfg)
         assert len(built) == 1
         n_steps = round(cfg.horizon / cfg.dt_ref)
         assert report.noise == {
@@ -328,7 +326,7 @@ class TestCoupledDraws:
         out = engine.run_batch(0)
         assert calls == [cfg.dt_ref] * engine.n_steps
         assert out["draws"] == engine.n_steps and "probe" not in out
-        report = run_splitting_dt_study(cfg)
+        report = run_study(cfg)
         assert report.probe_ratio is None
         assert report.noise == {
             "joint_dim": engine.noise.dim,
@@ -341,7 +339,7 @@ class TestTemporalProbe:
     def test_coarse_reference_step_trips_the_note(self):
         # a deep double well, 20 x - 20 x^3, split at steps of 1/8: its
         # temporal error at the finest level is 20% of the spatial one
-        report = run_strong_study(strong_config(
+        report = run_study(strong_config(
             drift=PolynomialDrift((0.0, 20.0, 0.0, -20.0)),
             dt_ref=2.0 ** -3))
         assert report.probe_ratio > 0.1
@@ -349,7 +347,7 @@ class TestTemporalProbe:
                    for note in report.notes)
 
     def test_fine_reference_step_stays_quiet(self):
-        report = run_strong_study(strong_config())
+        report = run_study(strong_config())
         assert report.probe_ratio < 0.1
         assert not any("probe" in note for note in report.notes)
 
@@ -360,7 +358,7 @@ class TestTemporalProbe:
         assert engine.probe_rows == ()
         assert all(i.config.dt * i.config.n_steps == cfg.horizon
                    for i in engine.integrators)
-        report = run_strong_study(cfg)
+        report = run_study(cfg)
         assert report.probe_ratio is None
         assert any(note.startswith("dt-doubling probe skipped")
                    for note in report.notes)
@@ -375,7 +373,7 @@ class TestTemporalProbe:
         engine = _CoupledEngine(cfg)
         fine = len(cfg.levels) - 1
         assert engine.ratios[-2:] == [2 * cfg.step_ratios[fine], 2]
-        assert run_weak_study(cfg).probe_ratio is not None
+        assert run_study(cfg).probe_ratio is not None
 
 
 class TestExponents:
@@ -418,7 +416,7 @@ class TestFunctionals:
     def test_values_at_zero_field(self):
         zero = np.zeros(self.space.n)
         for name in ("exp_neg_sq_norm", "inv_one_plus_sq_norm",
-                     "cos_first_mode", "cos_mode_1", "cos_mode_4"):
+                     "cos_mode_1", "cos_mode_4"):
             value = evaluate_functional(name, self.space, self.basis, zero)
             assert value == pytest.approx(1.0)
 
@@ -475,6 +473,18 @@ class TestStudyConfig:
     def test_minimum_level_count(self):
         with pytest.raises(ValueError, match="at least 3 mesh levels"):
             strong_config(levels=(0.25, 0.125))
+
+    @pytest.mark.parametrize("widths", [dict(levels=(0.3, 0.2, 0.1)),
+                                        dict(h_ref=0.03)])
+    def test_widths_must_tile_the_domain(self, widths):
+        with pytest.raises(ValueError, match="does not tile the domain"):
+            strong_config(**widths)
+
+    @pytest.mark.parametrize("pair", [(0.0, 3.0, "l2"), (0.0, 0.5, "ritz"),
+                                      (0.5, 1.0, "semigroup")])
+    def test_operator_pairs_in_range(self, pair):
+        with pytest.raises(ValueError, match="error norm needs"):
+            strong_config(kind="operators", operator_pairs=(pair,))
 
     def test_reference_width_separation(self):
         with pytest.raises(ValueError, match="reference width"):
@@ -564,7 +574,7 @@ class TestDeterministicConvergence:
             h_ref=2.0 ** -8,
             horizon=0.5, dt_ref=2.0 ** -4,
             samples=100, batch_size=100, x0="mode1", seed=0)
-        report = run_strong_study(cfg)
+        report = run_study(cfg)
         assert report.slope == pytest.approx(2.0, abs=0.05)
         assert report.monotonic
         for lv in report.levels:
@@ -587,7 +597,7 @@ class TestRateFamily:
             levels=self.LEVELS, h_ref=2.0 ** -8,
             horizon=1.0, dt_ref=2.0 ** -6,
             samples=200, batch_size=100, seed=11)
-        return run_strong_study(cfg)
+        return run_study(cfg)
 
     @pytest.mark.parametrize("covariance, lo, hi", [
         (CovarianceSpec.white(k_trunc=512), 0.50, 0.75),
@@ -616,7 +626,7 @@ class TestWeakOracle:
             horizon=0.5, dt_ref=2.0 ** -5,
             samples=400, batch_size=100,
             functional="cos_mode_1", seed=7)
-        report = run_weak_study(cfg)
+        report = run_study(cfg)
         basis = SpectralBasis(k_max=cov.k_trunc, length=cfg.length)
         assert report.functional_means is not None
         for entry in report.functional_means:
@@ -655,14 +665,14 @@ class TestDeterminism:
 
     def test_map_fn_seam_matches_serial(self):
         cfg = strong_config()
-        a = run_strong_study(cfg)
-        b = run_strong_study(cfg, map_fn=map)
+        a = run_study(cfg)
+        b = run_study(cfg, map_fn=map)
         assert a.to_csv() == b.to_csv()
 
     def test_json_stable_up_to_runtime(self):
         cfg = strong_config()
-        a = json.loads(run_strong_study(cfg).to_json())
-        b = json.loads(run_strong_study(cfg, workers=2).to_json())
+        a = json.loads(run_study(cfg).to_json())
+        b = json.loads(run_study(cfg, workers=2).to_json())
         for doc in (a, b):
             doc.pop("runtime_seconds")
             doc.pop("workers")
@@ -671,16 +681,16 @@ class TestDeterminism:
     def test_json_workers_counts_processes_that_ran_batches(self):
         # one batch runs serially; two batches fill a pool of two
         one_batch = strong_config(samples=100)
-        assert run_strong_study(one_batch, workers=2).workers == 1
-        assert run_strong_study(strong_config(), workers=3).workers == 2
-        assert run_strong_study(strong_config(), map_fn=map,
-                                workers=2).workers == 1
+        assert run_study(one_batch, workers=2).workers == 1
+        assert run_study(strong_config(), workers=3).workers == 2
+        assert run_study(strong_config(), map_fn=map,
+                         workers=2).workers == 1
         reports = run_study(strong_config(kind="operators"), workers=2)
         assert {r.workers for r in reports.values()} == {1}
 
     def test_seed_changes_results(self):
-        a = run_strong_study(strong_config(seed=1))
-        b = run_strong_study(strong_config(seed=2))
+        a = run_study(strong_config(seed=1))
+        b = run_study(strong_config(seed=2))
         assert a.to_csv() != b.to_csv()
 
 
@@ -693,7 +703,7 @@ class TestSplittingDt:
             dt_levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             dt_ref=2.0 ** -9, horizon=1.0,
             samples=200, batch_size=100, seed=3)
-        report = run_splitting_dt_study(cfg)
+        report = run_study(cfg)
         assert report.slope == pytest.approx(1.0, abs=0.25)
         assert report.monotonic
         errors = [lv.error for lv in report.levels]
@@ -708,7 +718,7 @@ class TestMoments:
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             horizon=1.0, dt_ref=2.0 ** -5,
             samples=200, batch_size=100, seed=4)
-        report = run_moment_study(cfg)
+        report = run_study(cfg)
         assert abs(report.exponents["z_sup"]) < 0.15
         assert abs(report.exponents["z_l2"]) < 0.15
         assert abs(report.exponents["x_sup"]) < 0.15
@@ -724,7 +734,7 @@ class TestMoments:
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             horizon=1.0, dt_ref=2.0 ** -5,
             samples=200, batch_size=100, seed=4)
-        report = run_moment_study(cfg)
+        report = run_study(cfg)
         # sup-norm second moment grows with refinement under white noise,
         # but like a power of log(1/h), not of 1/h
         assert report.exponents["z_sup"] > 0.05
@@ -740,7 +750,7 @@ class TestMoments:
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             horizon=1.0, dt_ref=2.0 ** -5,
             samples=200, batch_size=100, seed=4)
-        report = run_moment_study(cfg)
+        report = run_study(cfg)
         basis = SpectralBasis(k_max=256)
         for h, mean, se in zip(cfg.levels, report.z_l2_moment,
                                report.z_l2_stderr):
@@ -758,7 +768,7 @@ class TestMoments:
             levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
             horizon=1.0, dt_ref=2.0 ** -4, x0="zero",
             samples=100, batch_size=100, seed=1)
-        report = run_moment_study(cfg)
+        report = run_study(cfg)
         assert 0 < report.aborted_total < cfg.samples
         assert report.notes == (
             f"{report.aborted_total} of 100 samples aborted (overflow or "
@@ -777,7 +787,7 @@ class TestOperators:
             covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             seed=0)
-        fits = run_operator_study(cfg)
+        fits = run_study(cfg)
         assert fits[(0.0, 2.0, "l2")].slope == pytest.approx(2.0, abs=0.1)
         assert fits[(1.0, 2.0, "ritz")].slope == pytest.approx(1.0, abs=0.1)
         assert fits[(0.0, 1.0, "l2")].slope == pytest.approx(1.0, abs=0.1)
@@ -789,7 +799,7 @@ class TestOperators:
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             seed=0)
         start = time.perf_counter()
-        fits = run_operator_study(cfg)
+        fits = run_study(cfg)
         wall = time.perf_counter() - start
         runtimes = [fit.runtime_seconds for fit in fits.values()]
         assert all(r > 0.0 for r in runtimes)
@@ -817,10 +827,14 @@ class TestTrajectory:
         other = simulate_trajectory(cfg, seed=99)[2]
         assert not np.array_equal(states, other)
 
+    def test_operator_study_has_no_path(self):
+        with pytest.raises(ValueError, match="no sample path"):
+            simulate_trajectory(strong_config(kind="operators"))
+
 
 class TestReports:
     def make_report(self):
-        return run_strong_study(strong_config())
+        return run_study(strong_config())
 
     def test_csv_schema_and_roundtrip(self):
         report = self.make_report()
@@ -861,7 +875,7 @@ class TestReports:
             drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
             horizon=0.25, dt_ref=2.0 ** -4,
             samples=100, batch_size=100, seed=1)
-        doc = json.loads(run_moment_study(cfg).to_json())
+        doc = json.loads(run_study(cfg).to_json())
         for key in ("resolutions", "z_sup_moment", "z_l2_moment",
                     "x_sup_moment", "exponents", "config_hash",
                     "aborted_total", "noise"):
