@@ -11,11 +11,11 @@ Schema (sections and keys, with defaults in brackets):
       kind: strong | weak | splitting_dt | moments | operators   (required)
       samples: int            [400]
       batch_size: int         [min(100, samples)]
-      p_order: int            [2]
+      p_order: int            # strong and splitting_dt only  [2]
       seed: int               [0]
     mesh:
       levels_log2: [3, 4, 5]  # h = 2^-k;  or  levels: [0.125, ...]
-      reference_log2: 9       # or  reference: float
+      reference_log2: 9       # strong and weak only; or  reference: float
       length: float           [1.0]
     noise:
       family: power_decay | white | custom                        (required)
@@ -38,8 +38,10 @@ Schema (sections and keys, with defaults in brackets):
     operators:
       pairs: [[s, r, which], ...]           # operators kind only
 
-Sections that do not apply to the chosen kind are rejected, as is mixing
-a plain key with its log2 twin.
+Sections and keys that do not apply to the chosen kind are rejected, as
+is mixing a plain key with its log2 twin.  The meshes of strong, weak and
+moment studies must nest: sorted, each element count divides the next
+finer one (levels_log2 ladders always do).
 """
 
 from __future__ import annotations
@@ -255,6 +257,10 @@ def parse_config(text: str) -> StudyConfig:
     batch_size = _get_int(study, "study", "batch_size",
                           default=min(100, samples))
     p_order = _get_int(study, "study", "p_order", default=2)
+    if study.get("p_order") is not None and kind not in ("strong",
+                                                        "splitting_dt"):
+        _fail("study.p_order",
+              "only meaningful for strong or splitting_dt studies")
     seed = _get_int(study, "study", "seed", default=0)
 
     mesh = sections["mesh"]
@@ -262,6 +268,8 @@ def parse_config(text: str) -> StudyConfig:
     if levels is None:
         _fail("mesh.levels", "required (or mesh.levels_log2)")
     h_ref = _scalar_from(mesh, "mesh", "reference", "reference_log2")
+    if h_ref is not None and kind not in ("strong", "weak"):
+        _fail("mesh.reference", "only meaningful for strong or weak studies")
     length = _get_float(mesh, "mesh", "length", default=1.0)
 
     if "noise" not in doc and kind == "operators":

@@ -13,9 +13,11 @@ closed-form,
 
 where b^l_ik is the overlap of noise mode k with eigenvector i of mesh l.
 Each noise mode overlaps one eigenvector per mesh (its nodal alias), so
-the matrix is sparse, and eliminated finest mesh first its Cholesky
-factor has no fill.  One sparse factor at the reference step yields
-every mesh's exact increment per step in one draw.  The identity
+the matrix is sparse.  The meshes nest, so it is eliminated mesh by
+mesh, finest first: each mesh's block is diagonal when its turn comes,
+a closed-form stage followed by a sparse update, and the Cholesky factor
+has no fill.  One sparse factor at the reference step yields every
+mesh's exact increment per step in one draw.  The identity
 G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates steps without error,
 so coarse step sizes see exactly the noise the fine grid saw.
 
@@ -145,6 +147,12 @@ class StudyConfig:
     at max(dt_ref, h^{2 beta}) snapped to the dt_ref grid, the scaling
     the weak theory prescribes.  Weak studies default to "h2beta",
     everything else to "fixed".
+
+    The meshes of strong, weak and moment studies must nest (sorted, each
+    element count divides the next), as `noise._joint_factor` needs.  A
+    field the kind never reads is refused, not hashed: ``h_ref`` outside
+    strong and weak studies, ``p_order`` != 2 outside strong and
+    splitting_dt ones.
     """
 
     kind: str
@@ -205,6 +213,17 @@ class StudyConfig:
             if not self.h_ref < min(self.levels) / 2.0:
                 raise ValueError("reference width must be finer than half "
                                  "the smallest tested width")
+        if self.kind in ("strong", "weak", "moments"):
+            # one sparse joint noise factor drives every mesh, and it is
+            # eliminated mesh by mesh without fill only on nested meshes
+            widths = (self.levels if self.kind == "moments"
+                      else (*self.levels, self.h_ref))
+            counts = sorted(_elements(h, self.length) for h in widths)
+            if any(fine % coarse
+                   for coarse, fine in zip(counts, counts[1:])):
+                raise ValueError(
+                    f"mesh element counts {counts} do not nest: each must "
+                    "divide the next finer one")
         if self.kind == "splitting_dt":
             if len(self.dt_levels) < 3:
                 raise ValueError("need at least 3 step sizes to fit a rate")
@@ -236,6 +255,12 @@ class StudyConfig:
                 raise ValueError("weak studies need an odd-degree reaction")
         if self.p_order < 1:
             raise ValueError("p_order must be at least 1")
+        if self.h_ref is not None and self.kind not in ("strong", "weak"):
+            raise ValueError("a reference width is only meaningful for "
+                             "strong or weak studies")
+        if self.p_order != 2 and self.kind not in ("strong", "splitting_dt"):
+            raise ValueError("p_order is only meaningful for strong or "
+                             "splitting_dt studies")
 
     @property
     def step_ratios(self) -> tuple[int, ...]:

@@ -20,10 +20,13 @@ holds at most one nonzero per column (`FemSpace.alias_overlaps`).  The
 whole interplay with the sine basis runs through that map and the eigen
 transforms: the coupling C[j, k] = <phi_j, e_k> factors as C = M V B, so
 the L2 projection of a sine expansion, the joint noise covariance of a
-mesh hierarchy and the operator error norms never form C.  Each error
-operator is block diagonal over the alias classes, each block a diagonal
-plus a rank-one term, and its norm is the largest exact 2-norm of the
-small blocks.  `FemSpace.coupling`, `solve_mass`, `solve_stiffness` and
+mesh hierarchy and the operator error norms never form C.  On nested
+meshes a coarser mesh's alias is a function of the finer one's, so the
+joint covariance factors mesh by mesh, finest first, one diagonal stage
+at a time and without fill.  Each error operator is block diagonal over
+the alias classes, each block a diagonal plus a rank-one term, and its
+norm is the largest exact 2-norm of the small blocks.
+`FemSpace.coupling`, `solve_mass`, `solve_stiffness` and
 `_power_iteration_norm` are never called by the package: they stay only
 because `perfbench/spans.py` patches them by name.
 """

@@ -18,9 +18,8 @@ step of any size is sampled exactly (no temporal discretization error).
 On the uniform meshes of `FemSpace` each sine mode overlaps exactly one
 eigenvector per mesh (its nodal alias) or none, so b has at most one
 nonzero per column: the single-mesh covariance is diagonal and the
-joint one is sparse.  `_joint_factor` builds its sparse lower factor L,
-and every stochastic path of the package draws one step as
-L @ standard normals.
+joint one is sparse.  `_joint_factor` factors it mesh by mesh into a
+sparse lower L; every stochastic path draws a step as L @ normals.
 """
 
 from __future__ import annotations
@@ -31,10 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "CovarianceSpec",
-    "implied_beta",
-]
+__all__ = ["CovarianceSpec", "implied_beta"]
 
 
 @dataclass(frozen=True)
@@ -121,25 +117,17 @@ def implied_beta(spec: CovarianceSpec) -> float:
 def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
     """Sparse lower factor of the joint one-step covariance of ``spaces``.
 
-    Each sine mode overlaps at most one eigenvector per mesh (its nodal
-    alias, `FemSpace.alias_overlaps`), so the joint covariance of the
-    stacked eigen coordinates is a scatter of q_k b^a_k b^b_k at the
-    alias positions of every mesh pair, times the kernel
-    (1 - e^{-(lam_i + lam_j) dt}) / (lam_i + lam_j); no entry off those
-    positions is touched, so its zeros are exact and the matrix is
-    assembled sparse.  Within one mesh a mode has one alias, so the
-    finest mesh's block is diagonal whether or not the meshes nest:
-    `_regularized_cholesky` eliminates it in closed form, finest mesh
-    first, and factors only the small Schur complement of the coarser
-    meshes densely (a single mesh is just its diagonal square root).  On
-    nested meshes the alias of a coarser mesh is a function of the finer
-    one, so that elimination creates no fill (Rose, Tarjan & Lueker
-    1976): the factor has exactly the nonzeros of the permuted lower
-    triangle.  Nothing of size dim x dim is ever dense.
+    The covariance (module docstring) is a scatter at the alias positions
+    (`FemSpace.alias_overlaps`) of every mesh pair, so its lower triangle
+    is assembled sparse, with exact zeros.  The meshes must nest (element
+    counts in a divisibility chain), so a coarser mesh's alias is a
+    function of the finer one's: eliminated mesh by mesh, finest first
+    (`_staged_cholesky`), each block is diagonal at its stage and no fill
+    arises (Rose, Tarjan & Lueker 1976).  Meshes that do not nest leave a
+    non-diagonal block, a ValueError.
 
-    Returns (L, jitter): L in CSR with its rows in the order of
-    ``spaces`` (L L^T is the covariance in that order) and the diagonal
-    jitter the factorization needed.
+    Returns (L, jitter): L in CSR, rows in the order of ``spaces``, and
+    the diagonal jitter the factorization needed.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -148,89 +136,99 @@ def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
         raise ValueError("basis has fewer modes than k_trunc")
     # factor positions: the finest mesh first
     finest_first = sorted(range(len(spaces)), key=lambda a: -spaces[a].n)
-    factor_slices = [None] * len(spaces)
-    dim = 0
-    for a in finest_first:
-        factor_slices[a] = slice(dim, dim + spaces[a].n)
-        dim += spaces[a].n
+    sizes = [spaces[a].n for a in finest_first]
+    starts = dict(zip(finest_first, np.cumsum([0] + sizes)))
+    dim = sum(sizes)
     lam = np.empty(dim)
     pos, amp = [], []
-    for space, where in zip(spaces, factor_slices):
+    for a, space in enumerate(spaces):
         index, overlap = space.alias_overlaps(basis)
         index, overlap = index[:k_trunc], overlap[:k_trunc]
-        lam[where] = space.eigenvalues
-        pos.append(np.where(index >= 0, where.start + index, -1))
+        lam[starts[a]:starts[a] + space.n] = space.eigenvalues
+        pos.append(np.where(index >= 0, starts[a] + index, -1))
         amp.append(overlap)
     pos, amp = np.array(pos), np.array(amp)
     rows = np.broadcast_to(pos[:, None, :], (len(spaces),) + pos.shape)
     cols = np.broadcast_to(pos[None, :, :], rows.shape)
     values = covariance.weights * (amp[:, None, :] * amp[None, :, :])
-    hit = (rows >= 0) & (cols >= 0)
-    # sum duplicates sequentially in scatter order: scipy's own duplicate
-    # summing fixes no order, and another order would move the entries,
-    # and so the draws, by roundoff
-    key, slot = np.unique(rows[hit] * dim + cols[hit], return_inverse=True)
-    r, c = np.divmod(key, dim)
+    hit = (rows >= cols) & (cols >= 0)
+    r, c, summed = _sum_duplicates(rows[hit], cols[hit], values[hit], dim)
     pair = lam[r] + lam[c]
-    joint = sp.csr_matrix(
-        (np.bincount(slot, weights=values[hit])
-         * (-np.expm1(-pair * dt) / pair), (r, c)),
-        shape=(dim, dim))
-    chol, jitter = _regularized_cholesky(
-        joint, n_diag=spaces[finest_first[0]].n)
-    mesh_order = np.concatenate([np.arange(where.start, where.stop)
-                                 for where in factor_slices])
+    lower = sp.coo_matrix((summed * (-np.expm1(-pair * dt) / pair), (r, c)),
+                          shape=(dim, dim))
+    chol, jitter = _staged_cholesky(lower, sizes)
+    mesh_order = np.concatenate([starts[a] + np.arange(space.n)
+                                 for a, space in enumerate(spaces)])
     return chol[mesh_order], jitter
 
 
-def _regularized_cholesky(matrix, n_diag: int) -> tuple[sp.csr_matrix, float]:
-    """Sparse Cholesky factor of a PSD matrix with a diagonal leading block.
+def _sum_duplicates(rows, cols, values, dim):
+    """COO triplets sorted by column, then row, the values at a position
+    summed in array order: scipy's own summing fixes no order, and
+    another would move the entries, and so the draws, by roundoff."""
+    key, slot = np.unique(cols.astype(np.int64) * dim + rows,
+                          return_inverse=True)
+    c, r = np.divmod(key, dim)
+    return r, c, np.bincount(slot, weights=values)
 
-    ``matrix`` (dense or sparse, symmetric positive semidefinite) has the
-    block form [[D, B^T], [B, C]] with D diagonal of size ``n_diag``.
-    That block is eliminated in closed form, L11 = D^(1/2) and
-    L21 = B D^(-1/2), and only the Schur complement S = C - L21 L21^T,
-    of the remaining rows, is factored densely; nothing of the full size
-    is ever dense.  In exact arithmetic the matrix is PSD (a Schur
-    product of two PSD factors), so only roundoff-scale regularization is
-    legitimate: a jitter ladder adds 1e-16 * trace to the diagonal, then
-    4x more per rung, when a pivot of D is not positive or S has no
-    Cholesky factor, and failure beyond 1e-14 * trace is reported, not
-    patched.  Returns the lower factor as CSR and the jitter added to the
-    diagonal (0.0 when none was needed).  A zero trace gives the all-zero
-    factor.
+
+def _staged_cholesky(matrix, sizes) -> tuple[sp.csr_matrix, float]:
+    """Sparse Cholesky factor of a PSD matrix, eliminated in diagonal stages.
+
+    ``matrix`` (sparse, symmetric PSD; only its lower triangle is read)
+    is split into stages of ``sizes`` rows.  Each stage's leading block
+    of the current Schur complement [[D, B^T], [B, C]] must be diagonal
+    (a ValueError otherwise): L11 = D^(1/2), L21 = B D^(-1/2), and
+    S <- C - L21 L21^T sparsely.  The matrix is PSD in exact arithmetic
+    (a Schur product of two PSD factors), so only roundoff-scale
+    regularization is legitimate: while a pivot is not positive, a
+    jitter ladder adds 1e-16 * trace to the whole diagonal, 4x more per
+    rung; failure beyond 1e-14 * trace is reported, not patched.  Returns
+    the CSR lower factor and the jitter (0.0 when none was needed); a zero
+    trace gives a zero factor.
     """
-    a = sp.csr_matrix(matrix)
-    dim = a.shape[0]
-    trace = float(a.diagonal().sum())
+    dim = matrix.shape[0]
+    trace = float(matrix.diagonal().sum())
     if not math.isfinite(trace) or trace < 0.0:
         raise np.linalg.LinAlgError("covariance trace is not finite")
     if trace == 0.0:
         return sp.csr_matrix((dim, dim)), 0.0
-    lead = a[:n_diag, :n_diag]
-    d = lead.diagonal()
-    if np.count_nonzero(lead.data) != np.count_nonzero(d):
-        raise ValueError("leading block is not diagonal")
-    b = a[n_diag:, :n_diag]
-    c = a[n_diag:, n_diag:].toarray()
-    jitter = 0.0
-    while True:
-        pivots = d + jitter
-        if np.all(pivots > 0.0):
-            root = np.sqrt(pivots)
-            l21 = b @ sp.diags(1.0 / root)
-            schur = c - (l21 @ l21.T).toarray()
-            schur[np.diag_indices_from(schur)] += jitter
-            try:
-                l22 = np.linalg.cholesky(schur)
+    lower = sp.tril(matrix, format="coo")
+    lower = _sum_duplicates(lower.row, lower.col, lower.data, dim)
+    # the ladder: 0, then 1e-16 * trace and 4x more up to the 1e-14 cap
+    for jitter in [0.0] + [1e-16 * trace * 4.0 ** i for i in range(4)]:
+        (r, c, v), parts, start = lower, [], 0
+        for n in sizes:
+            end = start + n
+            stage, below = c < end, r >= end
+            if np.any(v[stage & ~below & (r != c)]):
+                raise ValueError("leading block is not diagonal")
+            pivots = np.full(n, jitter)
+            diag = stage & (r == c)
+            pivots[r[diag] - start] += v[diag]
+            if not np.all(pivots > 0.0):
                 break
-            except np.linalg.LinAlgError:
-                pass
-        jitter = 1e-16 * trace if jitter == 0.0 else 4.0 * jitter
-        if jitter > 1e-14 * trace:
-            raise np.linalg.LinAlgError(
-                "step covariance not PSD within 1e-14 * trace jitter")
-    factor = sp.bmat([[sp.diags(root), None], [l21, sp.csr_matrix(l22)]],
-                     format="csr")
-    factor.eliminate_zeros()
-    return factor, jitter
+            root = np.sqrt(pivots)
+            below &= stage
+            lr, lc = r[below], c[below]
+            lv = v[below] / root[lc - start]
+            parts.append((np.r_[start:end, lr], np.r_[start:end, lc],
+                          np.r_[root, lv]))
+            # S = C - L21 L21^T: the entries k apart in one column (L21 is
+            # sorted by column) give the products at offset k
+            update = [(r[~stage], c[~stage], v[~stage])]
+            k = 0
+            while (same := lc[k:] == lc[:lc.size - k]).any():
+                update.append((lr[k:][same], lr[:lr.size - k][same],
+                               -(lv[k:] * lv[:lv.size - k])[same]))
+                k += 1
+            r, c, v = _sum_duplicates(
+                *(np.concatenate(x) for x in zip(*update)), dim)
+            start = end
+        else:
+            r, c, v = (np.concatenate(x) for x in zip(*parts))
+            factor = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
+            factor.eliminate_zeros()
+            return factor, jitter
+    raise np.linalg.LinAlgError(
+        "step covariance not PSD within 1e-14 * trace jitter")

@@ -329,6 +329,20 @@ class TestErrorPaths:
         assert "width 0.3 does not tile" in err and "Traceback" not in err
         assert not any(tmp_path.glob("*.csv"))
 
+    def test_non_nested_meshes_exit_two(self, tmp_path, capsys):
+        # 6, 8 and 32 elements: 6 divides neither finer mesh
+        doc = tmp_path / "strong.yaml"
+        doc.write_text(STRONG_DOC.replace(
+            "levels_log2: [2, 3, 4]",
+            f"levels: [{1 / 6!r}, 0.125, 0.03125]").replace(
+            "reference_log2: 6", "reference_log2: 7"))
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[6, 8, 32, 128] do not nest" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_operator_pair_out_of_range_exits_two(self, tmp_path, capsys):
         doc = tmp_path / "operators.yaml"
         doc.write_text(OPERATORS_DOC + "operators:\n  pairs: [[0, 3, l2]]\n")

@@ -236,6 +236,23 @@ operators:
   pairs: [[0, 2, fourier]]
 """)
 
+    @pytest.mark.parametrize("kind", ["moments", "operators",
+                                      "splitting_dt"])
+    def test_reference_only_for_strong_and_weak(self, kind):
+        doc = MINIMAL_STRONG.replace("kind: strong", f"kind: {kind}")
+        with pytest.raises(ConfigError, match=r"mesh\.reference"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("kind", ["weak", "moments", "operators"])
+    def test_p_order_only_for_strong_and_splitting_dt(self, kind):
+        doc = MINIMAL_STRONG.replace("kind: strong",
+                                     f"kind: {kind}\n  p_order: 2")
+        if kind != "weak":
+            doc = doc.replace("  reference_log2: 7\n", "")
+        with pytest.raises(ConfigError, match=r"study\.p_order"):
+            parse_config(doc)
+        assert parse_config(doc.replace("  p_order: 2\n", "")).p_order == 2
+
     def test_operators_section_only_for_operator_studies(self):
         with pytest.raises(ConfigError, match=r"operators\.pairs"):
             parse_config(MINIMAL_STRONG

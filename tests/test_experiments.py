@@ -230,18 +230,14 @@ class TestJointNoise:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         assert full._chol.nnz == half._chol.nnz
 
-    def test_non_nested_meshes_match_dense_formula(self):
-        # only the finest block must be diagonal; the coarse meshes' fill
-        # lands in the dense Schur complement
+    def test_non_nested_meshes_rejected(self):
+        # 6 divides neither 8 nor 32: eliminating the finer meshes fills
+        # the 6-element mesh's block
         spaces = [FemSpace(uniform_mesh(n)) for n in (6, 8, 32)]
-        basis = SpectralBasis(k_max=64)
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
-        noise = _JointNoise(spaces, basis, covariance, 2.0 ** -7)
-        dense, _ = dense_joint_covariance(spaces, basis, covariance,
-                                          2.0 ** -7)
-        chol = noise._chol.toarray()
-        assert np.abs(chol @ chol.T - dense).max() \
-            <= 1e-12 * np.abs(dense).max()
+        with pytest.raises(ValueError, match="not diagonal"):
+            _joint_factor(spaces, SpectralBasis(k_max=64), covariance,
+                          2.0 ** -7)
 
 
 class TestCoupledDraws:
@@ -486,6 +482,33 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="error norm needs"):
             strong_config(kind="operators", operator_pairs=(pair,))
 
+    @pytest.mark.parametrize("kind, widths", [
+        ("strong", dict(levels=(1 / 6, 1 / 8, 1 / 32), h_ref=2.0 ** -7)),
+        ("strong", dict(h_ref=1 / 40)),
+        ("moments", dict(levels=(1 / 6, 1 / 8, 1 / 32), h_ref=None)),
+    ])
+    def test_meshes_must_nest(self, kind, widths):
+        with pytest.raises(ValueError, match="do not nest"):
+            strong_config(kind=kind, **widths)
+
+    @pytest.mark.parametrize("kind, field", [
+        ("moments", dict()),
+        ("operators", dict()),
+        ("splitting_dt", dict(levels=(2.0 ** -4,), dt_ref=2.0 ** -7,
+                              dt_levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))),
+    ])
+    def test_reference_width_only_for_strong_and_weak(self, kind, field):
+        with pytest.raises(ValueError, match="reference width is only"):
+            strong_config(kind=kind, **field)
+        strong_config(kind=kind, **field, h_ref=None)
+
+    @pytest.mark.parametrize("kind", ["weak", "moments", "operators"])
+    def test_p_order_only_for_strong_and_splitting_dt(self, kind):
+        no_ref = dict(h_ref=None) if kind != "weak" else {}
+        with pytest.raises(ValueError, match="p_order is only"):
+            strong_config(kind=kind, p_order=3, **no_ref)
+        assert strong_config(kind=kind, **no_ref).p_order == 2
+
     def test_reference_width_separation(self):
         with pytest.raises(ValueError, match="reference width"):
             strong_config(h_ref=2.0 ** -5)   # exactly min/2: too close
@@ -685,7 +708,8 @@ class TestDeterminism:
         assert run_study(strong_config(), workers=3).workers == 2
         assert run_study(strong_config(), map_fn=map,
                          workers=2).workers == 1
-        reports = run_study(strong_config(kind="operators"), workers=2)
+        reports = run_study(strong_config(kind="operators", h_ref=None),
+                            workers=2)
         assert {r.workers for r in reports.values()} == {1}
 
     def test_seed_changes_results(self):
@@ -829,7 +853,7 @@ class TestTrajectory:
 
     def test_operator_study_has_no_path(self):
         with pytest.raises(ValueError, match="no sample path"):
-            simulate_trajectory(strong_config(kind="operators"))
+            simulate_trajectory(strong_config(kind="operators", h_ref=None))
 
 
 class TestReports:

@@ -1,5 +1,9 @@
 """Tests for covariance specs and the exact convolution sampler."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -7,8 +11,8 @@ import sympy as sp
 
 from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
                      SpectralBasis, uniform_mesh)
-from spdefem.noise import (CovarianceSpec, _joint_factor,
-                           _regularized_cholesky, implied_beta)
+from spdefem.noise import (CovarianceSpec, _joint_factor, _staged_cholesky,
+                           implied_beta)
 from spdefem.rng import substream
 
 from oracles import semigroup
@@ -173,17 +177,17 @@ class TestConvolutionSampler:
             _joint_factor([self.space], self.basis, self.spec, 0.0)
 
     def test_cholesky_jitter_cap_reports_failure(self):
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        # n_diag = 1 fails in the Schur complement, n_diag = 0 in the
-        # dense factor of the whole matrix
-        for n_diag in (0, 1):
-            with pytest.raises(np.linalg.LinAlgError, match="1e-14"):
-                _regularized_cholesky(indefinite, n_diag=n_diag)
+        # the second stage's pivot, 1 - 2^2, stays negative on every rung
+        indefinite = sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="1e-14"):
+            _staged_cholesky(indefinite, [1, 1])
         near_psd = np.eye(3)
         near_psd[0, 0] = -1e-18
-        # n_diag = 3 meets the negative pivot in the diagonal block
-        for n_diag in (0, 3):
-            chol, jitter = _regularized_cholesky(near_psd, n_diag=n_diag)
+        # the negative pivot is met in one stage of three or the first
+        # of three stages
+        for sizes in ([3], [1, 1, 1]):
+            chol, jitter = _staged_cholesky(sparse.csr_matrix(near_psd),
+                                            sizes)
             assert sparse.issparse(chol) and chol.format == "csr"
             assert np.isfinite(chol.data).all()
             assert 0.0 < jitter <= 1e-14 * 2.0
@@ -192,8 +196,50 @@ class TestConvolutionSampler:
 
     def test_cholesky_rejects_non_diagonal_leading_block(self):
         with pytest.raises(ValueError, match="diagonal"):
-            _regularized_cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]),
-                                  n_diag=2)
+            _staged_cholesky(sparse.csr_matrix([[2.0, 1.0], [1.0, 2.0]]),
+                             [2])
+        # diagonal at first, but the first stage's update fills the
+        # second stage's block: [[3, 0], [0, 3]] - [1, 1]^T [1, 1]
+        filled = sparse.csr_matrix([[1.0, 1.0, 1.0], [1.0, 3.0, 0.0],
+                                    [1.0, 0.0, 3.0]])
+        with pytest.raises(ValueError, match="diagonal"):
+            _staged_cholesky(filled, [1, 2])
+
+    def test_stages_reproduce_the_matrix(self):
+        # three stages, each block diagonal once the ones before are
+        # eliminated; only the lower triangle is read
+        matrix = np.array([[4.0, 0.0, 2.0, 1.0],
+                           [0.0, 9.0, 3.0, 0.0],
+                           [2.0, 3.0, 6.0, 1.0],
+                           [1.0, 0.0, 1.0, 3.0]])
+        chol, jitter = _staged_cholesky(
+            sparse.csr_matrix(np.tril(matrix)), [2, 1, 1])
+        assert jitter == 0.0 and chol.format == "csr"
+        assert np.allclose(chol.toarray(), np.linalg.cholesky(matrix),
+                           rtol=1e-14, atol=0.0)
+
+    def test_factor_bytes_do_not_depend_on_blas_threads(self):
+        # the joint factor of a shipped multi-mesh study, built in fresh
+        # processes with one and two OpenBLAS threads
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import hashlib, sys\n"
+            "from spdefem import load_config\n"
+            "from spdefem.experiments import _CoupledEngine\n"
+            "chol = _CoupledEngine(load_config(sys.argv[1])).noise._chol\n"
+            "print(hashlib.sha256(chol.indptr.tobytes() + "
+            "chol.indices.tobytes() + chol.data.tobytes()).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.join(root, "src"))
+            out = subprocess.run(
+                [sys.executable, "-c", script,
+                 os.path.join(root, "configs", "strong_smooth.yaml")],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert out.returncode == 0, out.stderr
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_factor_is_diagonal_square_root(self):
         factor, jitter = _joint_factor([self.space], self.basis, self.spec,
