@@ -12,12 +12,13 @@ closed-form,
           * (1 - e^{-(lam^l_i + lam^m_j) d}) / (lam^l_i + lam^m_j),
 
 where b^l_ik is the overlap of noise mode k with eigenvector i of mesh l.
-Each noise mode overlaps one eigenvector per mesh (its nodal alias), so
-the matrix is sparse.  The meshes nest, so it is eliminated mesh by
-mesh, finest first: each mesh's block is diagonal when its turn comes,
-a closed-form stage followed by a sparse update, and the Cholesky factor
-has no fill.  One sparse factor at the reference step yields every
-mesh's exact increment per step in one draw.  The identity
+Each noise mode overlaps one eigenvector per mesh (its nodal alias).
+The meshes nest, so an eigenvector of one mesh meets in each coarser
+mesh only its alias there, its ancestor: the matrix is held as one
+ancestor array and one entry array per mesh pair, and eliminated on
+them mesh by mesh, finest first, with no fill in the Cholesky factor.
+One sparse factor at the reference step yields every mesh's exact
+increment per step in one draw.  The identity
 G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates steps without error,
 so coarse step sizes see exactly the noise the fine grid saw.
 
@@ -55,7 +56,7 @@ from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
 from .fem import (FemSpace, L2Comparer, _check_operator_pair,
                   operator_error_norm, uniform_mesh)
-from .noise import CovarianceSpec, _joint_factor
+from .noise import CovarianceSpec, _check_nested, _joint_factor
 from .rng import substream
 from .spectral import SpectralBasis
 
@@ -214,16 +215,10 @@ class StudyConfig:
                 raise ValueError("reference width must be finer than half "
                                  "the smallest tested width")
         if self.kind in ("strong", "weak", "moments"):
-            # one sparse joint noise factor drives every mesh, and it is
-            # eliminated mesh by mesh without fill only on nested meshes
+            # one joint noise factor drives every mesh (noise._joint_factor)
             widths = (self.levels if self.kind == "moments"
                       else (*self.levels, self.h_ref))
-            counts = sorted(_elements(h, self.length) for h in widths)
-            if any(fine % coarse
-                   for coarse, fine in zip(counts, counts[1:])):
-                raise ValueError(
-                    f"mesh element counts {counts} do not nest: each must "
-                    "divide the next finer one")
+            _check_nested(_elements(h, self.length) for h in widths)
         if self.kind == "splitting_dt":
             if len(self.dt_levels) < 3:
                 raise ValueError("need at least 3 step sizes to fit a rate")

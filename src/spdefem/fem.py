@@ -21,9 +21,10 @@ whole interplay with the sine basis runs through that map and the eigen
 transforms: the coupling C[j, k] = <phi_j, e_k> factors as C = M V B, so
 the L2 projection of a sine expansion, the joint noise covariance of a
 mesh hierarchy and the operator error norms never form C.  On nested
-meshes a coarser mesh's alias is a function of the finer one's, so the
-joint covariance factors mesh by mesh, finest first, one diagonal stage
-at a time and without fill.  Each error operator is block diagonal over
+meshes a coarser mesh's alias is a function of the finer one's, so an
+eigen index links only to its ancestors (its aliases on the coarser
+meshes) and the joint covariance factors on per-mesh-pair ancestor
+arrays, without fill.  Each error operator is block diagonal over
 the alias classes, each block a diagonal plus a rank-one term, and its
 norm is the largest exact 2-norm of the small blocks.
 `FemSpace.coupling`, `solve_mass`, `solve_stiffness` and

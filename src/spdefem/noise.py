@@ -17,13 +17,16 @@ with b_ik the overlap of sine mode k with discrete eigenvector i, so a
 step of any size is sampled exactly (no temporal discretization error).
 On the uniform meshes of `FemSpace` each sine mode overlaps exactly one
 eigenvector per mesh (its nodal alias) or none, so b has at most one
-nonzero per column: the single-mesh covariance is diagonal and the
-joint one is sparse.  `_joint_factor` factors it mesh by mesh into a
-sparse lower L; every stochastic path draws a step as L @ normals.
+nonzero per column and the single-mesh covariance is diagonal.  On
+nested meshes an eigen index meets in each coarser mesh only its alias
+there, its ancestor: `_joint_factor` eliminates the joint covariance on
+per-mesh-pair ancestor arrays, without fill, into a sparse lower L, and
+every stochastic path draws a step as L @ normals.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -114,117 +117,90 @@ def implied_beta(spec: CovarianceSpec) -> float:
     return min(1.0, (rho + 1.0) / 2.0)
 
 
+def _check_nested(counts) -> None:
+    """Refuse mesh element counts that are not a divisibility chain."""
+    counts = sorted(counts)
+    if any(fine % coarse for coarse, fine in zip(counts, counts[1:])):
+        raise ValueError(f"mesh element counts {counts} do not nest: each "
+                         "must divide the next finer one")
+
+
 def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
     """Sparse lower factor of the joint one-step covariance of ``spaces``.
 
-    The covariance (module docstring) is a scatter at the alias positions
-    (`FemSpace.alias_overlaps`) of every mesh pair, so its lower triangle
-    is assembled sparse, with exact zeros.  The meshes must nest (element
-    counts in a divisibility chain), so a coarser mesh's alias is a
-    function of the finer one's: eliminated mesh by mesh, finest first
-    (`_staged_cholesky`), each block is diagonal at its stage and no fill
-    arises (Rose, Tarjan & Lueker 1976).  Meshes that do not nest leave a
-    non-diagonal block, a ValueError.
-
-    Returns (L, jitter): L in CSR, rows in the order of ``spaces``, and
-    the diagonal jitter the factorization needed.
+    The meshes must nest.  Ordered finest first, mesh pair a <= b gives
+    ``up[a][b]``, mesh b's alias of each eigen index of mesh a (-1: none),
+    and ``cov[a][b]``, the covariance entry (module docstring) of the
+    index and that ancestor, summed in mode order; `_nested_cholesky`
+    eliminates them.  Returns (L, jitter): L in CSR, rows in the order of
+    ``spaces``, columns finest mesh first.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     k_trunc = covariance.k_trunc
     if k_trunc > basis.k_max:
         raise ValueError("basis has fewer modes than k_trunc")
-    # factor positions: the finest mesh first
-    finest_first = sorted(range(len(spaces)), key=lambda a: -spaces[a].n)
-    sizes = [spaces[a].n for a in finest_first]
-    starts = dict(zip(finest_first, np.cumsum([0] + sizes)))
-    dim = sum(sizes)
-    lam = np.empty(dim)
-    pos, amp = [], []
-    for a, space in enumerate(spaces):
-        index, overlap = space.alias_overlaps(basis)
-        index, overlap = index[:k_trunc], overlap[:k_trunc]
-        lam[starts[a]:starts[a] + space.n] = space.eigenvalues
-        pos.append(np.where(index >= 0, starts[a] + index, -1))
-        amp.append(overlap)
-    pos, amp = np.array(pos), np.array(amp)
-    rows = np.broadcast_to(pos[:, None, :], (len(spaces),) + pos.shape)
-    cols = np.broadcast_to(pos[None, :, :], rows.shape)
-    values = covariance.weights * (amp[:, None, :] * amp[None, :, :])
-    hit = (rows >= cols) & (cols >= 0)
-    r, c, summed = _sum_duplicates(rows[hit], cols[hit], values[hit], dim)
-    pair = lam[r] + lam[c]
-    lower = sp.coo_matrix((summed * (-np.expm1(-pair * dt) / pair), (r, c)),
-                          shape=(dim, dim))
-    chol, jitter = _staged_cholesky(lower, sizes)
-    mesh_order = np.concatenate([starts[a] + np.arange(space.n)
-                                 for a, space in enumerate(spaces)])
-    return chol[mesh_order], jitter
+    _check_nested([space.n + 1 for space in spaces])
+    order = sorted(range(len(spaces)), key=lambda a: -spaces[a].n)
+    lam = [spaces[a].eigenvalues for a in order]
+    overlaps = [spaces[a].alias_overlaps(basis) for a in order]
+    m = len(order)
+    cov, up = [[None] * m for _ in order], [[None] * m for _ in order]
+    for a, (index_a, amp_a) in enumerate(overlaps):
+        for b, (index_b, amp_b) in enumerate(overlaps[a:], a):
+            hit = np.flatnonzero((index_a[:k_trunc] >= 0)
+                                 & (index_b[:k_trunc] >= 0))
+            up[a][b] = np.full(lam[a].size, -1)
+            up[a][b][index_a[hit]] = index_b[hit]
+            pair = lam[b][up[a][b]] + lam[a]
+            q = covariance.weights[hit] * (amp_b[hit] * amp_a[hit])
+            cov[a][b] = (np.bincount(index_a[hit], q, lam[a].size)
+                         * (-np.expm1(-pair * dt) / pair))
+    chol, jitter = _nested_cholesky(cov, up)
+    sizes = [x.size for x in lam]
+    return chol[np.argsort(np.repeat(order, sizes), kind="stable")], jitter
 
 
-def _sum_duplicates(rows, cols, values, dim):
-    """COO triplets sorted by column, then row, the values at a position
-    summed in array order: scipy's own summing fixes no order, and
-    another would move the entries, and so the draws, by roundoff."""
-    key, slot = np.unique(cols.astype(np.int64) * dim + rows,
-                          return_inverse=True)
-    c, r = np.divmod(key, dim)
-    return r, c, np.bincount(slot, weights=values)
+def _nested_cholesky(cov, up) -> tuple[sp.csr_matrix, float]:
+    """Cholesky factor of a PSD matrix whose graph links ancestors only.
 
-
-def _staged_cholesky(matrix, sizes) -> tuple[sp.csr_matrix, float]:
-    """Sparse Cholesky factor of a PSD matrix, eliminated in diagonal stages.
-
-    ``matrix`` (sparse, symmetric PSD; only its lower triangle is read)
-    is split into stages of ``sizes`` rows.  Each stage's leading block
-    of the current Schur complement [[D, B^T], [B, C]] must be diagonal
-    (a ValueError otherwise): L11 = D^(1/2), L21 = B D^(-1/2), and
-    S <- C - L21 L21^T sparsely.  The matrix is PSD in exact arithmetic
-    (a Schur product of two PSD factors), so only roundoff-scale
-    regularization is legitimate: while a pivot is not positive, a
-    jitter ladder adds 1e-16 * trace to the whole diagonal, 4x more per
-    rung; failure beyond 1e-14 * trace is reported, not patched.  Returns
-    the CSR lower factor and the jitter (0.0 when none was needed); a zero
-    trace gives a zero factor.
+    Block a has diagonal ``cov[a][a]``; its index j links only to its
+    ancestor ``up[a][b][j]`` (-1: none) in each later block b, by entry
+    ``cov[a][b][j]``, and its ancestors' ancestors are its own.  So block
+    a's stage, L_aa = D^(1/2) and L_ba = cov[a][b] / L_aa, only updates
+    ancestor entries, cov[b][c] -= L_ca L_ba in ascending j: no fill (Rose,
+    Tarjan & Lueker 1976).  The matrix is PSD in exact arithmetic; while a
+    pivot is not positive, a jitter ladder adds 1e-16 * trace to the
+    diagonal, 4x more per rung, up to 1e-14 * trace.  Returns the CSR lower
+    factor in block order and the jitter; a zero trace gives a zero factor.
     """
-    dim = matrix.shape[0]
-    trace = float(matrix.diagonal().sum())
+    diagonal = [row[a] for a, row in enumerate(cov)]
+    starts = np.cumsum([0] + [d.size for d in diagonal])
+    dim = int(starts[-1])
+    trace = float(np.concatenate(diagonal).sum())
     if not math.isfinite(trace) or trace < 0.0:
         raise np.linalg.LinAlgError("covariance trace is not finite")
     if trace == 0.0:
         return sp.csr_matrix((dim, dim)), 0.0
-    lower = sp.tril(matrix, format="coo")
-    lower = _sum_duplicates(lower.row, lower.col, lower.data, dim)
-    # the ladder: 0, then 1e-16 * trace and 4x more up to the 1e-14 cap
     for jitter in [0.0] + [1e-16 * trace * 4.0 ** i for i in range(4)]:
-        (r, c, v), parts, start = lower, [], 0
-        for n in sizes:
-            end = start + n
-            stage, below = c < end, r >= end
-            if np.any(v[stage & ~below & (r != c)]):
-                raise ValueError("leading block is not diagonal")
-            pivots = np.full(n, jitter)
-            diag = stage & (r == c)
-            pivots[r[diag] - start] += v[diag]
+        schur = copy.deepcopy(cov)
+        parts = []
+        for a, row in enumerate(schur):
+            pivots = jitter + row[a]
             if not np.all(pivots > 0.0):
                 break
             root = np.sqrt(pivots)
-            below &= stage
-            lr, lc = r[below], c[below]
-            lv = v[below] / root[lc - start]
-            parts.append((np.r_[start:end, lr], np.r_[start:end, lc],
-                          np.r_[root, lv]))
-            # S = C - L21 L21^T: the entries k apart in one column (L21 is
-            # sorted by column) give the products at offset k
-            update = [(r[~stage], c[~stage], v[~stage])]
-            k = 0
-            while (same := lc[k:] == lc[:lc.size - k]).any():
-                update.append((lr[k:][same], lr[:lr.size - k][same],
-                               -(lv[k:] * lv[:lv.size - k])[same]))
-                k += 1
-            r, c, v = _sum_duplicates(
-                *(np.concatenate(x) for x in zip(*update)), dim)
-            start = end
+            own = starts[a] + np.arange(root.size)
+            parts.append((own, own, root))
+            low = {b: row[b] / root for b in range(a + 1, len(row))}
+            for b, low_b in low.items():
+                has = up[a][b] >= 0
+                parts.append((starts[b] + up[a][b][has], own[has],
+                              low_b[has]))
+                for c in range(b, len(row)):
+                    both = has & (up[a][c] >= 0)
+                    np.add.at(schur[b][c], up[a][b][both],
+                              -(low[c] * low_b)[both])
         else:
             r, c, v = (np.concatenate(x) for x in zip(*parts))
             factor = sp.csr_matrix((v, (r, c)), shape=(dim, dim))

@@ -231,13 +231,40 @@ class TestJointNoise:
         assert full._chol.nnz == half._chol.nnz
 
     def test_non_nested_meshes_rejected(self):
-        # 6 divides neither 8 nor 32: eliminating the finer meshes fills
-        # the 6-element mesh's block
+        # 6 divides neither 8 nor 32: a 32-element eigen index would link
+        # to two indices of the 6-element mesh, which the ancestor arrays
+        # cannot hold
         spaces = [FemSpace(uniform_mesh(n)) for n in (6, 8, 32)]
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
-        with pytest.raises(ValueError, match="not diagonal"):
+        with pytest.raises(ValueError, match=r"\[6, 8, 32\] do not nest"):
             _joint_factor(spaces, SpectralBasis(k_max=64), covariance,
                           2.0 ** -7)
+
+    @pytest.mark.parametrize("rho", [None, 1.0])  # white, power decay
+    @pytest.mark.parametrize("k_trunc", [16, 300])
+    @pytest.mark.parametrize("counts", [(3, 6, 18, 36), (5, 15, 45),
+                                        (36, 3, 12)])
+    def test_non_dyadic_nests_factor_without_fill(self, counts, k_trunc,
+                                                  rho):
+        # k_trunc 16 leaves eigen indices of the finest mesh uncovered
+        # (zero rows, so the jitter ladder steps in); 300 exceeds twice
+        # the finest element count, so every alias class is hit
+        spaces = [FemSpace(uniform_mesh(n)) for n in counts]
+        basis = SpectralBasis(k_max=k_trunc)
+        spec = (CovarianceSpec.white(k_trunc) if rho is None
+                else CovarianceSpec.power_decay(rho, k_trunc))
+        chol, jitter = _joint_factor(spaces, basis, spec, 2.0 ** -7)
+        dense, overlaps = dense_joint_covariance(spaces, basis, spec,
+                                                 2.0 ** -7)
+        chol_dense = chol.toarray()
+        assert np.abs(chol_dense @ chol_dense.T - dense).max() \
+            <= 1e-12 * np.abs(dense).max()
+        assert (jitter > 0.0) == (k_trunc < max(counts))
+        hits = np.vstack([np.abs(b) > 1e-9 * np.abs(b).max()
+                          for b in overlaps]).astype(int)
+        pattern = hits @ hits.T > 0
+        off_diagonal = int(pattern.sum() - np.trace(pattern))
+        assert chol.nnz == off_diagonal // 2 + dense.shape[0]
 
 
 class TestCoupledDraws:

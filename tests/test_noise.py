@@ -11,7 +11,7 @@ import sympy as sp
 
 from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
                      SpectralBasis, uniform_mesh)
-from spdefem.noise import (CovarianceSpec, _joint_factor, _staged_cholesky,
+from spdefem.noise import (CovarianceSpec, _joint_factor, _nested_cholesky,
                            implied_beta)
 from spdefem.rng import substream
 
@@ -177,46 +177,32 @@ class TestConvolutionSampler:
             _joint_factor([self.space], self.basis, self.spec, 0.0)
 
     def test_cholesky_jitter_cap_reports_failure(self):
-        # the second stage's pivot, 1 - 2^2, stays negative on every rung
-        indefinite = sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+        # [[1, 2], [2, 1]] as two one-index blocks, the second the first's
+        # ancestor: its pivot, 1 - 2^2, stays negative on every rung
+        one = np.array([0])
+        indefinite = [[np.array([1.0]), np.array([2.0])],
+                      [None, np.array([1.0])]]
         with pytest.raises(np.linalg.LinAlgError, match="1e-14"):
-            _staged_cholesky(indefinite, [1, 1])
+            _nested_cholesky(indefinite, [[None, one], [None, None]])
         near_psd = np.eye(3)
         near_psd[0, 0] = -1e-18
-        # the negative pivot is met in one stage of three or the first
-        # of three stages
-        for sizes in ([3], [1, 1, 1]):
-            chol, jitter = _staged_cholesky(sparse.csr_matrix(near_psd),
-                                            sizes)
+        # the negative pivot is met in one block of three indices, or in
+        # the first of three one-index blocks (the second the first's
+        # ancestor, the third nobody's)
+        none = np.array([-1])
+        zero = np.array([0.0])
+        blocks = [([[np.diag(near_psd)]], [[None]]),
+                  ([[np.array([-1e-18]), zero, zero],
+                    [None, np.array([1.0]), zero],
+                    [None, None, np.array([1.0])]],
+                   [[None, one, none], [None, None, none], [None] * 3])]
+        for cov, up in blocks:
+            chol, jitter = _nested_cholesky(cov, up)
             assert sparse.issparse(chol) and chol.format == "csr"
             assert np.isfinite(chol.data).all()
             assert 0.0 < jitter <= 1e-14 * 2.0
             assert np.allclose((chol @ chol.T).toarray(),
                                near_psd + jitter * np.eye(3), atol=1e-15)
-
-    def test_cholesky_rejects_non_diagonal_leading_block(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            _staged_cholesky(sparse.csr_matrix([[2.0, 1.0], [1.0, 2.0]]),
-                             [2])
-        # diagonal at first, but the first stage's update fills the
-        # second stage's block: [[3, 0], [0, 3]] - [1, 1]^T [1, 1]
-        filled = sparse.csr_matrix([[1.0, 1.0, 1.0], [1.0, 3.0, 0.0],
-                                    [1.0, 0.0, 3.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            _staged_cholesky(filled, [1, 2])
-
-    def test_stages_reproduce_the_matrix(self):
-        # three stages, each block diagonal once the ones before are
-        # eliminated; only the lower triangle is read
-        matrix = np.array([[4.0, 0.0, 2.0, 1.0],
-                           [0.0, 9.0, 3.0, 0.0],
-                           [2.0, 3.0, 6.0, 1.0],
-                           [1.0, 0.0, 1.0, 3.0]])
-        chol, jitter = _staged_cholesky(
-            sparse.csr_matrix(np.tril(matrix)), [2, 1, 1])
-        assert jitter == 0.0 and chol.format == "csr"
-        assert np.allclose(chol.toarray(), np.linalg.cholesky(matrix),
-                           rtol=1e-14, atol=0.0)
 
     def test_factor_bytes_do_not_depend_on_blas_threads(self):
         # the joint factor of a shipped multi-mesh study, built in fresh
