@@ -442,6 +442,7 @@ class RateReport:
     workers: int = 1
     functional_means: list | None = None
     noise: dict | None = None
+    timings: dict | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -494,6 +495,7 @@ class MomentReport:
     aborted_total: int = 0
     noise: dict | None = None
     runtime_seconds: float = 0.0
+    timings: dict | None = None
     workers: int = 1
     notes: tuple[str, ...] = ()
     fit_failed = False         # a moment study fits no rate
@@ -866,7 +868,7 @@ def _noise_summary(engine, results) -> dict:
             "draws": sum(r["draws"] for r in results)}
 
 
-def _reduce_rate_study(engine, results, t_start, workers):
+def _reduce_rate_study(engine, results, workers):
     cfg, resolutions = engine.cfg, engine.resolutions
     keep = ~np.concatenate([r["aborted"] for r in results])
     aborted_total = int((~keep).sum())
@@ -921,12 +923,11 @@ def _reduce_rate_study(engine, results, t_start, workers):
         config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, probe_ratio=probe_ratio,
         aborted_total=aborted_total, functional_means=functional_means,
-        noise=_noise_summary(engine, results),
-        runtime_seconds=time.perf_counter() - t_start, workers=workers,
+        noise=_noise_summary(engine, results), workers=workers,
         notes=tuple(notes))
 
 
-def _reduce_moment_study(engine, results, t_start, workers):
+def _reduce_moment_study(engine, results, workers):
     cfg = engine.cfg
     keep = ~np.concatenate([r["aborted"] for r in results])
     series = {"z_sup": ([], []), "z_l2": ([], []), "x_sup": ([], [])}
@@ -951,8 +952,7 @@ def _reduce_moment_study(engine, results, t_start, workers):
         x_sup_moment=series["x_sup"][0], x_sup_stderr=series["x_sup"][1],
         exponents=exponents, config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, aborted_total=aborted_total,
-        noise=_noise_summary(engine, results),
-        runtime_seconds=time.perf_counter() - t_start, workers=workers,
+        noise=_noise_summary(engine, results), workers=workers,
         notes=notes)
 
 
@@ -994,16 +994,26 @@ def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
     ``map_fn`` and ``workers``.  Every other kind runs the coupled
     engine's batches through ``map_fn`` when given, else on ``workers``
     forked processes; the report is the same to the last digit either way.
+    Its JSON ``timings`` split ``runtime_seconds`` into engine set-up, the
+    batches and the reduction.
     """
     start = time.perf_counter()
     if cfg.kind == "operators":
         return _operator_study(cfg, start)
     engine = _CoupledEngine(cfg)
+    set_up = time.perf_counter()
     results = _map_batches(engine, map_fn, workers)
+    mapped = time.perf_counter()
     reduce = (_reduce_moment_study if cfg.kind == "moments"
               else _reduce_rate_study)
-    return reduce(engine, results, start,
-                  _batch_processes(engine, map_fn, workers))
+    report = reduce(engine, results, _batch_processes(engine, map_fn, workers))
+    end = time.perf_counter()
+    # differences of nearby clock readings are exact, so the three parts
+    # add up to runtime_seconds exactly
+    report.runtime_seconds = end - start
+    report.timings = {"setup_s": set_up - start, "batches_s": mapped - set_up,
+                      "reduce_s": end - mapped}
+    return report
 
 
 # ---------------------------------------------------------------------------

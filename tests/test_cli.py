@@ -245,7 +245,8 @@ class TestLibraryParity:
             == report.to_csv()
 
         def drop_runtime(text):
-            return re.sub(r'\n *"runtime_seconds": [^\n]*', "", text)
+            return re.sub(r'\n *"(runtime_seconds|setup_s|batches_s|reduce_s)"'
+                          r': [^\n]*', "", text)
 
         written = next(tmp_path.glob(f"{kind}_*.json")).read_text()
         assert "runtime_seconds" in written

@@ -725,8 +725,26 @@ class TestDeterminism:
         b = json.loads(run_study(cfg, workers=2).to_json())
         for doc in (a, b):
             doc.pop("runtime_seconds")
+            doc.pop("timings")
             doc.pop("workers")
         assert a == b
+
+    @pytest.mark.parametrize("kind", ["strong", "moments"])
+    def test_json_timings_split_the_runtime(self, kind):
+        cfg = strong_config()
+        if kind == "moments":
+            cfg = StudyConfig(
+                kind="moments",
+                covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
+                drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
+                horizon=0.25, dt_ref=2.0 ** -4, samples=100, batch_size=100)
+        report = run_study(cfg)
+        doc = json.loads(report.to_json())
+        timings = doc["timings"]
+        assert set(timings) == {"setup_s", "batches_s", "reduce_s"}
+        assert min(timings.values()) >= 0.0
+        assert math.fsum(timings.values()) <= doc["runtime_seconds"]
+        assert not any(key in report.to_csv() for key in timings)
 
     def test_json_workers_counts_processes_that_ran_batches(self):
         # one batch runs serially; two batches fill a pool of two

@@ -1,5 +1,7 @@
 """Tests for P1 finite elements: assembly, eigensystem, projections, norms."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,10 +10,11 @@ from scipy.integrate import quad
 
 from spdefem import (FemSpace, L2Comparer, Mesh1D, SpectralBasis,
                      operator_error_norm, uniform_mesh)
-from spdefem.fem import _evaluation_matrix
+from spdefem.fem import _evaluation_matrix, _largest_singular_value
 from spdefem.rng import substream
 
-from oracles import field_values, parabola_coefficients, semigroup
+from oracles import (alias_class_svd_norm, field_values,
+                     parabola_coefficients, semigroup)
 
 
 def closed_form_discrete_eigenvalues(n_elements, length=1.0):
@@ -334,6 +337,58 @@ class TestOperatorErrorNorms:
             got = operator_error_norm(space, basis, s=s, r=r, which=which,
                                       t=t if which == "semigroup" else None)
             assert got == pytest.approx(expected, rel=1e-10), (which, s, r)
+
+    @pytest.mark.parametrize("n_el,k_max", [(128, 600), (128, 2048),
+                                            (8, 2048)])
+    @pytest.mark.parametrize("which,s,r,t", [
+        ("l2", 0.0, 0.0, None), ("l2", 0.0, 2.0, None),
+        ("l2", 0.5, 1.5, None), ("ritz", 1.0, 2.0, None),
+        ("ritz", 0.0, 1.0, None),
+        *(("semigroup", 0.0, r, t) for t in (0.01, 1.0)
+          for r in (0.0, 1.0, 2.0))])
+    def test_matches_alias_class_svd(self, n_el, k_max, which, s, r, t):
+        # Ragged classes (600 modes over 256 residues at 128 elements),
+        # the cancelling first class of the semigroup error at t = 0.01,
+        # r = 2, and gains e^{-lambda_h t} that underflow to 0 at t = 1.
+        space = FemSpace(uniform_mesh(n_el))
+        basis = SpectralBasis(k_max=k_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = operator_error_norm(space, basis, s=s, r=r, which=which,
+                                      t=t)
+        expected = alias_class_svd_norm(space, basis, s=s, r=r, which=which,
+                                        t=t)
+        assert got == pytest.approx(expected, rel=1e-11)
+
+    def test_makes_no_dense_linear_algebra_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra call")
+
+        for name in ("norm", "svd", "eig", "eigh", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "dot", refuse)
+        nrm = operator_error_norm(FemSpace(uniform_mesh(8)),
+                                  SpectralBasis(k_max=256), s=1.0, r=2.0,
+                                  which="ritz")
+        assert 0.0 < nrm < 1.0
+
+    def test_zero_blocks(self):
+        # At t = 1e4 every weight underflows: all blocks and the null
+        # class vanish.  A zero row beside a nonzero block adds nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert operator_error_norm(
+                FemSpace(uniform_mesh(16)), SpectralBasis(k_max=64),
+                which="semigroup", t=1e4) == 0.0
+            zero = np.zeros((3, 2, 4))
+            assert _largest_singular_value(*zero, np.ones(2)) == 0.0
+            delta, u, v = zero
+            delta[1, :3] = [3.0, 0.5, 3.0]
+            u[1, :3] = [1.0, -2.0, 0.25]
+            v[1, :3] = [0.5, 1.0, 4.0]
+            got = _largest_singular_value(delta, u, v, np.array([1.0, 0.7]))
+        block = np.diag(delta[1]) - 0.7 * np.outer(u[1], v[1])
+        assert got == pytest.approx(np.linalg.norm(block, 2), rel=1e-14)
 
     @pytest.mark.parametrize("which,s,r", [("l2", 0.0, 2.0), ("l2", 0.0, 1.0),
                                            ("ritz", 1.0, 2.0)])

@@ -1,5 +1,6 @@
 """Tests for covariance specs and the exact convolution sampler."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import sympy as sp
 
 from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
                      SpectralBasis, uniform_mesh)
+from spdefem import noise
 from spdefem.noise import (CovarianceSpec, _joint_factor, _nested_cholesky,
                            implied_beta)
 from spdefem.rng import substream
 
-from oracles import semigroup
+from oracles import nested_cholesky, semigroup
 
 
 def series_converges(rho, exponent_b):
@@ -226,6 +228,32 @@ class TestConvolutionSampler:
             assert out.returncode == 0, out.stderr
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("nest,spec", [
+        ((4, 8, 16), CovarianceSpec("power_decay", 64, rho=2.0)),
+        ((4, 8, 16, 32), CovarianceSpec("white", 256))],
+        ids=["power_decay-4-8-16", "white-4-8-16-32"])
+    def test_nested_factor_bytes_match_scalar_loops(self, monkeypatch, nest,
+                                                    spec):
+        # the ancestor arrays of a real nest, eliminated again one scalar
+        # at a time in ascending order: any change of the factor's
+        # summation order changes its bytes
+        calls = []
+
+        def spy(cov, up):
+            calls.append((copy.deepcopy(cov), copy.deepcopy(up)))
+            calls.append(_nested_cholesky(cov, up))
+            return calls[-1]
+
+        monkeypatch.setattr(noise, "_nested_cholesky", spy)
+        _joint_factor([FemSpace(uniform_mesh(n)) for n in nest],
+                      SpectralBasis(k_max=spec.k_trunc), spec, 2.0 ** -8)
+        (cov, up), (got, jitter) = calls
+        want, want_jitter = nested_cholesky(cov, up)
+        assert jitter == want_jitter
+        for part in ("indptr", "indices", "data"):
+            assert (getattr(got, part).tobytes()
+                    == getattr(want, part).tobytes()), part
 
     def test_factor_is_diagonal_square_root(self):
         factor, jitter = _joint_factor([self.space], self.basis, self.spec,
