@@ -1,36 +1,47 @@
-"""Finite element rate studies for semilinear stochastic heat equations."""
+"""Finite element rate studies for semilinear stochastic heat equations.
 
-from .spectral import SpectralBasis
-from .fem import (Mesh1D, FemSpace, L2Comparer, uniform_mesh,
-                  operator_error_norm)
-from .rng import substream, substream_key
-from .noise import CovarianceSpec, implied_beta
-from .dynamics import (PolynomialDrift, SchemeConfig, Integrator,
-                       IntegrationError, tangent_integrate)
-from .config import ConfigError, load_config, parse_config
-from .selftest import SelfTestResult, run_selftest
-from .experiments import (StudyConfig, RateReport, MomentReport, FitResult,
-                          fit_rate, run_study, simulate_trajectory,
-                          linear_weak_reference,
-                          default_initial_profile, evaluate_functional,
-                          growth_exponent, envelope_exponent, FUNCTIONALS)
+The public names load their modules when first used, so ``import
+spdefem`` imports neither numpy nor scipy.  That lets the command-line
+front end (``spdefem.cli``) pin the BLAS thread count before numpy loads.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SpectralBasis", "Mesh1D", "FemSpace", "L2Comparer", "uniform_mesh",
-    "operator_error_norm", "substream",
-    "substream_key", "CovarianceSpec", "implied_beta",
-    "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
-    "tangent_integrate",
-    "StudyConfig", "RateReport", "MomentReport", "FitResult", "fit_rate",
-    "run_study", "simulate_trajectory", "linear_weak_reference",
-    "default_initial_profile", "evaluate_functional", "growth_exponent",
-    "envelope_exponent", "FUNCTIONALS",
-    "__version__",
-    "ConfigError",
-    "load_config",
-    "parse_config",
-    "SelfTestResult",
-    "run_selftest",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "SpectralBasis": "spectral",
+    "Mesh1D": "fem", "FemSpace": "fem", "L2Comparer": "fem",
+    "uniform_mesh": "fem", "operator_error_norm": "fem",
+    "substream": "rng", "substream_key": "rng",
+    "CovarianceSpec": "noise", "implied_beta": "noise",
+    "PolynomialDrift": "dynamics", "SchemeConfig": "dynamics",
+    "Integrator": "dynamics", "IntegrationError": "dynamics",
+    "tangent_integrate": "dynamics",
+    "ConfigError": "config", "load_config": "config",
+    "parse_config": "config",
+    "SelfTestResult": "selftest", "run_selftest": "selftest",
+    "StudyConfig": "experiments", "RateReport": "experiments",
+    "MomentReport": "experiments", "FitResult": "experiments",
+    "fit_rate": "experiments", "run_study": "experiments",
+    "simulate_trajectory": "experiments",
+    "linear_weak_reference": "experiments",
+    "default_initial_profile": "experiments",
+    "evaluate_functional": "experiments", "growth_exponent": "experiments",
+    "envelope_exponent": "experiments", "FUNCTIONALS": "experiments",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    # only public names resolve here; any other name, a submodule's
+    # included, raises AttributeError, which is what lets
+    # ``from spdefem import cli`` fall through to importing the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

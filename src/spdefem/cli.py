@@ -20,6 +20,16 @@ runtime and the number of worker processes that ran batches (1 for
 serial runs and operator studies).  The trajectory command rejects
 operator studies, which have no sample path.
 
+Importing this module pins OpenBLAS to one thread: it sets
+OPENBLAS_NUM_THREADS=1, overriding any user value, before numpy is first
+imported.  (``import spdefem`` loads its modules only when a public name
+is first used, so it imports no numpy ahead of this, and pins nothing
+for library use.)  No CLI path makes a BLAS call large enough to gain
+from threads (the largest is a 2 x 2 solve), while the idle pools of
+numpy's and scipy's OpenBLAS spin on the CPU at start-up.  A study
+process therefore runs on one OS thread, and ``--workers`` forks a
+single-threaded process.
+
 Exit status: 0 on success, 1 when a rate fit failed (every level under
 the Monte-Carlo noise floor) or a trajectory overflowed (no artifacts
 written), 2 for configuration or I/O errors.
@@ -33,7 +43,11 @@ import os
 import sys
 import time
 
-import numpy as np
+# before the first numpy import, and unconditionally: a user value would
+# bring back the idle threads (see the module docstring)
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .config import ConfigError, load_config

@@ -45,6 +45,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import time
 from dataclasses import asdict, dataclass
@@ -443,6 +444,7 @@ class RateReport:
     functional_means: list | None = None
     noise: dict | None = None
     timings: dict | None = None
+    runtime: dict | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -496,6 +498,7 @@ class MomentReport:
     noise: dict | None = None
     runtime_seconds: float = 0.0
     timings: dict | None = None
+    runtime: dict | None = None
     workers: int = 1
     notes: tuple[str, ...] = ()
     fit_failed = False         # a moment study fits no rate
@@ -806,6 +809,15 @@ class _SplittingDtEngine(_CoupledEngine):
 # Worker plumbing: the engine is built in the parent before the pool
 # forks, so children inherit it read-only through this module global.
 _ENGINE = None
+_START_METHOD = "fork"
+
+
+def _os_threads():
+    """OS threads of this process, or None where /proc does not list them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
 
 
 def _set_engine(engine):
@@ -832,7 +844,7 @@ def _map_batches(engine, map_fn, workers):
         processes = _batch_processes(engine, map_fn, workers)
         if processes == 1:
             return [engine.run_batch(i) for i in indices]
-        ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context(_START_METHOD)
         with ctx.Pool(processes) as pool:
             return pool.map(_engine_batch, indices)
     finally:
@@ -995,24 +1007,30 @@ def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
     engine's batches through ``map_fn`` when given, else on ``workers``
     forked processes; the report is the same to the last digit either way.
     Its JSON ``timings`` split ``runtime_seconds`` into engine set-up, the
-    batches and the reduction.
+    batches and the reduction; its ``runtime`` block gives the pool's start
+    method (None when the batches run in this process) and this process's
+    OS thread count as the batch map starts.
     """
     start = time.perf_counter()
     if cfg.kind == "operators":
         return _operator_study(cfg, start)
     engine = _CoupledEngine(cfg)
     set_up = time.perf_counter()
+    processes = _batch_processes(engine, map_fn, workers)
+    runtime = {"start_method": _START_METHOD if processes > 1 else None,
+               "threads": _os_threads()}
     results = _map_batches(engine, map_fn, workers)
     mapped = time.perf_counter()
     reduce = (_reduce_moment_study if cfg.kind == "moments"
               else _reduce_rate_study)
-    report = reduce(engine, results, _batch_processes(engine, map_fn, workers))
+    report = reduce(engine, results, processes)
     end = time.perf_counter()
     # differences of nearby clock readings are exact, so the three parts
     # add up to runtime_seconds exactly
     report.runtime_seconds = end - start
     report.timings = {"setup_s": set_up - start, "batches_s": mapped - set_up,
                       "reduce_s": end - mapped}
+    report.runtime = runtime
     return report
 
 

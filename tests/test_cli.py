@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ import spdefem.cli as cli
 import spdefem.experiments as experiments
 from spdefem.config import parse_config
 from spdefem.experiments import LevelResult, RateReport, run_study
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 STRONG_DOC = """
 study:
@@ -245,8 +251,8 @@ class TestLibraryParity:
             == report.to_csv()
 
         def drop_runtime(text):
-            return re.sub(r'\n *"(runtime_seconds|setup_s|batches_s|reduce_s)"'
-                          r': [^\n]*', "", text)
+            return re.sub(r'\n *"(runtime_seconds|setup_s|batches_s|reduce_s'
+                          r'|start_method|threads)": [^\n]*', "", text)
 
         written = next(tmp_path.glob(f"{kind}_*.json")).read_text()
         assert "runtime_seconds" in written
@@ -391,3 +397,54 @@ class TestSelftestCommand:
         payload = json.loads((tmp_path / "selftest.json").read_text())
         assert payload["passed"] is True
         assert len(payload["checks"]) == 11
+
+
+def _fresh_python(args, openblas_threads):
+    """Run ``python args`` in a fresh process; ``openblas_threads`` None
+    leaves OPENBLAS_NUM_THREADS unset (this test process may carry the
+    pin from its own ``spdefem.cli`` import)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    out = subprocess.run([sys.executable, *args], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestSingleThreadedProcess:
+    def test_package_import_loads_no_numpy(self):
+        out = _fresh_python(["-c", "import spdefem, sys; "
+                             "print(spdefem.__version__, "
+                             "'numpy' in sys.modules)"], None)
+        assert out.split() == [cli.__version__, "False"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task to count threads in")
+    def test_cli_import_leaves_one_thread(self):
+        out = _fresh_python(["-c", "import os, spdefem.cli; "
+                             "print(len(os.listdir('/proc/self/task')))"],
+                            None)
+        assert int(out) == 1
+
+    def test_csv_bytes_do_not_depend_on_openblas_threads(self, strong_doc,
+                                                         tmp_path):
+        # the study process counts its threads as the batch map starts,
+        # in the pooled case before the fork
+        threads = 1 if os.path.isdir("/proc/self/task") else None
+        csvs = set()
+        for value, workers in ((None, "1"), ("1", "1"), ("2", "1"),
+                               ("2", "2")):
+            out_dir = tmp_path / f"{value}-{workers}"
+            _fresh_python(["-m", "spdefem.cli", "study", str(strong_doc),
+                           "--workers", workers, "--out", str(out_dir)],
+                          value)
+            csv = next(out_dir.glob("*.csv")).read_text()
+            assert "threads" not in csv
+            csvs.add(csv)
+            doc = json.loads(next(out_dir.glob("*.json")).read_text())
+            assert doc["runtime"] == {
+                "start_method": None if workers == "1" else "fork",
+                "threads": threads}
+        assert len(csvs) == 1

@@ -723,9 +723,12 @@ class TestDeterminism:
         cfg = strong_config()
         a = json.loads(run_study(cfg).to_json())
         b = json.loads(run_study(cfg, workers=2).to_json())
+        assert a["runtime"]["start_method"] is None
+        assert b["runtime"]["start_method"] == "fork"
         for doc in (a, b):
             doc.pop("runtime_seconds")
             doc.pop("timings")
+            doc.pop("runtime")
             doc.pop("workers")
         assert a == b
 
