@@ -2,8 +2,8 @@
 
 The coupled estimator takes E phi(X_ref) - E phi(X_h) sample by sample,
 so the sampling noise largely cancels and modest sample counts resolve
-tiny weak errors.  Levels step at max(dt_ref, h^2), the scaling the
-weak analysis uses.
+tiny weak errors.  Every level steps at dt_ref, so the levels differ
+only in the mesh width, as in the weak analysis.
 
 With the reaction switched off the solution is Gaussian and
 E cos(<X(T), e_1>) has a closed form on every mesh, which pins the

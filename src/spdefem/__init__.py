@@ -15,7 +15,7 @@ _EXPORTS = {
     "Mesh1D": "fem", "FemSpace": "fem", "L2Comparer": "fem",
     "uniform_mesh": "fem", "operator_error_norm": "fem",
     "substream": "rng", "substream_key": "rng",
-    "CovarianceSpec": "noise", "implied_beta": "noise",
+    "CovarianceSpec": "noise",
     "PolynomialDrift": "dynamics", "SchemeConfig": "dynamics",
     "Integrator": "dynamics", "IntegrationError": "dynamics",
     "tangent_integrate": "dynamics",

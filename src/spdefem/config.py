@@ -22,7 +22,6 @@ Schema (sections and keys, with defaults in brackets):
       rho: float              # power_decay only
       k_trunc: int            [1024]
       weights: [floats]       # custom only
-      beta: float             # custom only, regularity index in (0, 1]
     drift:
       preset: allen_cahn | zero | linear    # or  coeffs: [a0, a1, ...]
       rate: float             # linear preset only
@@ -30,7 +29,6 @@ Schema (sections and keys, with defaults in brackets):
       horizon: float          [1.0]
       dt_ref_log2: int        # or  dt_ref: float   [dt_ref = 2^-8]
       dt_levels_log2: [ints]  # splitting_dt only; or  dt_levels: [floats]
-      policy: fixed | h2beta  # coupled studies only [by kind]
     initial:
       profile: default | zero | mode1       [default]
     functional:
@@ -39,9 +37,12 @@ Schema (sections and keys, with defaults in brackets):
       pairs: [[s, r, which], ...]           # operators kind only
 
 Sections and keys that do not apply to the chosen kind are rejected, as
-is mixing a plain key with its log2 twin.  The meshes of strong, weak and
-moment studies must nest: sorted, each element count divides the next
-finer one (levels_log2 ladders always do).
+is mixing a plain key with its log2 twin.  Two removed keys are refused
+with the reason: ``time.policy`` (every strong or weak level steps at
+dt_ref) and ``noise.beta`` (no study reads a regularity index).  The
+meshes of strong, weak and moment studies must nest: sorted, each
+element count divides the next finer one (levels_log2 ladders always
+do).
 """
 
 from __future__ import annotations
@@ -61,13 +62,20 @@ _SECTION_KEYS = {
     "study": ("kind", "samples", "batch_size", "p_order", "seed"),
     "mesh": ("levels", "levels_log2", "reference", "reference_log2",
              "length"),
-    "noise": ("family", "rho", "k_trunc", "weights", "beta"),
+    "noise": ("family", "rho", "k_trunc", "weights"),
     "drift": ("preset", "rate", "coeffs"),
     "time": ("horizon", "dt_ref", "dt_ref_log2", "dt_levels",
-             "dt_levels_log2", "policy"),
+             "dt_levels_log2"),
     "initial": ("profile",),
     "functional": ("id",),
     "operators": ("pairs",),
+}
+
+_REMOVED_KEYS = {
+    "time.policy": "removed: the h2beta step policy is gone, and every "
+                   "level of a strong or weak study steps at dt_ref",
+    "noise.beta": "removed: no study reads a regularity index, so a "
+                  "custom family takes only its weights",
 }
 
 _DRIFT_PRESETS = ("allen_cahn", "zero", "linear")
@@ -91,8 +99,9 @@ def _require_mapping(value, path: str) -> dict:
 def _reject_unknown(mapping: dict, allowed, path: str) -> None:
     for key in mapping:
         if key not in allowed:
-            _fail(f"{path}.{key}" if path else str(key),
-                  f"unknown key; allowed here: {', '.join(allowed)}")
+            where = f"{path}.{key}" if path else str(key)
+            _fail(where, _REMOVED_KEYS.get(
+                where, f"unknown key; allowed here: {', '.join(allowed)}"))
 
 
 def _get_typed(section: dict, path: str, key: str, kinds, type_name: str,
@@ -181,19 +190,14 @@ def _parse_noise(section: dict) -> CovarianceSpec:
     k_trunc = _get_int(section, path, "k_trunc", default=1024)
     rho = _get_float(section, path, "rho")
     weights = _get_number_list(section, path, "weights")
-    beta = _get_float(section, path, "beta")
     if family == "custom":
         if weights is None:
             _fail(f"{path}.weights", "required for the custom family")
-        if beta is None:
-            _fail(f"{path}.beta", "required for the custom family")
         if "k_trunc" in section and section["k_trunc"] != len(weights):
             _fail(f"{path}.k_trunc", "must equal the number of weights")
-        return _wrap(path, CovarianceSpec.custom, weights, beta=beta)
+        return _wrap(path, CovarianceSpec.custom, weights)
     if weights is not None:
         _fail(f"{path}.weights", "only meaningful for the custom family")
-    if beta is not None:
-        _fail(f"{path}.beta", "only meaningful for the custom family")
     if family == "power_decay":
         if rho is None:
             _fail(f"{path}.rho", "required for power_decay")
@@ -285,9 +289,6 @@ def parse_config(text: str) -> StudyConfig:
         dt_ref = 2.0 ** -8
     dt_levels = _widths_from(time_sec, "time", "dt_levels",
                              "dt_levels_log2") or ()
-    policy = _get_str(time_sec, "time", "policy")
-    if policy is not None and kind not in ("strong", "weak"):
-        _fail("time.policy", "only meaningful for strong or weak studies")
     if dt_levels and kind != "splitting_dt":
         _fail("time.dt_levels", "only meaningful for splitting_dt studies")
 
@@ -327,10 +328,9 @@ def parse_config(text: str) -> StudyConfig:
     return _wrap("document", StudyConfig,
                  kind=kind, covariance=covariance, drift=drift,
                  levels=levels, h_ref=h_ref, dt_levels=dt_levels,
-                 dt_ref=dt_ref, dt_policy=policy, samples=samples,
-                 batch_size=batch_size, p_order=p_order,
-                 functional=functional, horizon=horizon, length=length,
-                 x0=profile, seed=seed, **kwargs)
+                 dt_ref=dt_ref, samples=samples, batch_size=batch_size,
+                 p_order=p_order, functional=functional, horizon=horizon,
+                 length=length, x0=profile, seed=seed, **kwargs)
 
 
 def load_config(path) -> StudyConfig:

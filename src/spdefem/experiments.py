@@ -25,12 +25,12 @@ so coarse step sizes see exactly the noise the fine grid saw.
 Strong, weak, splitting_dt and moment studies are one computation, run
 by one step-and-aggregate loop (`_CoupledEngine`): a table of levels,
 each mapped to a mesh, a drift, a start state and a drift step.  Strong
-and weak levels refine the mesh against a reference level, splitting_dt
-levels share the reference's mesh and coarsen the drift step, and a
-moment study runs on each mesh the full dynamics X and, on the same
-path, the stochastic convolution Z.  In strong and weak studies the
-first batch also reruns the finest tested mesh and the reference at
-twice their drift steps, on the same draws, to bound the
+and weak levels refine the mesh against a reference level, all at
+dt_ref, splitting_dt levels share the reference's mesh and coarsen the
+drift step, and a moment study runs on each mesh the full dynamics X
+and, on the same path, the stochastic convolution Z.  In strong and weak
+studies the first batch also reruns the finest tested mesh and the
+reference at twice dt_ref, on the same draws, to bound the
 drift-splitting time error (the dt-doubling probe).
 
 Determinism contract: samples are organized in fixed-size batches, all
@@ -144,11 +144,9 @@ def default_initial_profile(points: np.ndarray, length: float) -> np.ndarray:
 class StudyConfig:
     """Frozen description of one study; hashed into every report.
 
-    ``dt_policy`` controls the drift step of tested levels in coupled
-    studies: "fixed" steps everything at dt_ref, "h2beta" steps level h
-    at max(dt_ref, h^{2 beta}) snapped to the dt_ref grid, the scaling
-    the weak theory prescribes.  Weak studies default to "h2beta",
-    everything else to "fixed".
+    Every level of a strong or weak study, the reference included, steps
+    at dt_ref, so its levels differ only in the mesh width; splitting_dt
+    levels step at their ``dt_levels``.
 
     The meshes of strong, weak and moment studies must nest (sorted, each
     element count divides the next), as `noise._joint_factor` needs.  A
@@ -164,7 +162,6 @@ class StudyConfig:
     h_ref: float | None = None
     dt_levels: tuple[float, ...] = ()
     dt_ref: float = 2.0 ** -8
-    dt_policy: str | None = None
     samples: int = 400
     batch_size: int = 100
     p_order: int = 2
@@ -179,13 +176,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
-        if self.dt_policy is None:
-            object.__setattr__(self, "dt_policy",
-                               "h2beta" if self.kind == "weak" else "fixed")
         if self.x0 not in ("default", "zero", "mode1"):
             raise ValueError("x0 must be 'default', 'zero' or 'mode1'")
-        if self.dt_policy not in ("fixed", "h2beta"):
-            raise ValueError("dt_policy must be 'fixed' or 'h2beta'")
         if self.horizon <= 0.0 or self.length <= 0.0:
             raise ValueError("horizon and length must be positive")
         if not 0 <= self.seed < 2 ** 64:
@@ -233,7 +225,6 @@ class StudyConfig:
                 raise ValueError("splitting_dt studies use exactly one mesh")
             for dt in self.dt_levels:
                 _check_multiple(dt, self.dt_ref, "tested dt", "dt_ref")
-        if self.kind in ("strong", "weak", "splitting_dt"):
             for ratio in self.step_ratios:
                 if round(self.horizon / self.dt_ref) % ratio:
                     raise ValueError(
@@ -247,8 +238,6 @@ class StudyConfig:
                     f"functional {self.functional} pairs with sine mode "
                     f"{match.group(1)}, beyond the noise's k_trunc = "
                     f"{self.covariance.k_trunc}")
-            if self.drift.degree == 2:
-                raise ValueError("weak studies need an odd-degree reaction")
         if self.p_order < 1:
             raise ValueError("p_order must be at least 1")
         if self.h_ref is not None and self.kind not in ("strong", "weak"):
@@ -263,12 +252,7 @@ class StudyConfig:
         """Per-level drift-step size as a multiple of dt_ref."""
         if self.kind == "splitting_dt":
             return tuple(round(dt / self.dt_ref) for dt in self.dt_levels)
-        if self.dt_policy == "fixed" or self.kind not in ("strong", "weak"):
-            return tuple(1 for _ in self.levels)
-        beta = self.covariance.beta
-        return tuple(
-            max(1, round(h ** (2.0 * beta) / self.dt_ref))
-            for h in self.levels)
+        return tuple(1 for _ in self.levels)
 
     @property
     def config_hash(self) -> str:
@@ -285,7 +269,8 @@ class StudyConfig:
             "h_ref": self.h_ref,
             "dt_levels": list(self.dt_levels),
             "dt_ref": self.dt_ref,
-            "dt_policy": self.dt_policy,
+            # the one drift-step policy, kept so existing hashes hold
+            "dt_policy": "fixed",
             "samples": self.samples,
             "batch_size": self.batch_size,
             "p_order": self.p_order,
@@ -710,18 +695,17 @@ class _CoupledEngine:
                           for m in self.mesh_of[:self.ref_index]]
 
     def _add_probe_rows(self):
-        """Append the finest tested mesh and the reference at twice their
-        drift steps; e(2 dt) - e(dt) estimates a first-order temporal
-        error at dt."""
-        fine = self.ref_index - 1
-        doubled = [2 * self.ratios[fine], 2 * self.ratios[self.ref_index]]
-        if self.n_steps % doubled[0]:
-            self.notes = ("dt-doubling probe skipped: twice the finest "
-                          "level's step does not divide the horizon",)
+        """Append the finest tested mesh and the reference at twice
+        dt_ref; e(2 dt) - e(dt) estimates a first-order temporal error at
+        dt."""
+        if self.n_steps % 2:
+            self.notes = ("dt-doubling probe skipped: twice dt_ref does "
+                          "not divide the horizon",)
             return
         self.probe_rows = (len(self.mesh_of), len(self.mesh_of) + 1)
-        self.mesh_of += [self.mesh_of[fine], self.mesh_of[self.ref_index]]
-        self.ratios += doubled
+        self.mesh_of += [self.mesh_of[self.ref_index - 1],
+                         self.mesh_of[self.ref_index]]
+        self.ratios += [2, 2]
 
     def batch_bounds(self, index):
         start = index * self.cfg.batch_size

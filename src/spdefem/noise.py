@@ -28,28 +28,23 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CovarianceSpec", "implied_beta"]
+__all__ = ["CovarianceSpec"]
 
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Diagonal covariance of the driving Wiener process.
-
-    ``beta`` is the spatial regularity index in (0, 1]: the largest
-    exponent such that sum_k lambda_k^(b-1) q_k converges for every
-    b < beta.
-    """
+    """Diagonal covariance of the driving Wiener process: the weights
+    q_k for k = 1..k_trunc."""
 
     kind: str
     k_trunc: int
     rho: float | None = None
     custom_weights: tuple[float, ...] | None = None
-    beta: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power_decay", "white", "custom"):
@@ -71,8 +66,6 @@ class CovarianceSpec:
                 raise ValueError("custom weights must be finite and >= 0")
         elif self.custom_weights is not None:
             raise ValueError("weights are only meaningful for custom kind")
-        if self.kind != "custom":
-            object.__setattr__(self, "beta", implied_beta(self))
 
     @classmethod
     def power_decay(cls, rho: float, k_trunc: int = 4096) -> "CovarianceSpec":
@@ -83,14 +76,10 @@ class CovarianceSpec:
         return cls(kind="white", k_trunc=k_trunc)
 
     @classmethod
-    def custom(cls, weights, beta: float) -> "CovarianceSpec":
-        """Explicit weights; the caller must supply the regularity index."""
+    def custom(cls, weights) -> "CovarianceSpec":
+        """Explicit weights q_1, ..., q_{k_trunc}."""
         weights = tuple(float(w) for w in np.asarray(weights, dtype=float))
-        spec = cls(kind="custom", k_trunc=len(weights), custom_weights=weights)
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        object.__setattr__(spec, "beta", float(beta))
-        return spec
+        return cls(kind="custom", k_trunc=len(weights), custom_weights=weights)
 
     @property
     def weights(self) -> np.ndarray:
@@ -100,21 +89,6 @@ class CovarianceSpec:
         if self.kind == "white":
             return np.ones(self.k_trunc)
         return np.asarray(self.custom_weights, dtype=float)
-
-
-def implied_beta(spec: CovarianceSpec) -> float:
-    """Regularity index implied by the weight decay.
-
-    With lambda_k growing like k^2, the series sum_k lambda_k^(b-1) q_k
-    for q_k = k^(-rho) behaves like sum k^(2b-2-rho), which converges
-    exactly when b < (rho+1)/2.  The index is capped at 1.  White noise
-    is the rho = 0 member of the family: index 1/2, never attained.
-    """
-    if spec.kind == "custom":
-        raise ValueError("custom weights carry no implied index; "
-                         "pass beta explicitly")
-    rho = 0.0 if spec.kind == "white" else float(spec.rho)
-    return min(1.0, (rho + 1.0) / 2.0)
 
 
 def _check_nested(counts) -> None:

@@ -169,7 +169,7 @@ def check_deterministic_semigroup_rate() -> None:
     study must measure the order-2 semigroup rate with zero variance."""
     cfg = StudyConfig(
         kind="strong",
-        covariance=CovarianceSpec.custom(np.zeros(8), beta=1.0),
+        covariance=CovarianceSpec.custom(np.zeros(8)),
         drift=PolynomialDrift.zero(),
         levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
         h_ref=2.0 ** -7, horizon=0.5, dt_ref=2.0 ** -3,

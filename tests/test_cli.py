@@ -382,6 +382,20 @@ class TestErrorPaths:
         assert "--seed" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_removed_key_exits_two(self, tmp_path):
+        doc = tmp_path / "weak.yaml"
+        doc.write_text(STRONG_DOC.replace("kind: strong", "kind: weak")
+                       + "  policy: h2beta\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-m", "spdefem.cli", "study", str(doc),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 2
+        assert "time.policy: removed" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["study", str(tmp_path / "absent.yaml")])
         assert code == 2

@@ -1,9 +1,13 @@
 """Tests for the YAML study-document parser."""
 
+from pathlib import Path
+
 import pytest
 
 from spdefem import (ConfigError, CovarianceSpec, PolynomialDrift,
                      StudyConfig, load_config, parse_config)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL_STRONG = """
 study:
@@ -50,6 +54,24 @@ class TestDefaults:
         path.write_text(MINIMAL_STRONG)
         assert load_config(path).config_hash \
             == parse_config(MINIMAL_STRONG).config_hash
+
+
+def test_non_weak_shipped_hashes_hold():
+    # the hash payload keeps the removed step policy as the constant
+    # "fixed", so no shipped config outside the weak kind changed identity
+    hashes = {name: load_config(CONFIG_DIR / f"{name}.yaml").config_hash
+              for name in ("strong_smooth", "strong_white",
+                           "moments_trace_class", "moments_white",
+                           "splitting_dt", "operators", "trajectory")}
+    assert hashes == {
+        "strong_smooth": "c4dc9a4e46ec2d0a",
+        "strong_white": "2b3973fa63b06c35",
+        "moments_trace_class": "0fc5b9ece022c2dc",
+        "moments_white": "7ad09411bed911ce",
+        "splitting_dt": "5a0e6e4a18986f78",
+        "operators": "d67eeb26c3c049ee",
+        "trajectory": "ab8fb42dc0f32e38",
+    }
 
 
 class TestStrictness:
@@ -148,14 +170,16 @@ class TestNoiseSection:
         assert cfg.covariance.kind == "white"
         assert cfg.covariance.k_trunc == 256
 
-    def test_custom_requires_weights_and_beta(self):
+    def test_custom_requires_weights_and_refuses_beta(self):
         doc = MINIMAL_STRONG.replace(
             "family: power_decay\n  rho: 2.0",
-            "family: custom\n  weights: [1.0, 0.25, 0.0625]\n  beta: 1.0")
+            "family: custom\n  weights: [1.0, 0.25, 0.0625]")
         cfg = parse_config(doc)
         assert cfg.covariance.custom_weights == (1.0, 0.25, 0.0625)
-        with pytest.raises(ConfigError, match=r"noise\.beta"):
-            parse_config(doc.replace("\n  beta: 1.0", ""))
+        with pytest.raises(ConfigError, match=r"noise\.weights: required"):
+            parse_config(doc.replace("\n  weights: [1.0, 0.25, 0.0625]", ""))
+        with pytest.raises(ConfigError, match=r"noise\.beta: removed"):
+            parse_config(doc + "  beta: 1.0\n")
 
     def test_rho_only_for_power_decay(self):
         with pytest.raises(ConfigError, match=r"noise\.rho"):
@@ -197,6 +221,16 @@ time: {policy: h2beta}
 """
         with pytest.raises(ConfigError, match=r"time\.policy"):
             parse_config(doc)
+
+    def test_removed_keys_name_the_removal(self):
+        weak = MINIMAL_STRONG.replace("kind: strong", "kind: weak")
+        for doc, reason in [
+                (weak + "\ntime:\n  policy: h2beta\n",
+                 r"time\.policy: removed: the h2beta step policy is gone"),
+                (weak + "  beta: 1.0\n",
+                 r"noise\.beta: removed: no study reads a regularity index")]:
+            with pytest.raises(ConfigError, match=reason):
+                parse_config(doc)
 
     def test_splitting_document(self):
         cfg = parse_config("""

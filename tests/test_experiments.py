@@ -209,7 +209,7 @@ class TestJointNoise:
 
     def test_zero_weights_give_zero_factor(self):
         spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
-        covariance = CovarianceSpec.custom(np.zeros(16), beta=0.5)
+        covariance = CovarianceSpec.custom(np.zeros(16))
         noise = _JointNoise(spaces, SpectralBasis(k_max=16), covariance,
                             2.0 ** -7)
         assert noise._chol.nnz == 0 and noise.cholesky_jitter == 0.0
@@ -387,15 +387,14 @@ class TestTemporalProbe:
                    for note in report.notes)
         assert json.loads(report.to_json())["probe_ratio"] is None
 
-    def test_probe_rows_at_doubled_h2beta_steps(self):
+    def test_probe_rows_at_doubled_dt_ref(self):
         cfg = StudyConfig(
             kind="weak", covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
             drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
             h_ref=2.0 ** -6, horizon=0.25, dt_ref=2.0 ** -6, samples=100,
             batch_size=100, seed=3)
         engine = _CoupledEngine(cfg)
-        fine = len(cfg.levels) - 1
-        assert engine.ratios[-2:] == [2 * cfg.step_ratios[fine], 2]
+        assert engine.ratios[-2:] == [2, 2]
         assert run_study(cfg).probe_ratio is not None
 
 
@@ -579,19 +578,7 @@ class TestStudyConfig:
 
     def test_step_ratios_fixed_policy(self):
         cfg = strong_config()
-        assert cfg.dt_policy == "fixed"
         assert cfg.step_ratios == (1, 1, 1)
-
-    def test_step_ratios_h2beta(self):
-        # beta = 1 at rho = 2 so level h steps at ~h^2, snapped to the
-        # dt_ref grid: (1/4)^2 / 2^-8 = 16, (1/8)^2 / 2^-8 = 4, ...
-        cfg = strong_config(
-            kind="weak", dt_ref=2.0 ** -8, horizon=1.0, dt_policy="h2beta")
-        assert cfg.step_ratios == (16, 4, 1)
-
-    def test_weak_defaults_to_h2beta(self):
-        cfg = strong_config(kind="weak", dt_ref=2.0 ** -8, horizon=1.0)
-        assert cfg.dt_policy == "h2beta"
 
     def test_hash_stable_and_sensitive(self):
         a = strong_config()
@@ -618,7 +605,7 @@ class TestDeterministicConvergence:
     def test_second_order_with_zero_variance(self):
         cfg = StudyConfig(
             kind="strong",
-            covariance=CovarianceSpec.custom(np.zeros(16), beta=1.0),
+            covariance=CovarianceSpec.custom(np.zeros(16)),
             drift=ZERO,
             levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             h_ref=2.0 ** -8,

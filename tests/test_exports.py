@@ -28,7 +28,7 @@ PUBLIC = {
     "linear_weak_reference",
     # the model pieces
     "Mesh1D", "uniform_mesh", "FemSpace", "L2Comparer", "SpectralBasis",
-    "operator_error_norm", "CovarianceSpec", "implied_beta",
+    "operator_error_norm", "CovarianceSpec",
     "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
     "tangent_integrate",
     # randomness and the self-test

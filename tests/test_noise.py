@@ -8,46 +8,22 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-import sympy as sp
 
 from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
                      SpectralBasis, uniform_mesh)
 from spdefem import noise
-from spdefem.noise import (CovarianceSpec, _joint_factor, _nested_cholesky,
-                           implied_beta)
+from spdefem.noise import CovarianceSpec, _joint_factor, _nested_cholesky
 from spdefem.rng import substream
 
 from oracles import nested_cholesky, semigroup
 
 
-def series_converges(rho, exponent_b):
-    """Sympy oracle: does sum_k k^(2(b-1)-rho) converge?"""
-    k = sp.symbols("k", positive=True, integer=True)
-    expo = 2 * (sp.Rational(exponent_b) - 1) - sp.Rational(rho)
-    return bool(sp.Sum(k ** expo, (k, 1, sp.oo)).is_convergent())
-
-
 class TestCovarianceSpec:
-    @pytest.mark.parametrize("rho", [sp.Rational(1, 2), 1, 2, 3])
-    def test_index_sits_at_series_convergence_boundary(self, rho):
-        uncapped = (float(rho) + 1.0) / 2.0
-        assert series_converges(rho, sp.Rational(rho + 1, 2) - sp.Rational(1, 20))
-        assert not series_converges(rho, sp.Rational(rho + 1, 2) + sp.Rational(1, 20))
-        beta = implied_beta(CovarianceSpec.power_decay(float(rho), 8))
-        assert beta == min(1.0, uncapped)
-
-    def test_frozen_examples(self):
-        assert implied_beta(CovarianceSpec.power_decay(2.0, 8)) == 1.0
-        assert implied_beta(CovarianceSpec.power_decay(1.0, 8)) == 1.0
-        assert implied_beta(CovarianceSpec.white(8)) == 0.5
-        assert implied_beta(CovarianceSpec.power_decay(0.5, 8)) == 0.75
-
     def test_weight_sequences(self):
         w = CovarianceSpec.power_decay(1.0, 4).weights
         assert np.allclose(w, [1.0, 0.5, 1.0 / 3.0, 0.25])
         assert np.all(CovarianceSpec.white(16).weights == 1.0)
-        spec = CovarianceSpec.custom([0.2, 0.0, 0.1], beta=0.8)
-        assert spec.beta == 0.8
+        spec = CovarianceSpec.custom([0.2, 0.0, 0.1])
         assert np.allclose(spec.weights, [0.2, 0.0, 0.1])
 
     def test_validation(self):
@@ -58,11 +34,7 @@ class TestCovarianceSpec:
         with pytest.raises(ValueError):
             CovarianceSpec(kind="white", k_trunc=8, rho=2.0)
         with pytest.raises(ValueError):
-            CovarianceSpec.custom([1.0, -0.5], beta=0.5)
-        with pytest.raises(ValueError):
-            CovarianceSpec.custom([1.0], beta=1.5)
-        with pytest.raises(ValueError, match="no implied index"):
-            implied_beta(CovarianceSpec.custom([1.0], beta=0.5))
+            CovarianceSpec.custom([1.0, -0.5])
 
 
 def dense_step_covariance(space, basis, spec, dt):
@@ -91,7 +63,7 @@ class TestConvolutionSampler:
                           covariance=spec or self.spec, basis=self.basis)
 
     def test_zero_covariance_gives_pure_decay(self):
-        spec0 = CovarianceSpec.custom(np.zeros(64), beta=1.0)
+        spec0 = CovarianceSpec.custom(np.zeros(64))
         integ = self.integrator(0.125, 1, spec0)
         assert integ._noise_factor.nnz == 0
         state = substream(5, purpose="test").standard_normal(self.space.n)
