@@ -30,6 +30,15 @@ numpy's and scipy's OpenBLAS spin on the CPU at start-up.  A study
 process therefore runs on one OS thread, and ``--workers`` forks a
 single-threaded process.
 
+Importing this module loads no scipy, whose import costs more than a
+whole operator study: operator studies and ``--help`` run on numpy and
+pyyaml alone.  A Monte-Carlo study loads scipy (the DST and the sparse
+joint factor) as its batch map starts, in this process before any fork,
+so that the workers inherit it.  Whatever the set-up between `main`'s
+entry and the first batch reaches is imported with this module, and the
+objects the imports made are then frozen out of the cyclic collector
+(`gc.freeze`).
+
 Exit status: 0 on success, 1 when a rate fit failed (every level under
 the Monte-Carlo noise floor) or a trajectory overflowed (no artifacts
 written), 2 for configuration or I/O errors.
@@ -39,6 +48,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
+# argparse's gettext imports locale when the first parser is built:
+# import it with this module, so that a study's set-up imports nothing
+import locale  # noqa: F401
 import os
 import sys
 import time
@@ -55,6 +68,11 @@ from .dynamics import IntegrationError
 from .experiments import (_artifact_csv, _artifact_json, run_study,
                           simulate_trajectory)
 from .selftest import run_selftest
+
+# the imports made most of the objects a study process holds: keep the
+# cyclic collector from scanning them again, and forked workers from
+# copying their pages by touching their collector links
+gc.freeze()
 
 __all__ = ["main"]
 

@@ -29,6 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.polynomial lazily, on first attribute access: import
+# it with this module, not while a config is parsed
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .fem import _scale_columns
 from .noise import CovarianceSpec, _joint_factor
@@ -82,7 +85,7 @@ class PolynomialDrift:
                 "negative")
         self.coeffs = tuple(c)
         self.degree = degree
-        self._deriv_coeffs = tuple(np.polynomial.polynomial.polyder(c))
+        self._deriv_coeffs = tuple(polyder(c))
         if degree <= 1:
             self.one_sided_constant = float(c[1]) if degree == 1 else 0.0
         else:
@@ -114,10 +117,10 @@ class PolynomialDrift:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return polyval(x, self.coeffs)
 
     def derivative(self, x):
-        return np.polynomial.polynomial.polyval(x, self._deriv_coeffs)
+        return polyval(x, self._deriv_coeffs)
 
     @property
     def _has_closed_flow(self) -> bool:

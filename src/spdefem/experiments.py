@@ -49,15 +49,16 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
-from .fem import (FemSpace, L2Comparer, _check_operator_pair,
+from .fem import (FemSpace, L2Comparer, _check_operator_pair, _dst,
                   operator_error_norm, uniform_mesh)
-from .noise import CovarianceSpec, _check_nested, _joint_factor
+from .noise import (CovarianceSpec, _check_nested, _joint_factor,
+                    _joint_factor_arrays)
 from .rng import substream
 from .spectral import SpectralBasis
 
@@ -83,6 +84,22 @@ STUDY_KINDS = ("strong", "weak", "moments", "operators", "splitting_dt")
 NOISE_FLOOR_FACTOR = 4.0
 
 _COS_MODE_PATTERN = re.compile(r"^cos_mode_([1-9][0-9]*)$")
+
+# scipy.special.stdtrit(dof, 0.975) for dof = 1..30, the doubles scipy
+# returns: the two-sided 95% Student-t quantiles of `fit_rate`, whose
+# scipy.special import would cost an operator study most of its time
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +376,18 @@ def fit_rate(levels) -> FitResult:
     dof = x.size - 2
     scale = float(weights @ resid ** 2) / dof if dof > 0 else 0.0
     cov = scale * np.linalg.inv(normal)
-    half = float(stdtrit(max(dof, 1), 0.975)) \
-        * math.sqrt(max(cov[0, 0], 0.0))
+    half = _t975(max(dof, 1)) * math.sqrt(max(cov[0, 0], 0.0))
     slope = float(coef[0])
     return FitResult(slope=slope, ci_lo=slope - half, ci_hi=slope + half,
                      used=tuple(bool(u) for u in usable))
+
+
+def _t975(dof: int) -> float:
+    """The 0.975 quantile of Student's t on ``dof`` degrees of freedom."""
+    if dof <= len(_T975):
+        return _T975[dof - 1]
+    from scipy.special import stdtrit
+    return float(stdtrit(dof, 0.975))
 
 
 def growth_exponent(hs, moments) -> float:
@@ -589,8 +613,10 @@ def _initial_states(cfg, spaces, basis):
 class _JointNoise:
     """Exact sampler of every mesh's convolution increment over a step d.
 
-    Holds the sparse joint factor of `noise._joint_factor`, rows in mesh
-    order, and the slice of each mesh's rows in a draw.
+    Holds the sparse joint factor of `noise._joint_factor_arrays`, rows in
+    mesh order, and the slice of each mesh's rows in a draw.  The factor
+    is built as numpy CSR arrays and wrapped as a scipy.sparse matrix
+    (``_chol``) on first use, so set-up loads no scipy.
     """
 
     def __init__(self, spaces, basis, covariance, dt):
@@ -601,8 +627,13 @@ class _JointNoise:
             self.slices.append(slice(offset, offset + space.n))
             offset += space.n
         self.dim = offset
-        self._chol, self.cholesky_jitter = _joint_factor(spaces, basis,
-                                                         covariance, dt)
+        self._factor, self.cholesky_jitter = _joint_factor_arrays(
+            spaces, basis, covariance, dt)
+
+    @cached_property
+    def _chol(self):
+        import scipy.sparse as sp
+        return sp.csr_matrix(self._factor, shape=(self.dim, self.dim))
 
     def sample(self, seed, batch_index, substep_index, batch):
         gen = substream(seed, sample=batch_index, step=substep_index,
@@ -611,7 +642,7 @@ class _JointNoise:
 
     def diagnostics(self) -> dict:
         """Size, sparsity and regularization of the joint factor."""
-        return {"joint_dim": self.dim, "factor_nnz": int(self._chol.nnz),
+        return {"joint_dim": self.dim, "factor_nnz": self._factor[0].size,
                 "cholesky_jitter": self.cholesky_jitter}
 
 
@@ -689,10 +720,22 @@ class _CoupledEngine:
         self.x0 = [starts[m] for m in self.mesh_of]
         if cfg.kind == "moments":
             self.x0[len(self.spaces):] = [np.zeros(s.n) for s in self.spaces]
+            self.comparers = []
             return
         ref_space = self.spaces[self.mesh_of[self.ref_index]]
         self.comparers = [L2Comparer(ref_space, self.spaces[m])
                           for m in self.mesh_of[:self.ref_index]]
+
+    def load_kernels(self):
+        """Load what the batches compute with: scipy's DST, the joint
+        factor and the comparers' evaluation matrices as scipy.sparse CSR.
+        Set-up loads no scipy; `_map_batches` calls this before a pool
+        forks, so that the workers inherit them instead of each importing
+        scipy."""
+        _dst()
+        self.noise._chol  # noqa: B018 (first access wraps it)
+        for comparer in self.comparers:
+            comparer.matrices  # noqa: B018
 
     def _add_probe_rows(self):
         """Append the finest tested mesh and the reference at twice
@@ -820,6 +863,7 @@ def _batch_processes(engine, map_fn, workers):
 
 
 def _map_batches(engine, map_fn, workers):
+    engine.load_kernels()
     _set_engine(engine)
     try:
         indices = range(engine.n_batches)

@@ -31,17 +31,22 @@ on an inertia count that costs O(block size) per block and step.
 `FemSpace.coupling`, `solve_mass`, `solve_stiffness` and
 `_power_iteration_norm` are never called by the package: they stay only
 because `perfbench/spans.py` patches them by name.
+
+Importing this module loads no scipy: scipy's import costs more than a
+whole operator study, which needs none of it.  The DST is imported at
+its first call (`_dst`), and scipy.sparse where a matrix is first built:
+the mass and stiffness matrices, the mode overlap and an `L2Comparer`'s
+evaluation matrices, whose entries are computed with numpy when the
+comparer is built and wrapped as CSR at its first `distance`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.fft import dst
 
 from .rng import substream
 from .spectral import SpectralBasis
@@ -117,9 +122,16 @@ def _scale_columns(factors: np.ndarray, coeffs: np.ndarray,
     return np.multiply(factors[:, None], coeffs, out=out)
 
 
+@cache
+def _dst():
+    """scipy.fft's DST, imported on the first call."""
+    from scipy.fft import dst
+    return dst
+
+
 def _dst_in_place(a: np.ndarray) -> np.ndarray:
     """Type-I DST along axis 0, written over the float array ``a``."""
-    result = dst(a, type=1, axis=0, overwrite_x=True)
+    result = _dst()(a, type=1, axis=0, overwrite_x=True)
     if not np.may_share_memory(result, a):
         np.copyto(a, result)
     return a
@@ -169,13 +181,15 @@ class FemSpace:
     # -- matrices, built on first use: most studies never read them -------
 
     @cached_property
-    def mass(self) -> sp.csr_matrix:
+    def mass(self):
         """Tridiagonal mass matrix M as sparse CSR."""
+        import scipy.sparse as sp
         return sp.diags(self._mass_bands, [-1, 0, 1], format="csr")
 
     @cached_property
-    def stiffness(self) -> sp.csr_matrix:
+    def stiffness(self):
         """Tridiagonal stiffness matrix S as sparse CSR."""
+        import scipy.sparse as sp
         return sp.diags(self._stiffness_bands, [-1, 0, 1], format="csr")
 
     # -- linear algebra helpers -------------------------------------------
@@ -183,13 +197,13 @@ class FemSpace:
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
         """M^{-1} b = V V^T b (V^T M V = I); V^T b is a scaled DST-I.
         Unused: kept only because `perfbench/spans.py` patches it by name."""
-        vt_b = dst(np.asarray(b, dtype=float), type=1, axis=0)
+        vt_b = _dst()(np.asarray(b, dtype=float), type=1, axis=0)
         return self.from_eigen(_scale_columns(self._from_eigen_scale, vt_b))
 
     def solve_stiffness(self, b: np.ndarray) -> np.ndarray:
         """S^{-1} b = V Lambda_h^{-1} V^T b.
         Unused: kept only because `perfbench/spans.py` patches it by name."""
-        vt_b = dst(np.asarray(b, dtype=float), type=1, axis=0)
+        vt_b = _dst()(np.asarray(b, dtype=float), type=1, axis=0)
         return self.from_eigen(_scale_columns(
             self._from_eigen_scale / self.eigenvalues, vt_b))
 
@@ -262,14 +276,13 @@ class FemSpace:
                         * self._hat_integrals(basis)[hit])
         return index, overlap
 
-    def mode_overlap(self, basis: SpectralBasis) -> sp.csr_matrix:
+    def mode_overlap(self, basis: SpectralBasis):
         """B[i, k] = <e_k, e_i^h> (discrete eigenfunction i against sine
         mode k) as sparse CSR, shape (n, k_max), with at most one nonzero
         per column; the coupling is C = M V B."""
         index, overlap = self.alias_overlaps(basis)
         hit = np.flatnonzero(index >= 0)
-        return sp.csr_matrix((overlap[hit], (index[hit], hit)),
-                             shape=(self.n, basis.k_max))
+        return _csr((overlap[hit], index[hit], hit), (self.n, basis.k_max))
 
     def l2_project(self, basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
         """L2 projection M^{-1} C x of a (truncated) sine expansion: V B x."""
@@ -277,8 +290,16 @@ class FemSpace:
         return self.from_eigen(self.mode_overlap(basis) @ coeffs)
 
 
-def _evaluation_matrix(space: FemSpace, points: np.ndarray) -> sp.csr_matrix:
-    """Sparse map nodal values -> field values at points (2 nnz per row)."""
+def _csr(entries, shape):
+    """Sparse CSR matrix of the COO entries (values, rows, columns)."""
+    import scipy.sparse as sp
+    vals, rows, cols = entries
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _evaluation_entries(space: FemSpace, points: np.ndarray):
+    """COO entries (values, rows, columns) of the sparse map nodal values
+    -> field values at points (2 nnz per row)."""
     nodes = space.mesh.nodes
     idx = np.clip(np.searchsorted(nodes, points, side="right") - 1,
                   0, nodes.size - 2)
@@ -289,8 +310,7 @@ def _evaluation_matrix(space: FemSpace, points: np.ndarray) -> sp.csr_matrix:
     vals = np.column_stack([1.0 - theta, theta])
     keep = (cols >= 0) & (cols < space.n)
     rows = np.broadcast_to(np.arange(points.size)[:, None], cols.shape)
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(points.size, space.n))
+    return vals[keep], rows[keep], cols[keep]
 
 
 class L2Comparer:
@@ -298,14 +318,19 @@ class L2Comparer:
 
     The difference of two piecewise-linear fields is piecewise linear on the
     union mesh, so its square is piecewise quadratic and a per-subelement
-    Simpson rule integrates it exactly.  Evaluation matrices are precomputed,
-    so batched columns cost two sparse matmuls.
+    Simpson rule integrates it exactly.  The evaluation entries are
+    computed when the comparer is built and wrapped as CSR matrices at the
+    first `distance` (`matrices`), so batched columns cost two sparse
+    matmuls.
     """
 
     def __init__(self, space_a: FemSpace, space_b: FemSpace):
         if abs(space_a.mesh.length - space_b.mesh.length) > 1e-12:
             raise ValueError("meshes live on different intervals")
-        knots = np.union1d(space_a.mesh.nodes, space_b.mesh.nodes)
+        # np.union1d without its np.unique, whose first call loads numpy.ma
+        knots = np.sort(np.concatenate([space_a.mesh.nodes,
+                                        space_b.mesh.nodes]))
+        knots = knots[np.append(True, knots[1:] != knots[:-1])]
         mids = 0.5 * (knots[:-1] + knots[1:])
         points = np.empty(knots.size + mids.size)
         points[0::2] = knots
@@ -316,11 +341,18 @@ class L2Comparer:
         weights[1::2] += 4.0 * el / 6.0
         weights[2::2] += el / 6.0
         self.weights = weights
-        self.eval_a = _evaluation_matrix(space_a, points)
-        self.eval_b = _evaluation_matrix(space_b, points)
+        self._entries = [(_evaluation_entries(space, points),
+                          (points.size, space.n))
+                         for space in (space_a, space_b)]
+
+    @cached_property
+    def matrices(self):
+        """The evaluation matrices of mesh a and mesh b as sparse CSR."""
+        return tuple(_csr(entries, shape) for entries, shape in self._entries)
 
     def distance(self, va: np.ndarray, vb: np.ndarray) -> float | np.ndarray:
-        diff = self.eval_a @ va - self.eval_b @ vb
+        eval_a, eval_b = self.matrices
+        diff = eval_a @ va - eval_b @ vb
         if diff.ndim == 1:
             return float(np.sqrt(self.weights @ diff ** 2))
         return np.sqrt(self.weights @ diff ** 2)

@@ -22,6 +22,10 @@ nested meshes an eigen index meets in each coarser mesh only its alias
 there, its ancestor: `_joint_factor` eliminates the joint covariance on
 per-mesh-pair ancestor arrays, without fill, into a sparse lower L, and
 every stochastic path draws a step as L @ normals.
+
+The factor is computed with numpy alone, as canonical CSR arrays
+(`_joint_factor_arrays`), so building it loads no scipy; `_joint_factor`
+wraps them as a scipy.sparse matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["CovarianceSpec"]
 
@@ -100,14 +103,24 @@ def _check_nested(counts) -> None:
 
 
 def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
+    """`_joint_factor_arrays` as (scipy.sparse CSR matrix, jitter)."""
+    import scipy.sparse as sp
+    arrays, jitter = _joint_factor_arrays(spaces, basis, covariance, dt)
+    dim = arrays[2].size - 1
+    return sp.csr_matrix(arrays, shape=(dim, dim)), jitter
+
+
+def _joint_factor_arrays(spaces, basis, covariance: CovarianceSpec,
+                         dt: float):
     """Sparse lower factor of the joint one-step covariance of ``spaces``.
 
     The meshes must nest.  Ordered finest first, mesh pair a <= b gives
     ``up[a][b]``, mesh b's alias of each eigen index of mesh a (-1: none),
     and ``cov[a][b]``, the covariance entry (module docstring) of the
     index and that ancestor, summed in mode order; `_nested_cholesky`
-    eliminates them.  Returns (L, jitter): L in CSR, rows in the order of
-    ``spaces``, columns finest mesh first.
+    eliminates them.  Returns (L, jitter): L as CSR arrays (data,
+    indices, indptr), rows in the order of ``spaces``, columns finest
+    mesh first.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -130,12 +143,13 @@ def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
             q = covariance.weights[hit] * (amp_b[hit] * amp_a[hit])
             cov[a][b] = (np.bincount(index_a[hit], q, lam[a].size)
                          * (-np.expm1(-pair * dt) / pair))
-    chol, jitter = _nested_cholesky(cov, up)
-    sizes = [x.size for x in lam]
-    return chol[np.argsort(np.repeat(order, sizes), kind="stable")], jitter
+    # the row in mesh order of each index in block order
+    starts = np.cumsum([0] + [space.n for space in spaces])
+    rows = np.concatenate([starts[a] + np.arange(spaces[a].n) for a in order])
+    return _nested_cholesky(cov, up, rows)
 
 
-def _nested_cholesky(cov, up) -> tuple[sp.csr_matrix, float]:
+def _nested_cholesky(cov, up, rows):
     """Cholesky factor of a PSD matrix whose graph links ancestors only.
 
     Block a has diagonal ``cov[a][a]``; its index j links only to its
@@ -145,8 +159,11 @@ def _nested_cholesky(cov, up) -> tuple[sp.csr_matrix, float]:
     ancestor entries, cov[b][c] -= L_ca L_ba in ascending j: no fill (Rose,
     Tarjan & Lueker 1976).  The matrix is PSD in exact arithmetic; while a
     pivot is not positive, a jitter ladder adds 1e-16 * trace to the
-    diagonal, 4x more per rung, up to 1e-14 * trace.  Returns the CSR lower
-    factor in block order and the jitter; a zero trace gives a zero factor.
+    diagonal, 4x more per rung, up to 1e-14 * trace.  Returns the lower
+    factor and the jitter; a zero trace gives a zero factor.  The factor
+    is a tuple of canonical CSR arrays (data, indices, indptr), the
+    indices int32: zeros dropped, columns in block order and ascending
+    within a row, and row i of the block order moved to row ``rows[i]``.
     """
     diagonal = [row[a] for a, row in enumerate(cov)]
     starts = np.cumsum([0] + [d.size for d in diagonal])
@@ -155,7 +172,8 @@ def _nested_cholesky(cov, up) -> tuple[sp.csr_matrix, float]:
     if not math.isfinite(trace) or trace < 0.0:
         raise np.linalg.LinAlgError("covariance trace is not finite")
     if trace == 0.0:
-        return sp.csr_matrix((dim, dim)), 0.0
+        return (np.zeros(0), np.zeros(0, np.int32),
+                np.zeros(dim + 1, np.int32)), 0.0
     for jitter in [0.0] + [1e-16 * trace * 4.0 ** i for i in range(4)]:
         schur = copy.deepcopy(cov)
         parts = []
@@ -177,8 +195,18 @@ def _nested_cholesky(cov, up) -> tuple[sp.csr_matrix, float]:
                               -(low[c] * low_b)[both])
         else:
             r, c, v = (np.concatenate(x) for x in zip(*parts))
-            factor = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
-            factor.eliminate_zeros()
-            return factor, jitter
+            return _csr_arrays(rows[r], c, v, dim), jitter
     raise np.linalg.LinAlgError(
         "step covariance not PSD within 1e-14 * trace jitter")
+
+
+def _csr_arrays(rows, cols, vals, dim):
+    """Canonical CSR arrays (data, indices, indptr) of a dim x dim matrix
+    from COO entries with no duplicate: zeros dropped, entries ordered by
+    row, then column.  The bytes scipy.sparse gives for the same entries
+    through ``csr_matrix((vals, (rows, cols)))`` and ``eliminate_zeros``."""
+    keep = np.flatnonzero(vals != 0.0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=dim)))
+    return vals[order], cols[order].astype(np.int32), indptr.astype(np.int32)

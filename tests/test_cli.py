@@ -462,3 +462,101 @@ class TestSingleThreadedProcess:
                 "start_method": None if workers == "1" else "fork",
                 "threads": threads}
         assert len(csvs) == 1
+
+
+# Runs cli.main(argv) in a fresh process and prints, as its last line,
+# the modules that entered sys.modules between cli.main's entry and its
+# first sample batch map or operator norm (the set-up), and the scipy
+# modules loaded after the import and at the end.
+_MODULE_PROBE = """
+import functools, json, sys
+from spdefem import cli, experiments
+
+def first_work(fn):
+    @functools.wraps(fn)
+    def marked(*args, **kwargs):
+        seen.setdefault("set_up", sorted(set(sys.modules) - entry))
+        return fn(*args, **kwargs)
+    return marked
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+seen = {"imported": scipy_modules()}
+experiments._map_batches = first_work(experiments._map_batches)
+experiments.operator_error_norm = first_work(experiments.operator_error_norm)
+entry = set(sys.modules)
+seen["code"] = cli.main(sys.argv[1:])
+seen["ended"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+# Runs cli.main(argv[2:]) in a fresh process; every pool worker appends
+# to the file argv[1], at its first batch, whether scipy.fft and
+# scipy.sparse were loaded.
+_WORKER_PROBE = """
+import functools, json, sys
+from spdefem import cli, experiments
+
+def first_batch(fn):
+    @functools.wraps(fn)
+    def engine_batch(index):
+        if not seen:
+            seen.append(index)
+            with open(sys.argv[1], "a") as log:
+                log.write(json.dumps([m in sys.modules for m in
+                                      ("scipy.fft", "scipy.sparse")]) + "\\n")
+        return fn(index)
+    return engine_batch
+
+seen = []
+experiments._engine_batch = first_batch(experiments._engine_batch)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestLazyScipy:
+    def test_operator_study_loads_no_scipy(self, tmp_path):
+        config = SRC.parent / "configs" / "operators.yaml"
+        out = _fresh_python(["-c", _MODULE_PROBE, "study", str(config),
+                             "--out", str(tmp_path)], "1")
+        seen = json.loads(out.splitlines()[-1])
+        assert seen["code"] == 0
+        assert seen["imported"] == [] and seen["ended"] == []
+
+    @pytest.mark.parametrize("doc", ["operators", "strong"])
+    def test_set_up_imports_no_module(self, doc, tmp_path):
+        # importing scipy also loads numpy.polynomial, numpy.ma and
+        # locale; without it, whatever set-up reaches must already be
+        # loaded with the package
+        if doc == "operators":
+            config = SRC.parent / "configs" / "operators.yaml"
+        else:
+            config = tmp_path / "strong.yaml"
+            config.write_text(STRONG_DOC)
+        out = _fresh_python(["-c", _MODULE_PROBE, "study", str(config),
+                             "--out", str(tmp_path / "out")], "1")
+        seen = json.loads(out.splitlines()[-1])
+        assert seen["code"] == 0
+        assert seen["set_up"] == []
+        if doc == "strong":
+            assert "scipy.fft" in seen["ended"]
+
+    def test_pool_workers_inherit_scipy(self, strong_doc, tmp_path):
+        log = tmp_path / "workers.jsonl"
+        _fresh_python(["-c", _WORKER_PROBE, str(log), "study",
+                       str(strong_doc), "--workers", "2",
+                       "--out", str(tmp_path / "pooled")], None)
+        loaded = [json.loads(line) for line in log.read_text().splitlines()]
+        assert loaded and all(seen == [True, True] for seen in loaded)
+        doc = json.loads(next((tmp_path / "pooled").glob("*.json"))
+                         .read_text())
+        assert doc["workers"] == 2
+        assert doc["runtime"] == {
+            "start_method": "fork",
+            "threads": 1 if os.path.isdir("/proc/self/task") else None}
+        assert cli.main(["study", str(strong_doc),
+                         "--out", str(tmp_path / "serial")]) == 0
+        pooled, serial = (next((tmp_path / d).glob("*.csv")).read_bytes()
+                          for d in ("pooled", "serial"))
+        assert pooled == serial

@@ -3,9 +3,11 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from spdefem import (ConfigError, CovarianceSpec, PolynomialDrift,
                      StudyConfig, load_config, parse_config)
+from spdefem import config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,6 +74,22 @@ def test_non_weak_shipped_hashes_hold():
         "operators": "d67eeb26c3c049ee",
         "trajectory": "ab8fb42dc0f32e38",
     }
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="pyyaml built without libyaml")
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                         ids=lambda path: path.stem)
+def test_libyaml_and_python_loaders_agree(path, monkeypatch):
+    # parse_config uses libyaml's loader where pyyaml has it, and the
+    # pure-Python SafeLoader only as the fallback
+    assert config._LOADER is yaml.CSafeLoader
+    text = path.read_text()
+    fast = parse_config(text)
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    slow = parse_config(text)
+    assert fast == slow
+    assert fast.config_hash == slow.config_hash
 
 
 class TestStrictness:

@@ -143,6 +143,18 @@ class TestFitRate:
         assert fit.ci_hi - fit.slope == pytest.approx(half, rel=1e-10)
         assert fit.slope - fit.ci_lo == pytest.approx(half, rel=1e-10)
 
+    def test_t_table_is_stdtrit_bit_for_bit(self, monkeypatch):
+        from spdefem import experiments
+        assert len(experiments._T975) == 30
+        for dof, value in enumerate(experiments._T975, start=1):
+            assert value == float(stdtrit(dof, 0.975)), dof
+            assert experiments._t975(dof) == value
+        # past the table the quantile comes from scipy.special
+        for dof in (31, 64, 1000):
+            assert experiments._t975(dof) == float(stdtrit(dof, 0.975))
+        monkeypatch.setattr(experiments, "_T975", experiments._T975[:2])
+        assert experiments._t975(3) == float(stdtrit(3, 0.975))
+
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         import spdefem
         src = os.path.dirname(os.path.dirname(spdefem.__file__))

@@ -157,7 +157,8 @@ class TestConvolutionSampler:
         indefinite = [[np.array([1.0]), np.array([2.0])],
                       [None, np.array([1.0])]]
         with pytest.raises(np.linalg.LinAlgError, match="1e-14"):
-            _nested_cholesky(indefinite, [[None, one], [None, None]])
+            _nested_cholesky(indefinite, [[None, one], [None, None]],
+                             np.arange(2))
         near_psd = np.eye(3)
         near_psd[0, 0] = -1e-18
         # the negative pivot is met in one block of three indices, or in
@@ -171,8 +172,9 @@ class TestConvolutionSampler:
                     [None, None, np.array([1.0])]],
                    [[None, one, none], [None, None, none], [None] * 3])]
         for cov, up in blocks:
-            chol, jitter = _nested_cholesky(cov, up)
-            assert sparse.issparse(chol) and chol.format == "csr"
+            arrays, jitter = _nested_cholesky(cov, up, np.arange(3))
+            chol = sparse.csr_matrix(arrays, shape=(3, 3))
+            assert chol.has_canonical_format
             assert np.isfinite(chol.data).all()
             assert 0.0 < jitter <= 1e-14 * 2.0
             assert np.allclose((chol @ chol.T).toarray(),
@@ -209,20 +211,23 @@ class TestConvolutionSampler:
                                                     spec):
         # the ancestor arrays of a real nest, eliminated again one scalar
         # at a time in ascending order: any change of the factor's
-        # summation order changes its bytes
+        # summation order changes its bytes.  The factor's numpy CSR
+        # arrays, rows in mesh order, must also be the bytes scipy.sparse
+        # gives for the oracle's rows in that order.
         calls = []
 
-        def spy(cov, up):
-            calls.append((copy.deepcopy(cov), copy.deepcopy(up)))
-            calls.append(_nested_cholesky(cov, up))
-            return calls[-1]
+        def spy(cov, up, rows):
+            calls.append((copy.deepcopy(cov), copy.deepcopy(up), rows))
+            return _nested_cholesky(cov, up, rows)
 
         monkeypatch.setattr(noise, "_nested_cholesky", spy)
-        _joint_factor([FemSpace(uniform_mesh(n)) for n in nest],
-                      SpectralBasis(k_max=spec.k_trunc), spec, 2.0 ** -8)
-        (cov, up), (got, jitter) = calls
+        got, jitter = _joint_factor([FemSpace(uniform_mesh(n)) for n in nest],
+                                    SpectralBasis(k_max=spec.k_trunc), spec,
+                                    2.0 ** -8)
+        (cov, up, rows), = calls
         want, want_jitter = nested_cholesky(cov, up)
         assert jitter == want_jitter
+        want = want[np.argsort(rows)]
         for part in ("indptr", "indices", "data"):
             assert (getattr(got, part).tobytes()
                     == getattr(want, part).tobytes()), part
