@@ -12,19 +12,19 @@ import numpy as np
 
 from spdefem import (CovarianceSpec, FemSpace, Integrator, PolynomialDrift,
                      SchemeConfig, SpectralBasis, substream,
-                     tangent_integrate, uniform_mesh)
+                     tangent_integrate)
 
 
 def main():
-    space = FemSpace(uniform_mesh(32))
+    space = FemSpace(32)
     basis = SpectralBasis(k_max=128)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=128)
     scheme = SchemeConfig(dt=2.0 ** -6, n_steps=32)
     drift = PolynomialDrift.allen_cahn()
     integ = Integrator(space, drift, scheme, covariance=cov, basis=basis)
 
-    x0 = 0.8 * np.sin(np.pi * space.mesh.interior)
-    y = np.sin(np.pi * space.mesh.interior)
+    x0 = 0.8 * np.sin(np.pi * space.interior)
+    y = np.sin(np.pi * space.interior)
     y /= space.l2_norm(y)
 
     base, ckpts = integ.run(x0, substream(3, purpose="demo-noise"),

@@ -12,7 +12,7 @@ whole pipeline against an independent formula.
 
 from spdefem import (CovarianceSpec, FemSpace, PolynomialDrift, SpectralBasis,
                      StudyConfig, default_initial_profile,
-                     linear_weak_reference, run_study, uniform_mesh)
+                     linear_weak_reference, run_study)
 
 COV = CovarianceSpec.power_decay(2.0, k_trunc=512)
 LEVELS = tuple(2.0 ** -k for k in range(2, 6))
@@ -50,8 +50,8 @@ def main():
     print("\nreaction off: E cos(<X(T), e_1>) against the closed form")
     print("      h        sampled mean   exact value   gap/se")
     for entry in report.functional_means:
-        space = FemSpace(uniform_mesh(round(1.0 / entry["h"])))
-        x0 = default_initial_profile(space.mesh.interior, 1.0)
+        space = FemSpace(round(1.0 / entry["h"]))
+        x0 = default_initial_profile(space.interior, 1.0)
         oracle = linear_weak_reference(space, basis, COV, x0, cfg.horizon)
         z = abs(entry["mean"] - oracle) / entry["stderr"]
         print(f"  {entry['h']:8.5f}   {entry['mean']:+.7f}   "

@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "SpectralBasis": "spectral",
-    "Mesh1D": "fem", "FemSpace": "fem", "L2Comparer": "fem",
-    "uniform_mesh": "fem", "operator_error_norm": "fem",
+    "FemSpace": "fem", "L2Comparer": "fem", "operator_error_norm": "fem",
     "substream": "rng", "substream_key": "rng",
     "CovarianceSpec": "noise",
     "PolynomialDrift": "dynamics", "SchemeConfig": "dynamics",

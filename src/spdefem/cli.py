@@ -167,7 +167,7 @@ def _run_trajectory(args) -> int:
     stem = os.path.join(directory, f"trajectory_{cfg.config_hash}_s{cfg.seed}")
 
     # nodal values per step, boundary nodes included for plotting
-    nodes = space.mesh.nodes
+    nodes = space.nodes
     padded = np.zeros((states.shape[0], nodes.size))
     padded[:, 1:-1] = states
     _write(stem + ".csv", _artifact_csv(cfg.config_hash, cfg.seed, [

@@ -56,7 +56,7 @@ import numpy as np
 from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
 from .fem import (FemSpace, L2Comparer, _check_operator_pair, _dst,
-                  operator_error_norm, uniform_mesh)
+                  operator_error_norm)
 from .noise import (CovarianceSpec, _check_nested, _joint_factor,
                     _joint_factor_arrays)
 from .rng import substream
@@ -596,7 +596,7 @@ def _discard_overflow(state, aborted, scratch):
 # the coupled engine (every Monte-Carlo study)
 
 def _mesh_for(width: float, length: float) -> FemSpace:
-    return FemSpace(uniform_mesh(_elements(width, length), length=length))
+    return FemSpace(_elements(width, length), length)
 
 
 def _initial_states(cfg, spaces, basis):
@@ -606,7 +606,7 @@ def _initial_states(cfg, spaces, basis):
         unit = np.zeros(basis.k_max)
         unit[0] = 1.0
         return [s.l2_project(basis, unit) for s in spaces]
-    return [default_initial_profile(s.mesh.interior, cfg.length)
+    return [default_initial_profile(s.interior, cfg.length)
             for s in spaces]
 
 
@@ -720,22 +720,20 @@ class _CoupledEngine:
         self.x0 = [starts[m] for m in self.mesh_of]
         if cfg.kind == "moments":
             self.x0[len(self.spaces):] = [np.zeros(s.n) for s in self.spaces]
-            self.comparers = []
-            return
-        ref_space = self.spaces[self.mesh_of[self.ref_index]]
-        self.comparers = [L2Comparer(ref_space, self.spaces[m])
-                          for m in self.mesh_of[:self.ref_index]]
+        # weak studies compare functionals (`_phi`), not fields
+        self.comparers = []
+        if cfg.kind in ("strong", "splitting_dt"):
+            ref_space = self.spaces[self.mesh_of[self.ref_index]]
+            self.comparers = [L2Comparer(ref_space, self.spaces[m])
+                              for m in self.mesh_of[:self.ref_index]]
 
     def load_kernels(self):
-        """Load what the batches compute with: scipy's DST, the joint
-        factor and the comparers' evaluation matrices as scipy.sparse CSR.
-        Set-up loads no scipy; `_map_batches` calls this before a pool
-        forks, so that the workers inherit them instead of each importing
-        scipy."""
+        """Load what the batches compute with: scipy's DST and the joint
+        factor as scipy.sparse CSR.  Set-up loads no scipy; `_map_batches`
+        calls this before a pool forks, so that the workers inherit them
+        instead of each importing scipy."""
         _dst()
         self.noise._chol  # noqa: B018 (first access wraps it)
-        for comparer in self.comparers:
-            comparer.matrices  # noqa: B018
 
     def _add_probe_rows(self):
         """Append the finest tested mesh and the reference at twice

@@ -35,66 +35,21 @@ because `perfbench/spans.py` patches them by name.
 Importing this module loads no scipy: scipy's import costs more than a
 whole operator study, which needs none of it.  The DST is imported at
 its first call (`_dst`), and scipy.sparse where a matrix is first built:
-the mass and stiffness matrices, the mode overlap and an `L2Comparer`'s
-evaluation matrices, whose entries are computed with numpy when the
-comparer is built and wrapped as CSR at its first `distance`.
+the mass and stiffness matrices and the mode overlap.  An `L2Comparer`
+builds no matrix of its own: it interpolates the coarser field onto the
+finer of two nested meshes and takes the finer mesh's mass norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import cache, cached_property
 
 import numpy as np
 
 from .rng import substream
 from .spectral import SpectralBasis
-
-
-@dataclass(frozen=True)
-class Mesh1D:
-    """Strictly increasing node array from 0 to the interval length."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("mesh needs at least one interior node")
-        if nodes[0] != 0.0:
-            raise ValueError("mesh must start at 0")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("mesh nodes must be strictly increasing")
-
-    @property
-    def length(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def elements(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
-    def h(self) -> float:
-        """Mesh width: the largest element length."""
-        return float(self.elements.max())
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.nodes[1:-1]
-
-    @property
-    def n_interior(self) -> int:
-        return self.nodes.size - 2
-
-
-def uniform_mesh(n_elements: int, length: float = 1.0) -> Mesh1D:
-    """Equispaced mesh with n_elements elements (h = length / n_elements)."""
-    if n_elements < 2:
-        raise ValueError("need at least 2 elements for an interior node")
-    return Mesh1D(np.linspace(0.0, length, n_elements + 1))
 
 
 def _mode_alias(n_elements: int, k_max: int):
@@ -138,36 +93,40 @@ def _dst_in_place(a: np.ndarray) -> np.ndarray:
 
 
 class FemSpace:
-    """Assembled P1 space on the interior nodes of a uniform mesh.
+    """P1 space on the interior nodes of the uniform mesh of [0, length]
+    with ``n_elements`` elements of width h = length / n_elements.
 
-    Holds the tridiagonal mass and stiffness matrices as sparse CSR
-    (assembled on first use) and the closed-form M-orthonormal
-    eigensystem of S v = lambda M v:
+    Holds the mesh (``nodes``, ``interior``, ``h``, ``length``; ``n``
+    interior nodes), the tridiagonal mass and stiffness matrices as
+    sparse CSR (bands h/6 [1, 4, 1] and 1/h [-1, 2, -1], built on first
+    use) and the closed-form M-orthonormal eigensystem of
+    S v = lambda M v:
     eigenvector i is the discrete sine sin(i pi j / N) scaled by
     c_i = (N/2 mu_i)^(-1/2), where mu_i = h (2 + cos(i pi/N)) / 3 is its
     mass-matrix eigenvalue.
     Eigen transforms are type-I discrete sine transforms, and mass and
     stiffness solves are diagonal between two of them.  The sine basis
     enters only through the alias map (`alias_overlaps`).  Raises
-    ValueError unless the element lengths agree to within 1e-12 h.
+    TypeError unless ``n_elements`` is an integer (numpy's included,
+    bool not) and ValueError unless it is at least 2 and ``length`` is
+    finite and positive.
     """
 
-    def __init__(self, mesh: Mesh1D):
-        el = mesh.elements
-        if el.max() - el.min() > 1e-12 * mesh.h:
-            raise ValueError("FemSpace needs a uniform mesh: element "
-                             "lengths equal to within 1e-12 h")
-        self.mesh = mesh
-        self.n = mesh.n_interior
-        left, right = el[:-1], el[1:]          # per interior node
-        m_diag = (left + right) / 3.0
-        m_off = right[:-1] / 6.0               # between interior i and i+1
-        s_diag = 1.0 / left + 1.0 / right
-        s_off = -1.0 / right[:-1]
-        self._mass_bands = [m_off, m_diag, m_off]
-        self._stiffness_bands = [s_off, s_diag, s_off]
-        n_el = self.n + 1
-        h = mesh.length / n_el
+    def __init__(self, n_elements: int, length: float = 1.0):
+        if isinstance(n_elements, (bool, np.bool_)):
+            raise TypeError("n_elements must be an integer, not a bool")
+        n_el = operator.index(n_elements)
+        if n_el < 2:
+            raise ValueError("need at least 2 elements for an interior node")
+        length = float(length)
+        if not (math.isfinite(length) and length > 0.0):
+            raise ValueError(f"length must be finite and positive, "
+                             f"got {length}")
+        self.length = length
+        self.h = h = length / n_el
+        self.nodes = np.linspace(0.0, length, n_el + 1)
+        self.interior = self.nodes[1:-1]
+        self.n = n_el - 1
         theta = np.arange(1, n_el) * np.pi / n_el
         cos = np.cos(theta)
         # 1 - cos(theta) as 2 sin^2(theta/2): no cancellation at low modes
@@ -183,14 +142,12 @@ class FemSpace:
     @cached_property
     def mass(self):
         """Tridiagonal mass matrix M as sparse CSR."""
-        import scipy.sparse as sp
-        return sp.diags(self._mass_bands, [-1, 0, 1], format="csr")
+        return _tridiagonal(self.n, 2.0 * self.h / 3.0, self.h / 6.0)
 
     @cached_property
     def stiffness(self):
         """Tridiagonal stiffness matrix S as sparse CSR."""
-        import scipy.sparse as sp
-        return sp.diags(self._stiffness_bands, [-1, 0, 1], format="csr")
+        return _tridiagonal(self.n, 2.0 / self.h, -1.0 / self.h)
 
     # -- linear algebra helpers -------------------------------------------
 
@@ -247,9 +204,9 @@ class FemSpace:
         On a uniform mesh the hat at node x_j integrates against sin(w x)
         to sin(w x_j) 2 (1 - cos(w h)) / (h w^2).
         """
-        if abs(basis.length - self.mesh.length) > 1e-12:
+        if abs(basis.length - self.length) > 1e-12:
             raise ValueError("basis and mesh live on different intervals")
-        h = self.mesh.length / (self.n + 1)
+        h = self.h
         w = basis.frequencies
         return (np.sqrt(2.0 / basis.length) * 4.0 * np.sin(0.5 * w * h) ** 2
                 / (h * w ** 2))
@@ -257,7 +214,7 @@ class FemSpace:
     def coupling(self, basis: SpectralBasis) -> np.ndarray:
         """Dense C[i, k] = <phi_i, e_k>, closed form, shape (n, k_max).
         Unused: kept only because `perfbench/spans.py` patches it by name."""
-        return (np.sin(np.outer(self.mesh.interior, basis.frequencies))
+        return (np.sin(np.outer(self.interior, basis.frequencies))
                 * self._hat_integrals(basis))
 
     def alias_overlaps(self, basis: SpectralBasis):
@@ -297,65 +254,49 @@ def _csr(entries, shape):
     return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-def _evaluation_entries(space: FemSpace, points: np.ndarray):
-    """COO entries (values, rows, columns) of the sparse map nodal values
-    -> field values at points (2 nnz per row)."""
-    nodes = space.mesh.nodes
-    idx = np.clip(np.searchsorted(nodes, points, side="right") - 1,
-                  0, nodes.size - 2)
-    theta = (points - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    # per point: the left node (column i - 1), then the right node
-    # (column i), each kept where that node is interior
-    cols = np.column_stack([idx - 1, idx])
-    vals = np.column_stack([1.0 - theta, theta])
-    keep = (cols >= 0) & (cols < space.n)
-    rows = np.broadcast_to(np.arange(points.size)[:, None], cols.shape)
-    return vals[keep], rows[keep], cols[keep]
+def _tridiagonal(n: int, diagonal: float, off: float):
+    """Symmetric tridiagonal n x n matrix of constant bands as sparse CSR."""
+    import scipy.sparse as sp
+    return sp.diags([off, diagonal, off], [-1, 0, 1], shape=(n, n),
+                    format="csr")
 
 
 class L2Comparer:
-    """Exact L2 distance between fields on two meshes of the same interval.
+    """Exact L2 distance between a field on a fine mesh and one on a
+    coarse mesh nested in it.
 
-    The difference of two piecewise-linear fields is piecewise linear on the
-    union mesh, so its square is piecewise quadratic and a per-subelement
-    Simpson rule integrates it exactly.  The evaluation entries are
-    computed when the comparer is built and wrapped as CSR matrices at the
-    first `distance` (`matrices`), so batched columns cost two sparse
-    matmuls.
+    The coarse element count must divide the fine one's (ValueError
+    otherwise), so with r their ratio every coarse element holds r fine
+    ones, and a coarse P1 field takes the value (1 - m/r) a + (m/r) b at
+    the m-th fine node of a coarse element with end values a and b.  The
+    difference of the two fields is then P1 on the fine mesh, and its L2
+    norm is the fine mass norm, exact.
     """
 
-    def __init__(self, space_a: FemSpace, space_b: FemSpace):
-        if abs(space_a.mesh.length - space_b.mesh.length) > 1e-12:
+    def __init__(self, fine: FemSpace, coarse: FemSpace):
+        if abs(fine.length - coarse.length) > 1e-12:
             raise ValueError("meshes live on different intervals")
-        # np.union1d without its np.unique, whose first call loads numpy.ma
-        knots = np.sort(np.concatenate([space_a.mesh.nodes,
-                                        space_b.mesh.nodes]))
-        knots = knots[np.append(True, knots[1:] != knots[:-1])]
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        points = np.empty(knots.size + mids.size)
-        points[0::2] = knots
-        points[1::2] = mids
-        el = np.diff(knots)
-        weights = np.zeros(points.size)
-        weights[0:-1:2] += el / 6.0
-        weights[1::2] += 4.0 * el / 6.0
-        weights[2::2] += el / 6.0
-        self.weights = weights
-        self._entries = [(_evaluation_entries(space, points),
-                          (points.size, space.n))
-                         for space in (space_a, space_b)]
+        ratio, rest = divmod(fine.n + 1, coarse.n + 1)
+        if rest:
+            raise ValueError(f"a mesh of {coarse.n + 1} elements does not "
+                             f"nest in one of {fine.n + 1}")
+        self.fine = fine
+        self._weights = np.arange(ratio) / ratio
 
-    @cached_property
-    def matrices(self):
-        """The evaluation matrices of mesh a and mesh b as sparse CSR."""
-        return tuple(_csr(entries, shape) for entries, shape in self._entries)
-
-    def distance(self, va: np.ndarray, vb: np.ndarray) -> float | np.ndarray:
-        eval_a, eval_b = self.matrices
-        diff = eval_a @ va - eval_b @ vb
-        if diff.ndim == 1:
-            return float(np.sqrt(self.weights @ diff ** 2))
-        return np.sqrt(self.weights @ diff ** 2)
+    def distance(self, v_fine: np.ndarray, v_coarse: np.ndarray
+                 ) -> float | np.ndarray:
+        """L2 distance of the fields (a vector or (n, batch) columns each)."""
+        v_coarse = np.asarray(v_coarse, dtype=float)
+        columns = v_coarse.shape[1:]
+        ends = np.zeros((v_coarse.shape[0] + 2, 1) + columns)
+        ends[1:-1, 0] = v_coarse
+        w = self._weights.reshape((-1,) + (1,) * len(columns))
+        # (coarse element, m, ...) -> fine nodes, less the two ends
+        prolonged = (ends[:-1] * (1.0 - w) + ends[1:] * w).reshape(
+            (-1,) + columns)[1:]
+        if prolonged.shape != np.shape(v_fine):
+            raise ValueError("fields do not match the meshes' interior nodes")
+        return self.fine.l2_norm(v_fine - prolonged)
 
 
 # -- operator error norms ----------------------------------------------------

@@ -24,7 +24,7 @@ from .dynamics import Integrator, PolynomialDrift, SchemeConfig, \
     tangent_integrate
 from .experiments import (StudyConfig, default_initial_profile, fit_rate,
                           linear_weak_reference, run_study)
-from .fem import FemSpace, operator_error_norm, uniform_mesh
+from .fem import FemSpace, operator_error_norm
 from .noise import CovarianceSpec, _joint_factor
 from .rng import substream
 from .spectral import SpectralBasis
@@ -62,7 +62,7 @@ def check_discrete_eigenvalues_closed_form() -> None:
     h)) with discrete-sine eigenvectors V solve the assembled pencil:
     S V = M V Lambda and V^T M V = I."""
     for n in (8, 16, 37):
-        space = FemSpace(uniform_mesh(n))
+        space = FemSpace(n)
         vecs = space.from_eigen(np.eye(space.n))
         lam = space.eigenvalues
         residual = np.abs(space.stiffness @ vecs
@@ -104,7 +104,7 @@ def check_flow_derivative_bounds() -> None:
 def check_covariance_composition() -> None:
     """One-step convolution covariance over 2 dt equals the decayed
     composition of two dt steps."""
-    space = FemSpace(uniform_mesh(24))
+    space = FemSpace(24)
     basis = SpectralBasis(k_max=128)
     spec = CovarianceSpec.power_decay(2.0, k_trunc=128)
     dt = 0.05
@@ -145,7 +145,7 @@ def check_projection_rates() -> None:
     for s, r, which, expected in cases:
         points = []
         for h in widths:
-            space = FemSpace(uniform_mesh(round(1.0 / h)))
+            space = FemSpace(round(1.0 / h))
             points.append((h, operator_error_norm(space, basis, s, r,
                                                   which), 0.0))
         slope = fit_rate(points).slope
@@ -193,8 +193,8 @@ def check_weak_gaussian_oracle(seed: int) -> None:
     report = run_study(cfg)
     basis = SpectralBasis(k_max=cov.k_trunc)
     for entry in report.functional_means:
-        space = FemSpace(uniform_mesh(round(1.0 / entry["h"])))
-        x0 = default_initial_profile(space.mesh.interior, 1.0)
+        space = FemSpace(round(1.0 / entry["h"]))
+        x0 = default_initial_profile(space.interior, 1.0)
         oracle = linear_weak_reference(space, basis, cov, x0, cfg.horizon)
         z = abs(entry["mean"] - oracle) / entry["stderr"]
         _check(z < 4.0,
@@ -212,12 +212,12 @@ def _random_smooth_field(space, gen, n_modes: int = 8) -> np.ndarray:
     """
     modes = np.arange(1, n_modes + 1)
     amplitudes = gen.standard_normal(n_modes) / modes
-    return np.sin(np.outer(space.mesh.interior, modes) * np.pi) @ amplitudes
+    return np.sin(np.outer(space.interior, modes) * np.pi) @ amplitudes
 
 
 def check_tangent_against_finite_difference(seed: int) -> None:
     """Perturb-and-rerun with common noise against the tangent process."""
-    space = FemSpace(uniform_mesh(16))
+    space = FemSpace(16)
     basis = SpectralBasis(k_max=64)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=64)
     scheme = SchemeConfig(dt=2.0 ** -6, n_steps=16)
@@ -226,7 +226,7 @@ def check_tangent_against_finite_difference(seed: int) -> None:
     eps = 1e-5
     for trial in range(3):
         gen = substream(seed + trial, purpose="selftest-dir")
-        x0 = 0.8 * np.sin(np.pi * space.mesh.interior) \
+        x0 = 0.8 * np.sin(np.pi * space.interior) \
             + 0.5 * _random_smooth_field(space, gen)
         y = _random_smooth_field(space, gen)
         y /= space.l2_norm(y)

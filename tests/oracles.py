@@ -1,7 +1,8 @@
-"""Test-side reference formulas: nodal field evaluation, the discrete heat
-semigroup, the sine coefficients of a parabola, the operator error norm
-by a dense SVD per alias class, and the nested Cholesky factor by scalar
-loops."""
+"""Test-side reference formulas: nodal field evaluation, the L2 distance
+of fields on two meshes by Simpson's rule on their union, the discrete
+heat semigroup, the sine coefficients of a parabola, the operator error
+norm by a dense SVD per alias class, and the nested Cholesky factor by
+scalar loops."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,7 +12,27 @@ def field_values(space, v, points):
     """Evaluate a nodal field (zero at the ends) at arbitrary points."""
     padded = np.zeros(space.n + 2)
     padded[1:-1] = v
-    return np.interp(points, space.mesh.nodes, padded)
+    return np.interp(points, space.nodes, padded)
+
+
+def union_knot_distance(space_a, space_b, va, vb):
+    """L2 distance between a field on each of two meshes of one interval,
+    nested or not.  The difference is linear on every element of the
+    union mesh, so its square is quadratic there and Simpson's rule on
+    each union element is exact.  ``va``, ``vb`` are vectors, or (n, batch)
+    columns with one distance per column."""
+    if np.ndim(va) == 2:
+        return np.array([union_knot_distance(space_a, space_b, a, b)
+                         for a, b in zip(va.T, vb.T)])
+    knots = np.union1d(space_a.nodes, space_b.nodes)
+    points = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+    el = np.diff(knots)
+    weights = np.zeros(points.size)
+    weights[0:-1:2] += el / 6.0
+    weights[1::2] += 4.0 * el / 6.0
+    weights[2::2] += el / 6.0
+    diff = field_values(space_a, va, points) - field_values(space_b, vb, points)
+    return float(np.sqrt(weights @ diff ** 2))
 
 
 def semigroup(space, t, v):

@@ -18,7 +18,7 @@ import pytest
 from spdefem import (CovarianceSpec, FemSpace, Integrator, PolynomialDrift,
                      SchemeConfig, SpectralBasis, default_initial_profile,
                      linear_weak_reference, load_config, run_study,
-                     substream, tangent_integrate, uniform_mesh)
+                     substream, tangent_integrate)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WORKERS = 2
@@ -109,9 +109,8 @@ def test_03_weak_rate_with_gaussian_sanity(weak_report,
     basis = SpectralBasis(k_max=cfg.covariance.k_trunc, length=cfg.length)
     worst = 0.0
     for entry in weak_linear_report.functional_means:
-        space = FemSpace(uniform_mesh(round(cfg.length / entry["h"]),
-                                      cfg.length))
-        x0 = default_initial_profile(space.mesh.interior, cfg.length)
+        space = FemSpace(round(cfg.length / entry["h"]), cfg.length)
+        x0 = default_initial_profile(space.interior, cfg.length)
         oracle = linear_weak_reference(space, basis, cfg.covariance, x0,
                                        cfg.horizon)
         worst = max(worst,
@@ -156,7 +155,7 @@ def test_06_tangent_finite_difference():
     directions decay to numerical zero under the semigroup, which makes
     a relative comparison meaningless rather than informative.
     """
-    space = FemSpace(uniform_mesh(32))
+    space = FemSpace(32)
     basis = SpectralBasis(k_max=128)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=128)
     scheme = SchemeConfig(dt=2.0 ** -6, n_steps=16)
@@ -166,13 +165,13 @@ def test_06_tangent_finite_difference():
     def smooth_field(gen, n_modes=8):
         modes = np.arange(1, n_modes + 1)
         amps = gen.standard_normal(n_modes) / modes
-        return np.sin(np.outer(space.mesh.interior, modes) * np.pi) @ amps
+        return np.sin(np.outer(space.interior, modes) * np.pi) @ amps
 
     eps = 1e-5
     worst = 0.0
     for pair in range(20):
         gen = substream(pair, purpose="acceptance-tangent-pair")
-        x0 = 0.8 * np.sin(np.pi * space.mesh.interior) \
+        x0 = 0.8 * np.sin(np.pi * space.interior) \
             + 0.5 * smooth_field(gen)
         y = smooth_field(gen)
         y /= space.l2_norm(y)

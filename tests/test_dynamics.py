@@ -9,7 +9,7 @@ from scipy.fft import dst
 
 from spdefem import (CovarianceSpec, FemSpace, IntegrationError, Integrator,
                      PolynomialDrift, SchemeConfig, SpectralBasis, substream,
-                     tangent_integrate, uniform_mesh)
+                     tangent_integrate)
 
 from oracles import field_values, semigroup
 
@@ -171,7 +171,7 @@ class TestFlow:
 
 @pytest.fixture(scope="module")
 def small_setup():
-    space = FemSpace(uniform_mesh(16))
+    space = FemSpace(16)
     basis = SpectralBasis(k_max=128)
     cov = CovarianceSpec.power_decay(2.0, k_trunc=128)
     return space, basis, cov
@@ -181,8 +181,8 @@ class TestSchemes:
     def test_splitting_exact_for_linear_drift(self):
         # For f(x) = -x the flow commutes with the semigroup, so the
         # splitting integrates dX = -(A + 1)X dt without error.
-        space = FemSpace(uniform_mesh(64))
-        x0 = np.sin(np.pi * space.mesh.interior)
+        space = FemSpace(64)
+        x0 = np.sin(np.pi * space.interior)
         cfg = SchemeConfig(dt=0.125, n_steps=8)
         out = Integrator(space, PolynomialDrift.linear(-1.0), cfg).run(x0)
         exact = space.from_eigen(
@@ -191,7 +191,7 @@ class TestSchemes:
 
     def test_zero_drift_reduces_to_semigroup(self, small_setup):
         space, _, _ = small_setup
-        x0 = np.sin(np.pi * space.mesh.interior)
+        x0 = np.sin(np.pi * space.interior)
         cfg = SchemeConfig(dt=0.25, n_steps=1)
         out = Integrator(space, PolynomialDrift.zero(), cfg).step(x0)
         assert np.abs(out - semigroup(space, 0.25, x0)).max() < 1e-13
@@ -203,7 +203,7 @@ class TestSchemes:
         cfg = SchemeConfig(dt=0.25, n_steps=1)
         integ = Integrator(space, ac, cfg)
         integ._decay = np.ones_like(integ._decay)
-        x0 = np.sin(np.pi * space.mesh.interior) * 1.3
+        x0 = np.sin(np.pi * space.interior) * 1.3
         out = integ.step(x0)
         assert np.abs(out - ac.flow(0.25, x0)).max() < 1e-12
 
@@ -222,7 +222,7 @@ class TestSchemes:
         ac = PolynomialDrift.allen_cahn()
         cfg = SchemeConfig(dt=0.125, n_steps=1)
         integ = Integrator(space, ac, cfg, covariance=cov, basis=basis)
-        x0 = np.sin(np.pi * space.mesh.interior)
+        x0 = np.sin(np.pi * space.interior)
         internal = integ.step(x0, substream(7, purpose="test"))
         noise = integ._noise_factor @ substream(7, purpose="test") \
             .standard_normal(space.n)
@@ -263,7 +263,7 @@ class TestSchemes:
         ac = PolynomialDrift.allen_cahn()
         integ = Integrator(space, ac, SchemeConfig(dt=2.0 ** -5, n_steps=4),
                            covariance=cov, basis=basis)
-        x0 = np.tile(np.sin(np.pi * space.mesh.interior)[:, None], (1, 3))
+        x0 = np.tile(np.sin(np.pi * space.interior)[:, None], (1, 3))
         internal = integ.run(x0, substream(8, purpose="test"))
         gen = substream(8, purpose="test")
         external = x0
@@ -290,7 +290,7 @@ class TestSchemes:
 class TestIntegrate:
     def test_zero_steps_returns_initial_state(self, small_setup):
         space, _, _ = small_setup
-        x0 = np.sin(np.pi * space.mesh.interior)
+        x0 = np.sin(np.pi * space.interior)
         cfg = SchemeConfig(dt=0.1, n_steps=0)
         out = Integrator(space, PolynomialDrift.allen_cahn(), cfg).run(x0)
         assert np.array_equal(out, x0)
@@ -298,8 +298,8 @@ class TestIntegrate:
 
     def test_linear_deterministic_case_is_exact(self, small_setup):
         space, _, _ = small_setup
-        x0 = np.sin(np.pi * space.mesh.interior) \
-            + 0.25 * np.sin(3 * np.pi * space.mesh.interior)
+        x0 = np.sin(np.pi * space.interior) \
+            + 0.25 * np.sin(3 * np.pi * space.interior)
         cfg = SchemeConfig(dt=0.0625, n_steps=16)
         out = Integrator(space, PolynomialDrift.zero(), cfg).run(x0)
         assert np.abs(out - semigroup(space, 1.0, x0)).max() < 1e-10
@@ -332,9 +332,9 @@ class TestIntegrate:
             coeffs = coeffs + (dt_ref / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         reference = from_sine(coeffs)
 
-        space = FemSpace(uniform_mesh(128, length=length))
+        space = FemSpace(128, length=length)
         ac = PolynomialDrift.allen_cahn()
-        x0 = np.sin(2 * np.pi * space.mesh.interior / length)
+        x0 = np.sin(2 * np.pi * space.interior / length)
         cfg = SchemeConfig(2.0 ** -10, 4 * 2 ** 10)
         out = Integrator(space, ac, cfg).run(x0)
 
@@ -350,7 +350,7 @@ class TestIntegrate:
         # e^{-lambda_1 dt}, so the state blows through the 1e6 guard
         # partway into the run
         drift = PolynomialDrift.linear(40.0)
-        x0 = 1e3 * np.sin(np.pi * space.mesh.interior)
+        x0 = 1e3 * np.sin(np.pi * space.interior)
         cfg = SchemeConfig(dt=0.125, n_steps=32)
         with pytest.raises(IntegrationError, match="overflow at step"):
             Integrator(space, drift, cfg).run(x0)
@@ -364,7 +364,7 @@ class TestIntegrate:
         cfg = SchemeConfig(dt=0.1, n_steps=5)
         integ = Integrator(space, PolynomialDrift.allen_cahn(), cfg,
                            covariance=cov, basis=basis)
-        x0 = np.sin(np.pi * space.mesh.interior)
+        x0 = np.sin(np.pi * space.interior)
         final, ckpts = integ.run(x0, substream(8, purpose="test"),
                                  keep_checkpoints=True)
         assert len(ckpts) == 6
@@ -380,7 +380,7 @@ class TestTangent:
                            covariance=cov, basis=basis)
         _, ckpts = integ.run(np.zeros(space.n), substream(9, purpose="test"),
                              keep_checkpoints=True)
-        y = np.sin(2 * np.pi * space.mesh.interior)
+        y = np.sin(2 * np.pi * space.interior)
         eta = tangent_integrate(integ, ckpts, 0, y)
         assert np.abs(eta - semigroup(space, 1.0, y)).max() < 1e-12
 
@@ -389,7 +389,7 @@ class TestTangent:
         cfg = SchemeConfig(dt=0.125, n_steps=4)
         integ = Integrator(space, PolynomialDrift.allen_cahn(), cfg,
                            covariance=cov, basis=basis)
-        _, ckpts = integ.run(np.sin(np.pi * space.mesh.interior),
+        _, ckpts = integ.run(np.sin(np.pi * space.interior),
                              substream(10, purpose="test"),
                              keep_checkpoints=True)
         eta = tangent_integrate(integ, ckpts, 0, np.zeros(space.n))
@@ -406,7 +406,7 @@ class TestTangent:
         eps = 1e-5
         for seed in range(3):
             gen = substream(seed, purpose="tangent-dir")
-            x0 = 0.8 * np.sin(np.pi * space.mesh.interior) \
+            x0 = 0.8 * np.sin(np.pi * space.interior) \
                 + 0.2 * gen.standard_normal(space.n)
             y = gen.standard_normal(space.n)
             y /= space.l2_norm(y)
@@ -427,7 +427,7 @@ class TestTangent:
                            covariance=cov, basis=basis)
         _, ckpts = integ.run(np.zeros(space.n), substream(11, purpose="test"),
                              keep_checkpoints=True)
-        y = np.sin(np.pi * space.mesh.interior)
+        y = np.sin(np.pi * space.interior)
         eta = tangent_integrate(integ, ckpts, 2, y)
         assert np.abs(eta - semigroup(space, 0.25, y)).max() < 1e-12
 

@@ -1,6 +1,7 @@
 """Tests for study configuration, rate fitting, the coupled estimators,
 and report serialization."""
 
+import hashlib
 import json
 import math
 import os
@@ -13,12 +14,12 @@ import pytest
 from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
-from spdefem import (CovarianceSpec, FemSpace, Integrator, PolynomialDrift,
-                     RateReport, SpectralBasis, StudyConfig,
+from spdefem import (CovarianceSpec, FemSpace, Integrator, L2Comparer,
+                     PolynomialDrift, RateReport, SpectralBasis, StudyConfig,
                      default_initial_profile,
                      envelope_exponent, evaluate_functional, fit_rate,
                      growth_exponent, linear_weak_reference, run_study,
-                     simulate_trajectory, uniform_mesh)
+                     simulate_trajectory)
 from spdefem.dynamics import OVERFLOW_LIMIT
 from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
                                  validate_functional_id)
@@ -191,7 +192,7 @@ class TestJointNoise:
     def test_factor_reproduces_dense_covariance_without_fill(self, k_trunc):
         # k_trunc = 16 leaves modes 17..31 of the N = 32 mesh uncovered:
         # their rows are exactly zero and the jitter ladder steps in
-        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
+        spaces = [FemSpace(n) for n in (4, 8, 32)]
         basis = SpectralBasis(k_max=k_trunc)
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=k_trunc)
         noise = _JointNoise(spaces, basis, covariance, 2.0 ** -7)
@@ -214,13 +215,13 @@ class TestJointNoise:
             "cholesky_jitter": noise.cholesky_jitter}
 
     def test_rejects_k_trunc_beyond_the_basis(self):
-        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8)]
+        spaces = [FemSpace(n) for n in (4, 8)]
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=32)
         with pytest.raises(ValueError, match="k_trunc"):
             _JointNoise(spaces, SpectralBasis(k_max=16), covariance, 0.1)
 
     def test_zero_weights_give_zero_factor(self):
-        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
+        spaces = [FemSpace(n) for n in (4, 8, 32)]
         covariance = CovarianceSpec.custom(np.zeros(16))
         noise = _JointNoise(spaces, SpectralBasis(k_max=16), covariance,
                             2.0 ** -7)
@@ -229,7 +230,7 @@ class TestJointNoise:
 
     def test_reference_factor_composes_two_half_steps(self):
         # G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] with independent halves
-        spaces = [FemSpace(uniform_mesh(n)) for n in (4, 8, 32)]
+        spaces = [FemSpace(n) for n in (4, 8, 32)]
         basis = SpectralBasis(k_max=64)
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
         half = _JointNoise(spaces, basis, covariance, 2.0 ** -7)
@@ -246,7 +247,7 @@ class TestJointNoise:
         # 6 divides neither 8 nor 32: a 32-element eigen index would link
         # to two indices of the 6-element mesh, which the ancestor arrays
         # cannot hold
-        spaces = [FemSpace(uniform_mesh(n)) for n in (6, 8, 32)]
+        spaces = [FemSpace(n) for n in (6, 8, 32)]
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
         with pytest.raises(ValueError, match=r"\[6, 8, 32\] do not nest"):
             _joint_factor(spaces, SpectralBasis(k_max=64), covariance,
@@ -261,7 +262,7 @@ class TestJointNoise:
         # k_trunc 16 leaves eigen indices of the finest mesh uncovered
         # (zero rows, so the jitter ladder steps in); 300 exceeds twice
         # the finest element count, so every alias class is hit
-        spaces = [FemSpace(uniform_mesh(n)) for n in counts]
+        spaces = [FemSpace(n) for n in counts]
         basis = SpectralBasis(k_max=k_trunc)
         spec = (CovarianceSpec.white(k_trunc) if rho is None
                 else CovarianceSpec.power_decay(rho, k_trunc))
@@ -344,6 +345,19 @@ class TestCoupledDraws:
             "factor_nnz": built[0]._chol.nnz,
             "cholesky_jitter": 0.0,
             "draws": 2 * n_steps}
+
+    def test_weak_engine_builds_no_comparer(self, monkeypatch):
+        # a weak study compares functionals, never fields; the digest is
+        # the CSV's from when the engine still built a comparer per level
+        def refuse(*args):
+            raise AssertionError("a weak study built an L2Comparer")
+
+        monkeypatch.setattr(L2Comparer, "__init__", refuse)
+        cfg = strong_config(kind="weak", dt_ref=2.0 ** -6, samples=300)
+        assert _CoupledEngine(cfg).comparers == []
+        csv = run_study(cfg).to_csv().encode()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "2f4211cb0f148e1b0e8ecdc94207df2994f5a70e86f49204166664d9e362fa6b")
 
     def test_splitting_dt_draws_once_per_reference_step(self, monkeypatch):
         calls = []
@@ -432,7 +446,7 @@ class TestExponents:
 
 class TestFunctionals:
     def setup_method(self):
-        self.space = FemSpace(uniform_mesh(16))
+        self.space = FemSpace(16)
         self.basis = SpectralBasis(k_max=64)
 
     def test_registry_ids_validate(self):
@@ -457,7 +471,7 @@ class TestFunctionals:
     def test_exp_neg_sq_norm_value(self):
         # Nodal interpolant of sin(pi x): ||.||^2 is the mass-matrix
         # quadratic form, slightly below the continuum 1/2.
-        v = np.sin(np.pi * self.space.mesh.interior)
+        v = np.sin(np.pi * self.space.interior)
         norm_sq = float(v @ (self.space.mass @ v))
         expect = math.exp(-norm_sq)
         got = evaluate_functional("exp_neg_sq_norm", self.space, self.basis, v)
@@ -680,8 +694,8 @@ class TestWeakOracle:
         assert report.functional_means is not None
         for entry in report.functional_means:
             n = round(cfg.length / entry["h"])
-            space = FemSpace(uniform_mesh(n, cfg.length))
-            x0 = default_initial_profile(space.mesh.interior, cfg.length)
+            space = FemSpace(n, cfg.length)
+            x0 = default_initial_profile(space.interior, cfg.length)
             oracle = linear_weak_reference(space, basis, cov, x0,
                                            cfg.horizon)
             assert abs(entry["mean"] - oracle) < 4.0 * entry["stderr"]
@@ -689,10 +703,10 @@ class TestWeakOracle:
         assert report.monotonic
 
     def test_reference_rejects_modes_outside_the_basis(self):
-        space = FemSpace(uniform_mesh(8))
+        space = FemSpace(8)
         basis = SpectralBasis(k_max=32)
         cov = CovarianceSpec.power_decay(2.0, k_trunc=32)
-        x0 = default_initial_profile(space.mesh.interior, 1.0)
+        x0 = default_initial_profile(space.interior, 1.0)
         for mode in (0, 33):
             with pytest.raises(ValueError, match="1..32"):
                 linear_weak_reference(space, basis, cov, x0, 0.5, mode=mode)
@@ -825,7 +839,7 @@ class TestMoments:
         basis = SpectralBasis(k_max=256)
         for h, mean, se in zip(cfg.levels, report.z_l2_moment,
                                report.z_l2_stderr):
-            space = FemSpace(uniform_mesh(round(1.0 / h)))
+            space = FemSpace(round(1.0 / h))
             factor, _ = _joint_factor([space], basis, cfg.covariance,
                                       cfg.horizon)
             exact = float(factor.multiply(factor).sum())

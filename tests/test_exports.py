@@ -27,8 +27,8 @@ PUBLIC = {
     "FUNCTIONALS", "evaluate_functional", "default_initial_profile",
     "linear_weak_reference",
     # the model pieces
-    "Mesh1D", "uniform_mesh", "FemSpace", "L2Comparer", "SpectralBasis",
-    "operator_error_norm", "CovarianceSpec",
+    "FemSpace", "L2Comparer", "SpectralBasis", "operator_error_norm",
+    "CovarianceSpec",
     "PolynomialDrift", "SchemeConfig", "Integrator", "IntegrationError",
     "tangent_integrate",
     # randomness and the self-test

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
-from spdefem import (FemSpace, L2Comparer, Mesh1D, SpectralBasis,
-                     operator_error_norm, uniform_mesh)
+from spdefem import FemSpace, L2Comparer, SpectralBasis, operator_error_norm
 from spdefem.fem import _largest_singular_value
 from spdefem.rng import substream
 
 from oracles import (alias_class_svd_norm, field_values,
-                     parabola_coefficients, semigroup)
+                     parabola_coefficients, semigroup, union_knot_distance)
 
 
 def closed_form_discrete_eigenvalues(n_elements, length=1.0):
@@ -34,7 +33,7 @@ def dense_eigensystem(space):
 
 def hat_coupling(space, basis):
     """<phi_j, e_k> from the hat antiderivative, valid on any mesh."""
-    nodes = space.mesh.nodes
+    nodes = space.nodes
     a, m, b = nodes[:-2], nodes[1:-1], nodes[2:]
     w = basis.frequencies
     sin_a, sin_m, sin_b = (np.sin(np.outer(x, w)) for x in (a, m, b))
@@ -48,7 +47,7 @@ class TestAssembly:
         # Hat-function product integrals on a uniform mesh: mass row
         # (h/6)[1, 4, 1], stiffness row (1/h)[-1, 2, -1].
         n_el, h = 8, 1.0 / 8.0
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         i = 3
         assert space.mass[i, i] == pytest.approx(4 * h / 6, rel=1e-14)
         assert space.mass[i, i + 1] == pytest.approx(h / 6, rel=1e-14)
@@ -59,7 +58,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("n_el", [2, 3, 9, 64])
     def test_mass_and_stiffness_are_sparse_tridiagonal(self, n_el):
-        space = FemSpace(uniform_mesh(n_el, length=2.0))
+        space = FemSpace(n_el, length=2.0)
         n, h = space.n, 2.0 / n_el
         ones = np.ones(n - 1)
         dense_mass = (h / 6.0) * (4.0 * np.eye(n) + np.diag(ones, 1)
@@ -74,9 +73,8 @@ class TestAssembly:
                                atol=0.0)
 
     def test_mass_rows_match_quadrature(self):
-        mesh = uniform_mesh(8, length=2.0)
-        space = FemSpace(mesh)
-        nodes = mesh.nodes
+        space = FemSpace(8, length=2.0)
+        nodes = space.nodes
 
         def hat(x, j):
             a, m, b = nodes[j - 1], nodes[j], nodes[j + 1]
@@ -91,7 +89,7 @@ class TestAssembly:
 
     def test_single_interior_node_eigenvalue_is_twelve(self):
         # h = 1/2: M = [h/3 * 2] = 1/3, S = [2/h] = 4, so lambda = 12.
-        space = FemSpace(uniform_mesh(2))
+        space = FemSpace(2)
         assert space.n == 1
         assert space.eigenvalues[0] == pytest.approx(12.0, rel=1e-13)
         v = np.array([0.7])
@@ -102,21 +100,20 @@ class TestAssembly:
 class TestEigensystem:
     @pytest.mark.parametrize("n_el", [4, 16, 64])
     def test_uniform_eigenvalues_match_closed_form(self, n_el):
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         expected = closed_form_discrete_eigenvalues(n_el)
         assert np.abs(space.eigenvalues - expected).max() < 1e-9 * expected[-1]
 
-    @pytest.mark.parametrize("mesh", [uniform_mesh(32),
-                                      uniform_mesh(24, length=2.0)])
+    @pytest.mark.parametrize("mesh", [(32, 1.0), (24, 2.0)])
     def test_discrete_eigenvalues_dominate_continuous(self, mesh):
-        space = FemSpace(mesh)
-        lam = (np.arange(1, space.n + 1) * np.pi / mesh.length) ** 2
+        space = FemSpace(*mesh)
+        lam = (np.arange(1, space.n + 1) * np.pi / space.length) ** 2
         assert np.all(space.eigenvalues >= lam * (1.0 - 1e-12))
         # quadratic growth envelope: lambda_h / lambda <= 12 / pi^2 < 2
         assert (space.eigenvalues / lam).max() <= 2.0
 
     def test_eigenvectors_mass_orthonormal(self):
-        space = FemSpace(uniform_mesh(24, length=2.0))
+        space = FemSpace(24, length=2.0)
         vecs = space.from_eigen(np.eye(space.n))
         gram = vecs.T @ space.mass @ vecs
         assert np.abs(gram - np.eye(space.n)).max() < 1e-12
@@ -125,9 +122,7 @@ class TestEigensystem:
         # sup-norm stability of the discrete semigroup, constant below 2
         # (measured worst ratio ~0.96 over these meshes and times).
         worst = 0.0
-        for mesh in [uniform_mesh(16), uniform_mesh(64),
-                     uniform_mesh(24, length=2.0)]:
-            space = FemSpace(mesh)
+        for space in [FemSpace(16), FemSpace(64), FemSpace(24, length=2.0)]:
             gen = substream(42, purpose="test")
             for _ in range(20):
                 v = gen.standard_normal(space.n)
@@ -142,7 +137,7 @@ class TestEigensystem:
         basis = SpectralBasis(k_max=512)
         worst = 0.0
         for n_el in [8, 32, 128]:
-            space = FemSpace(uniform_mesh(n_el))
+            space = FemSpace(n_el)
             gen = substream(7, purpose="test")
             for _ in range(10):
                 x = gen.standard_normal(512)
@@ -160,7 +155,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n_el", [2, 4, 8, 64, 512])
     def test_match_dense_eigensystem(self, n_el):
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         lam, vecs = dense_eigensystem(space)
         assert np.abs(space.eigenvalues - lam).max() <= 1e-12 * lam.max()
         scale = np.abs(vecs).max()
@@ -182,7 +177,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n_el", [2, 4, 8, 64, 512])
     def test_coupling_and_overlaps_match_dense(self, n_el):
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         basis = SpectralBasis(k_max=4 * n_el + 3)
         coupling = hat_coupling(space, basis)
         # the reference's sine differences cancel at low modes, costing it
@@ -208,7 +203,7 @@ class TestClosedForms:
         # C = M V B: the L2 projection and the solves against the hat
         # coupling and dense solves with M and S.  Below 2N modes
         # alias by reflection; k = N (and 2N above) vanish at every node.
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         basis = SpectralBasis(k_max=k_max)
         coupling = hat_coupling(space, basis)
         mass, stiffness = space.mass.toarray(), space.stiffness.toarray()
@@ -232,7 +227,7 @@ class TestClosedForms:
 
 class TestProjections:
     def test_l2_projection_idempotent_on_space_members(self):
-        space = FemSpace(uniform_mesh(8))
+        space = FemSpace(8)
         basis = SpectralBasis(k_max=8192)
         v = substream(12, purpose="test").standard_normal(space.n)
         coeffs = hat_coupling(space, basis).T @ v
@@ -240,7 +235,7 @@ class TestProjections:
         assert np.abs(again - v).max() < 1e-10
 
     def test_l2_projection_self_adjoint(self):
-        space = FemSpace(uniform_mesh(12))
+        space = FemSpace(12)
         basis = SpectralBasis(k_max=256)
         gen = substream(13, purpose="test")
         for _ in range(5):
@@ -255,11 +250,11 @@ class TestProjections:
         coeffs = parabola_coefficients(basis)
         errs = []
         for n_el in [4, 8, 16, 32]:
-            space = FemSpace(uniform_mesh(n_el))
+            space = FemSpace(n_el)
             v = space.l2_project(basis, coeffs)
             pts = np.linspace(0.0, 1.0, 2049)
             exact = pts * (1.0 - pts)
-            errs.append(np.sqrt(np.trapezoid(
+            errs.append(np.sqrt(trapezoid(
                 (field_values(space, v, pts) - exact) ** 2, pts)))
         rates = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(rates > 1.8)
@@ -273,7 +268,7 @@ class TestNormEquivalence:
         big = SpectralBasis(k_max=2048)
         ratios = []
         for n_el in [8, 16, 32, 64]:
-            space = FemSpace(uniform_mesh(n_el))
+            space = FemSpace(n_el)
             gen = substream(11, purpose="test")
             level = []
             for _ in range(10):
@@ -298,13 +293,9 @@ class TestOperatorErrorNorms:
         # The modes that vanish at every node pass through I - P_h
         # untouched, so the norm is exactly 1.
         basis = SpectralBasis(k_max=128)
-        nrm = operator_error_norm(FemSpace(uniform_mesh(8)), basis,
+        nrm = operator_error_norm(FemSpace(8), basis,
                                   s=0, r=0, which="l2")
         assert abs(nrm - 1.0) <= 1e-12
-        nonuniform = Mesh1D(np.array([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]))
-        with pytest.raises(ValueError, match="uniform mesh"):
-            operator_error_norm(FemSpace(nonuniform), basis, s=0, r=0,
-                                which="l2")
 
     @pytest.mark.parametrize("n_el,k_max", [
         (n_el, k_max) for n_el in (4, 8, 16)
@@ -312,7 +303,7 @@ class TestOperatorErrorNorms:
     def test_matches_dense_operator_svd(self, n_el, k_max):
         # Assemble the whole k_max x k_max weighted operator densely and
         # take its largest singular value.
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         basis = SpectralBasis(k_max=k_max)
         lam = basis.eigenvalues
         coup = space.coupling(basis)
@@ -350,7 +341,7 @@ class TestOperatorErrorNorms:
         # Ragged classes (600 modes over 256 residues at 128 elements),
         # the cancelling first class of the semigroup error at t = 0.01,
         # r = 2, and gains e^{-lambda_h t} that underflow to 0 at t = 1.
-        space = FemSpace(uniform_mesh(n_el))
+        space = FemSpace(n_el)
         basis = SpectralBasis(k_max=k_max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -367,7 +358,7 @@ class TestOperatorErrorNorms:
         for name in ("norm", "svd", "eig", "eigh", "eigvalsh", "solve"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(np, "dot", refuse)
-        nrm = operator_error_norm(FemSpace(uniform_mesh(8)),
+        nrm = operator_error_norm(FemSpace(8),
                                   SpectralBasis(k_max=256), s=1.0, r=2.0,
                                   which="ritz")
         assert 0.0 < nrm < 1.0
@@ -378,7 +369,7 @@ class TestOperatorErrorNorms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert operator_error_norm(
-                FemSpace(uniform_mesh(16)), SpectralBasis(k_max=64),
+                FemSpace(16), SpectralBasis(k_max=64),
                 which="semigroup", t=1e4) == 0.0
             zero = np.zeros((3, 2, 4))
             assert _largest_singular_value(*zero, np.ones(2)) == 0.0
@@ -396,8 +387,8 @@ class TestOperatorErrorNorms:
         basis = SpectralBasis(k_max=256)
         hs, errs = [], []
         for n_el in [8, 16, 32]:
-            space = FemSpace(uniform_mesh(n_el))
-            hs.append(space.mesh.h)
+            space = FemSpace(n_el)
+            hs.append(space.h)
             errs.append(operator_error_norm(space, basis, s=s, r=r, which=which))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - (r - s)) < 0.15
@@ -406,15 +397,15 @@ class TestOperatorErrorNorms:
         # ||(S_h(t) P_h - S(t))|| <= C h^2 / t; measured constant ~0.047.
         basis = SpectralBasis(k_max=256)
         for n_el in [8, 16, 32]:
-            space = FemSpace(uniform_mesh(n_el))
-            h = space.mesh.h
+            space = FemSpace(n_el)
+            h = space.h
             for t in [0.001, 0.016, 0.25, 1.0]:
                 nrm = operator_error_norm(space, basis, which="semigroup",
                                           r=0.0, t=t)
                 assert nrm * t / h ** 2 <= 0.15
 
     def test_argument_validation(self):
-        space = FemSpace(uniform_mesh(8))
+        space = FemSpace(8)
         basis = SpectralBasis(k_max=64)
         with pytest.raises(ValueError, match="which"):
             operator_error_norm(space, basis, which="nope")
@@ -425,13 +416,16 @@ class TestOperatorErrorNorms:
         with pytest.raises(ValueError):
             operator_error_norm(space, basis, which="semigroup", r=0.0)
         with pytest.raises(ValueError, match="basis too small"):
-            operator_error_norm(FemSpace(uniform_mesh(64)),
+            operator_error_norm(FemSpace(64),
                                 SpectralBasis(k_max=64), which="l2")
 
 
 class TestUnionNorm:
+    """The nested-mesh comparer against the union-knot Simpson rule of
+    `oracles.union_knot_distance`, which assumes no nesting."""
+
     def test_same_space_matches_mass_norm(self):
-        space = FemSpace(uniform_mesh(8))
+        space = FemSpace(8)
         gen = substream(19, purpose="test")
         va, vb = gen.standard_normal(space.n), gen.standard_normal(space.n)
         cmp_ = L2Comparer(space, space)
@@ -439,83 +433,88 @@ class TestUnionNorm:
         assert cmp_.distance(va, vb) == pytest.approx(expected, rel=1e-12)
 
     def test_cross_mesh_distance_matches_fine_quadrature(self):
-        sa = FemSpace(uniform_mesh(8))
-        sb = FemSpace(uniform_mesh(12))
+        fine, coarse = FemSpace(24), FemSpace(8)
         gen = substream(20, purpose="test")
-        va, vb = gen.standard_normal(sa.n), gen.standard_normal(sb.n)
-        cmp_ = L2Comparer(sa, sb)
+        vf, vc = gen.standard_normal(fine.n), gen.standard_normal(coarse.n)
+        cmp_ = L2Comparer(fine, coarse)
         pts = np.linspace(0.0, 1.0, 200001)
-        diff = field_values(sa, va, pts) - field_values(sb, vb, pts)
-        oracle = np.sqrt(np.trapezoid(diff ** 2, pts))
-        assert cmp_.distance(va, vb) == pytest.approx(oracle, rel=1e-6)
+        diff = field_values(fine, vf, pts) - field_values(coarse, vc, pts)
+        oracle = np.sqrt(trapezoid(diff ** 2, pts))
+        assert cmp_.distance(vf, vc) == pytest.approx(oracle, rel=1e-6)
 
     def test_batched_columns_match_loop(self):
-        sa = FemSpace(uniform_mesh(4))
-        sb = FemSpace(uniform_mesh(16))
+        fine, coarse = FemSpace(16), FemSpace(4)
         gen = substream(21, purpose="test")
-        va = gen.standard_normal((sa.n, 5))
-        vb = gen.standard_normal((sb.n, 5))
-        cmp_ = L2Comparer(sa, sb)
-        batch = cmp_.distance(va, vb)
+        vf = gen.standard_normal((fine.n, 5))
+        vc = gen.standard_normal((coarse.n, 5))
+        cmp_ = L2Comparer(fine, coarse)
+        batch = cmp_.distance(vf, vc)
         for j in range(5):
             assert batch[j] == pytest.approx(
-                cmp_.distance(va[:, j], vb[:, j]), rel=1e-13)
+                cmp_.distance(vf[:, j], vc[:, j]), rel=1e-13)
 
-    @pytest.mark.parametrize("n_a, n_b", [(512, 8), (512, 128), (3, 7)])
-    def test_evaluation_matrices_match_loop(self, n_a, n_b):
-        spaces = [FemSpace(uniform_mesh(n)) for n in (n_a, n_b)]
-        knots = np.union1d(spaces[0].mesh.nodes, spaces[1].mesh.nodes)
-        points = np.sort(np.concatenate([knots,
-                                         0.5 * (knots[:-1] + knots[1:])]))
-        matrices = L2Comparer(*spaces).matrices
-        for space, fast in zip(spaces, matrices):
-            nodes = space.mesh.nodes
-            idx = np.clip(np.searchsorted(nodes, points, side="right") - 1,
-                          0, nodes.size - 2)
-            theta = (points - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-            rows, cols, vals = [], [], []
-            for j, (i, th) in enumerate(zip(idx, theta)):
-                if 1 <= i <= space.n:
-                    rows.append(j)
-                    cols.append(i - 1)
-                    vals.append(1.0 - th)
-                if 1 <= i + 1 <= space.n:
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(th)
-            loop = sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(points.size, space.n))
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(fast, attr),
-                                      getattr(loop, attr))
+    @pytest.mark.parametrize("ratio", [1, 2, 8, 64])
+    @pytest.mark.parametrize("batch", [(), (6,)])
+    def test_matches_union_knot_oracle(self, ratio, batch):
+        fine, coarse = FemSpace(4 * ratio, 2.0), FemSpace(4, 2.0)
+        gen = substream(22, purpose="test")
+        vf = gen.standard_normal((fine.n,) + batch)
+        vc = gen.standard_normal((coarse.n,) + batch)
+        got = L2Comparer(fine, coarse).distance(vf, vc)
+        want = union_knot_distance(fine, coarse, vf, vc)
+        assert np.shape(got) == batch
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("ratio", [1, 2, 8, 64])
+    def test_equal_fields_are_at_distance_zero(self, ratio):
+        # small integers at the coarse nodes interpolate exactly at the
+        # dyadic fine nodes, so the fine field equals the coarse one
+        fine, coarse = FemSpace(4 * ratio), FemSpace(4)
+        vc = np.array([3.0, -1.0, 2.0])
+        vf = field_values(coarse, vc, fine.interior)
+        cmp_ = L2Comparer(fine, coarse)
+        assert cmp_.distance(vf, vc) == 0.0
+        assert np.all(cmp_.distance(np.tile(vf[:, None], (1, 3)),
+                                    np.tile(vc[:, None], (1, 3))) == 0.0)
+
+    def test_unnested_pairs_and_misshapen_fields_rejected(self):
+        for fine, coarse in [(FemSpace(12), FemSpace(8)),   # not nested
+                             (FemSpace(4), FemSpace(16)),   # coarse first
+                             (FemSpace(16), FemSpace(4, 2.0))]:
+            with pytest.raises(ValueError):
+                L2Comparer(fine, coarse)
+        cmp_ = L2Comparer(FemSpace(8), FemSpace(8))
+        for vf, vc in [(np.ones(7), np.ones(1)), (np.ones(1), np.ones(7)),
+                       (np.ones(7), np.ones((7, 2)))]:
+            with pytest.raises(ValueError, match="interior nodes"):
+                cmp_.distance(vf, vc)
 
 
 class TestMeshes:
     def test_uniform_mesh_properties(self):
-        mesh = uniform_mesh(8, length=2.0)
-        assert mesh.h == pytest.approx(0.25)
-        assert mesh.n_interior == 7
+        space = FemSpace(8, length=2.0)
+        assert space.h == 0.25 and space.length == 2.0 and space.n == 7
+        assert np.array_equal(space.nodes, 0.25 * np.arange(9))
+        assert np.array_equal(space.interior, space.nodes[1:-1])
 
     def test_degenerate_meshes_rejected(self):
-        import spdefem
-        with pytest.raises(ValueError):
-            spdefem.Mesh1D(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            spdefem.Mesh1D(np.array([0.0, 0.5, 0.4, 1.0]))
+        for count in (1, 0, -4):
+            with pytest.raises(ValueError, match="at least 2 elements"):
+                FemSpace(count)
+        for count in (True, np.bool_(True), 8.0, 2.5, "8", None):
+            with pytest.raises(TypeError):
+                FemSpace(count)
+        for length in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="length"):
+                FemSpace(8, length)
 
-    def test_fem_space_rejects_nonuniform_mesh(self):
-        with pytest.raises(ValueError, match="uniform mesh"):
-            FemSpace(Mesh1D(np.array([0.0, 0.5, 0.55, 1.0])))
-        # element lengths may differ by roundoff, not by more than 1e-12 h
-        nodes = np.linspace(0.0, 1.0, 9)
-        nodes[4] += 1e-10
-        with pytest.raises(ValueError, match="uniform mesh"):
-            FemSpace(Mesh1D(nodes))
-        nodes[4] -= 1e-10 - 1e-16
-        assert FemSpace(Mesh1D(nodes)).n == 7
+    def test_numpy_integer_counts_accepted(self):
+        for count in (np.int64(8), np.int32(8), np.uint8(8)):
+            space = FemSpace(count)
+            assert space.n == 7 and space.h == 0.125
 
     def test_field_values_vanish_at_boundary(self):
-        space = FemSpace(uniform_mesh(4))
+        space = FemSpace(4)
         v = np.ones(space.n)
         vals = field_values(space, v, np.array([0.0, 1.0, 0.25]))
         assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] == 1.0

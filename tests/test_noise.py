@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sparse
 
 from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
-                     SpectralBasis, uniform_mesh)
+                     SpectralBasis)
 from spdefem import noise
 from spdefem.noise import CovarianceSpec, _joint_factor, _nested_cholesky
 from spdefem.rng import substream
@@ -50,7 +50,7 @@ class TestConvolutionSampler:
 
     def setup_method(self):
         self.basis = SpectralBasis(k_max=256)
-        self.space = FemSpace(uniform_mesh(16))
+        self.space = FemSpace(16)
         self.spec = CovarianceSpec.power_decay(2.0, k_trunc=256)
 
     def step_covariance(self, dt):
@@ -221,7 +221,7 @@ class TestConvolutionSampler:
             return _nested_cholesky(cov, up, rows)
 
         monkeypatch.setattr(noise, "_nested_cholesky", spy)
-        got, jitter = _joint_factor([FemSpace(uniform_mesh(n)) for n in nest],
+        got, jitter = _joint_factor([FemSpace(n) for n in nest],
                                     SpectralBasis(k_max=spec.k_trunc), spec,
                                     2.0 ** -8)
         (cov, up, rows), = calls
