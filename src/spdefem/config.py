@@ -3,7 +3,8 @@
 A study is described by one YAML document with named sections; the file
 is the provenance record, so parsing is strict: unknown sections or keys
 fail with the offending dotted path, and every value is type-checked
-before it reaches :class:`~spdefem.experiments.StudyConfig`.
+against `_SCHEMA` before it reaches
+:class:`~spdefem.experiments.StudyConfig`.
 
 Schema (sections and keys, with defaults in brackets):
 
@@ -19,12 +20,12 @@ Schema (sections and keys, with defaults in brackets):
       length: float           [1.0]
     noise:
       family: power_decay | white | custom                        (required)
-      rho: float              # power_decay only
-      k_trunc: int            [1024]
-      weights: [floats]       # custom only
+      rho: float              # power_decay only (required there)
+      k_trunc: int            [1024; custom: the number of weights]
+      weights: [floats]       # custom only (required there)
     drift:
       preset: allen_cahn | zero | linear    # or  coeffs: [a0, a1, ...]
-      rate: float             # linear preset only
+      rate: float             # linear preset only (required there)
     time:
       horizon: float          [1.0]
       dt_ref_log2: int        # or  dt_ref: float   [dt_ref = 2^-8]
@@ -36,49 +37,33 @@ Schema (sections and keys, with defaults in brackets):
     operators:
       pairs: [[s, r, which], ...]           # operators kind only
 
-Sections and keys that do not apply to the chosen kind are rejected, as
-is mixing a plain key with its log2 twin.  Two removed keys are refused
-with the reason: ``time.policy`` (every strong or weak level steps at
-dt_ref) and ``noise.beta`` (no study reads a regularity index).  The
-meshes of strong, weak and moment studies must nest: sorted, each
-element count divides the next finer one (levels_log2 ladders always
-do).
+A ``<key>_log2`` key gives ``<key>`` as 2^-k; giving both is rejected,
+as is a key the noise family or drift preset does not read (``rho``
+under ``custom`` too).  The five kind-only keys, study.p_order,
+mesh.reference, time.dt_levels, functional.id and operators.pairs, set
+the fields ``StudyConfig.KIND_FIELDS`` lists with the kinds that read
+them; on any other kind the parser refuses the key when present, as a
+library ``StudyConfig`` refuses a non-default value of the field.
+``horizon``, ``length``, ``dt_ref`` and ``rho`` must be finite.  Two
+removed keys are refused with the reason: ``time.policy`` (every strong
+or weak level steps at dt_ref) and ``noise.beta`` (no study reads a
+regularity index).  The meshes of strong, weak and moment studies must
+nest: sorted, each element count divides the next finer one (levels_log2
+ladders always do).
 """
 
 from __future__ import annotations
+
+import math
 
 import yaml
 
 from .dynamics import PolynomialDrift
 from .experiments import StudyConfig
+from .fem import _check_operator_pair
 from .noise import CovarianceSpec
 
 __all__ = ["ConfigError", "parse_config", "load_config"]
-
-_SECTIONS = ("study", "mesh", "noise", "drift", "time", "initial",
-             "functional", "operators")
-
-_SECTION_KEYS = {
-    "study": ("kind", "samples", "batch_size", "p_order", "seed"),
-    "mesh": ("levels", "levels_log2", "reference", "reference_log2",
-             "length"),
-    "noise": ("family", "rho", "k_trunc", "weights"),
-    "drift": ("preset", "rate", "coeffs"),
-    "time": ("horizon", "dt_ref", "dt_ref_log2", "dt_levels",
-             "dt_levels_log2"),
-    "initial": ("profile",),
-    "functional": ("id",),
-    "operators": ("pairs",),
-}
-
-_REMOVED_KEYS = {
-    "time.policy": "removed: the h2beta step policy is gone, and every "
-                   "level of a strong or weak study steps at dt_ref",
-    "noise.beta": "removed: no study reads a regularity index, so a "
-                  "custom family takes only its weights",
-}
-
-_DRIFT_PRESETS = ("allen_cahn", "zero", "linear")
 
 
 class ConfigError(ValueError):
@@ -96,145 +81,159 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed, path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else str(key)
-            _fail(where, _REMOVED_KEYS.get(
-                where, f"unknown key; allowed here: {', '.join(allowed)}"))
-
-
-def _get_typed(section: dict, path: str, key: str, kinds, type_name: str,
-               default=None):
-    if key not in section or section[key] is None:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        _fail(f"{path}.{key}", f"expected {type_name}, got {value!r}")
-    return value
-
-
-def _get_int(section, path, key, default=None):
-    return _get_typed(section, path, key, int, "an integer", default)
-
-
-def _get_float(section, path, key, default=None):
-    value = _get_typed(section, path, key, (int, float), "a number", default)
-    return None if value is None else float(value)
-
-
-def _get_str(section, path, key, default=None):
-    return _get_typed(section, path, key, str, "a string", default)
-
-
-def _get_number_list(section, path, key):
-    if key not in section or section[key] is None:
-        return None
-    value = section[key]
-    if not isinstance(value, list) or not value:
-        _fail(f"{path}.{key}", "expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            _fail(f"{path}.{key}[{i}]", f"expected a number, got {item!r}")
-        out.append(float(item))
-    return out
-
-
-def _exclusive(section, path, plain, log2):
-    if plain in section and log2 in section:
-        _fail(f"{path}.{plain}", f"give either {plain} or {log2}, not both")
-
-
-def _widths_from(section, path, plain, log2):
-    """A decreasing ladder, given directly or as log2 exponents."""
-    _exclusive(section, path, plain, log2)
-    if log2 in section:
-        value = section[log2]
-        if not isinstance(value, list) or not value:
-            _fail(f"{path}.{log2}", "expected a non-empty list of integers")
-        out = []
-        for i, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, int):
-                _fail(f"{path}.{log2}[{i}]",
-                      f"expected an integer exponent, got {item!r}")
-            out.append(2.0 ** -item)
-        return tuple(out)
-    values = _get_number_list(section, path, plain)
-    return None if values is None else tuple(values)
-
-
-def _scalar_from(section, path, plain, log2):
-    _exclusive(section, path, plain, log2)
-    if log2 in section:
-        exponent = _get_int(section, path, log2)
-        return None if exponent is None else 2.0 ** -exponent
-    return _get_float(section, path, plain)
-
-
 def _wrap(path: str, build, *args, **kwargs):
     """Re-raise a constructor's ValueError with the key path prefixed."""
     try:
         return build(*args, **kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_noise(section: dict) -> CovarianceSpec:
-    path = "noise"
-    family = _get_str(section, path, "family")
-    if family is None:
-        _fail(f"{path}.family", "required: power_decay, white, or custom")
-    k_trunc = _get_int(section, path, "k_trunc", default=1024)
-    rho = _get_float(section, path, "rho")
-    weights = _get_number_list(section, path, "weights")
-    if family == "custom":
-        if weights is None:
-            _fail(f"{path}.weights", "required for the custom family")
-        if "k_trunc" in section and section["k_trunc"] != len(weights):
-            _fail(f"{path}.k_trunc", "must equal the number of weights")
-        return _wrap(path, CovarianceSpec.custom, weights)
-    if weights is not None:
-        _fail(f"{path}.weights", "only meaningful for the custom family")
-    if family == "power_decay":
-        if rho is None:
-            _fail(f"{path}.rho", "required for power_decay")
-        return _wrap(path, CovarianceSpec.power_decay, rho, k_trunc=k_trunc)
-    if family == "white":
-        if rho is not None:
-            _fail(f"{path}.rho", "only meaningful for power_decay")
-        return _wrap(path, CovarianceSpec.white, k_trunc=k_trunc)
-    _fail(f"{path}.family",
-          f"unknown family {family!r}; choose power_decay, white, or custom")
+def _typed(types, name, convert=None):
+    """A check that a value is one of ``types`` (never a bool), then
+    converted."""
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, types):
+            _fail(path, f"expected {name}, got {value!r}")
+        return value if convert is None else convert(value)
+    return check
 
 
-def _parse_drift(section: dict) -> PolynomialDrift:
-    path = "drift"
-    preset = _get_str(section, path, "preset")
-    coeffs = _get_number_list(section, path, "coeffs")
-    rate = _get_float(section, path, "rate")
-    if preset is not None and coeffs is not None:
-        _fail(f"{path}.preset", "give either preset or coeffs, not both")
-    if preset is None and coeffs is None:
-        preset = "allen_cahn"
-    if coeffs is not None:
-        if rate is not None:
-            _fail(f"{path}.rate", "only meaningful with preset: linear")
-        return _wrap(f"{path}.coeffs", PolynomialDrift, tuple(coeffs))
-    if preset not in _DRIFT_PRESETS:
-        _fail(f"{path}.preset",
-              f"unknown preset {preset!r}; choose one of "
-              f"{', '.join(_DRIFT_PRESETS)}")
-    if preset == "linear":
-        if rate is None:
-            _fail(f"{path}.rate", "required for preset: linear")
-        return PolynomialDrift.linear(rate)
-    if rate is not None:
-        _fail(f"{path}.rate", "only meaningful with preset: linear")
-    return (PolynomialDrift.allen_cahn() if preset == "allen_cahn"
-            else PolynomialDrift.zero())
+def _list_of(item, name):
+    """A check that a value is a non-empty list, item by item."""
+    def check(value, path):
+        if not isinstance(value, list) or not value:
+            _fail(path, f"expected a non-empty list of {name}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return check
+
+
+def _pow2(k: int) -> float:
+    # 2.0 ** 1024 overflows; an infinite width or step is refused later
+    return 2.0 ** -k if k > -1024 else math.inf
+
+
+_INT = _typed(int, "an integer")
+_NUMBER = _typed((int, float), "a number", float)
+_STR = _typed(str, "a string")
+_NUMBERS = _list_of(_NUMBER, "numbers")
+_EXPONENT = _typed(int, "an integer exponent", _pow2)
+_EXPONENTS = _list_of(_EXPONENT, "integers")
+
+
+def _pair(value, path):
+    if not isinstance(value, list) or len(value) != 3:
+        _fail(path, "expected an [s, r, which] triple")
+    pair = (_NUMBER(value[0], path), _NUMBER(value[1], path),
+            _STR(value[2], path))
+    _wrap(path, _check_operator_pair, *pair)
+    return pair
+
+
+# section -> key -> check, which returns the converted value
+_SCHEMA = {
+    "study": {"kind": _STR, "samples": _INT, "batch_size": _INT,
+              "p_order": _INT, "seed": _INT},
+    "mesh": {"levels": _NUMBERS, "levels_log2": _EXPONENTS,
+             "reference": _NUMBER, "reference_log2": _EXPONENT,
+             "length": _NUMBER},
+    "noise": {"family": _STR, "rho": _NUMBER, "k_trunc": _INT,
+              "weights": _NUMBERS},
+    "drift": {"preset": _STR, "rate": _NUMBER, "coeffs": _NUMBERS},
+    "time": {"horizon": _NUMBER, "dt_ref": _NUMBER, "dt_ref_log2": _EXPONENT,
+             "dt_levels": _NUMBERS, "dt_levels_log2": _EXPONENTS},
+    "initial": {"profile": _STR},
+    "functional": {"id": _STR},
+    "operators": {"pairs": _list_of(_pair, "[s, r, which] triples")},
+}
+
+_REMOVED_KEYS = {
+    "time.policy": "removed: the h2beta step policy is gone, and every "
+                   "level of a strong or weak study steps at dt_ref",
+    "noise.beta": "removed: no study reads a regularity index, so a "
+                  "custom family takes only its weights",
+}
+
+# the StudyConfig field of each plain key whose name differs from it;
+# noise and drift keys build the covariance and the drift instead
+_FIELD_OF = {"mesh.reference": "h_ref", "initial.profile": "x0",
+             "functional.id": "functional",
+             "operators.pairs": "operator_pairs"}
+
+# the keys each noise family requires besides family; k_trunc is optional
+_NOISE_KEYS = {"power_decay": ("rho",), "white": (), "custom": ("weights",)}
+
+# each drift preset's constructor and the keys it requires besides preset
+_PRESETS = {"allen_cahn": (PolynomialDrift.allen_cahn, ()),
+            "zero": (PolynomialDrift.zero, ()),
+            "linear": (PolynomialDrift.linear, ("rate",))}
+
+
+def _checked_values(doc: dict) -> dict:
+    """Every non-null key of the document, type-checked and converted,
+    by its dotted path as given (a ``_log2`` key holds its 2^-k)."""
+    values = {}
+    for name in doc:
+        if name not in _SCHEMA:
+            _fail(str(name),
+                  f"unknown key; allowed here: {', '.join(_SCHEMA)}")
+    for name, schema in _SCHEMA.items():
+        raw = doc.get(name)
+        section = _require_mapping(raw, name) if raw is not None else {}
+        for key, value in section.items():
+            path = f"{name}.{key}"
+            if key not in schema:
+                _fail(path, _REMOVED_KEYS.get(
+                    path, f"unknown key; allowed here: {', '.join(schema)}"))
+            plain = key.removesuffix("_log2")
+            if plain != key and plain in section:
+                _fail(f"{name}.{plain}",
+                      f"give either {plain} or {key}, not both")
+            if value is not None:
+                values[path] = schema[key](value, path)
+    return values
+
+
+def _only(values: dict, section: str, owner: str, required, optional=()):
+    """Refuse each key of ``section`` that ``owner`` does not read, and
+    each ``required`` one that is missing."""
+    for key in _SCHEMA[section]:
+        path = f"{section}.{key}"
+        if key in required and path not in values:
+            _fail(path, f"required for {owner}")
+        if path in values and key not in (*required, *optional):
+            _fail(path, f"not read by {owner}")
+
+
+def _parse_noise(values: dict) -> CovarianceSpec:
+    family = values.get("noise.family")
+    if family not in _NOISE_KEYS:
+        _fail("noise.family", "required: power_decay, white, or custom"
+              if family is None else f"unknown family {family!r}; choose "
+              "power_decay, white, or custom")
+    _only(values, "noise", f"the {family} family", _NOISE_KEYS[family],
+          ("family", "k_trunc"))
+    weights = values.get("noise.weights")
+    k_trunc = values.get("noise.k_trunc",
+                         1024 if weights is None else len(weights))
+    return _wrap("noise", CovarianceSpec, kind=family, k_trunc=k_trunc,
+                 rho=values.get("noise.rho"), custom_weights=weights)
+
+
+def _parse_drift(values: dict) -> PolynomialDrift:
+    if "drift.coeffs" in values:
+        if "drift.preset" in values:
+            _fail("drift.preset", "give either preset or coeffs, not both")
+        _only(values, "drift", "coeffs", ("coeffs",))
+        return _wrap("drift.coeffs", PolynomialDrift, values["drift.coeffs"])
+    preset = values.get("drift.preset", "allen_cahn")
+    if preset not in _PRESETS:
+        _fail("drift.preset", f"unknown preset {preset!r}; choose one of "
+              f"{', '.join(_PRESETS)}")
+    build, required = _PRESETS[preset]
+    _only(values, "drift", f"preset: {preset}", required, ("preset",))
+    return _wrap("drift", build,
+                 *(values[f"drift.{key}"] for key in required))
 
 
 # libyaml's safe loader, several times faster than the pure-Python
@@ -249,93 +248,34 @@ def parse_config(text: str) -> StudyConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"not a well-formed document: {exc}") from exc
     doc = _require_mapping(doc if doc is not None else {}, "document root")
-    _reject_unknown(doc, _SECTIONS, "")
-    sections = {}
-    for name in _SECTIONS:
-        raw = doc.get(name)
-        section = _require_mapping(raw, name) if raw is not None else {}
-        _reject_unknown(section, _SECTION_KEYS[name], name)
-        sections[name] = section
+    values = _checked_values(doc)
 
-    study = sections["study"]
-    kind = _get_str(study, "study", "kind")
+    kind = values.get("study.kind")
     if kind is None:
         _fail("study.kind", "required: strong, weak, splitting_dt, "
               "moments, or operators")
-    samples = _get_int(study, "study", "samples", default=400)
-    batch_size = _get_int(study, "study", "batch_size",
-                          default=min(100, samples))
-    p_order = _get_int(study, "study", "p_order", default=2)
-    if study.get("p_order") is not None and kind not in ("strong",
-                                                        "splitting_dt"):
-        _fail("study.p_order",
-              "only meaningful for strong or splitting_dt studies")
-    seed = _get_int(study, "study", "seed", default=0)
-
-    mesh = sections["mesh"]
-    levels = _widths_from(mesh, "mesh", "levels", "levels_log2")
-    if levels is None:
+    fields = {}
+    for path, value in values.items():
+        plain = path.removesuffix("_log2")
+        section, _, key = plain.partition(".")
+        if section in ("noise", "drift"):
+            continue
+        field = _FIELD_OF.get(plain, key)
+        kinds = StudyConfig.KIND_FIELDS.get(field)
+        if kinds is not None and kind not in kinds:
+            _fail(path, f"only meaningful for {' or '.join(kinds)} studies")
+        fields[field] = value
+    if "levels" not in fields:
         _fail("mesh.levels", "required (or mesh.levels_log2)")
-    h_ref = _scalar_from(mesh, "mesh", "reference", "reference_log2")
-    if h_ref is not None and kind not in ("strong", "weak"):
-        _fail("mesh.reference", "only meaningful for strong or weak studies")
-    length = _get_float(mesh, "mesh", "length", default=1.0)
+    fields.setdefault("batch_size",
+                      min(100, fields.get("samples", StudyConfig.samples)))
 
     if "noise" not in doc and kind == "operators":
         covariance = CovarianceSpec.white(k_trunc=16)  # unused by the study
     else:
-        covariance = _parse_noise(sections["noise"])
-    drift = _parse_drift(sections["drift"])
-
-    time_sec = sections["time"]
-    horizon = _get_float(time_sec, "time", "horizon", default=1.0)
-    dt_ref = _scalar_from(time_sec, "time", "dt_ref", "dt_ref_log2")
-    if dt_ref is None:
-        dt_ref = 2.0 ** -8
-    dt_levels = _widths_from(time_sec, "time", "dt_levels",
-                             "dt_levels_log2") or ()
-    if dt_levels and kind != "splitting_dt":
-        _fail("time.dt_levels", "only meaningful for splitting_dt studies")
-
-    profile = _get_str(sections["initial"], "initial", "profile",
-                       default="default")
-
-    functional_sec = sections["functional"]
-    if functional_sec and kind != "weak":
-        _fail("functional.id", "only meaningful for weak studies")
-    functional = _get_str(functional_sec, "functional", "id",
-                          default="exp_neg_sq_norm")
-
-    operators_sec = sections["operators"]
-    if operators_sec and kind != "operators":
-        _fail("operators.pairs", "only meaningful for operator studies")
-    kwargs = {}
-    if "pairs" in operators_sec:
-        raw_pairs = operators_sec["pairs"]
-        if not isinstance(raw_pairs, list) or not raw_pairs:
-            _fail("operators.pairs", "expected a non-empty list of "
-                  "[s, r, which] triples")
-        pairs = []
-        for i, item in enumerate(raw_pairs):
-            where = f"operators.pairs[{i}]"
-            if not isinstance(item, list) or len(item) != 3:
-                _fail(where, "expected an [s, r, which] triple")
-            s, r, which = item
-            if isinstance(s, bool) or not isinstance(s, (int, float)):
-                _fail(where, f"s must be a number, got {s!r}")
-            if isinstance(r, bool) or not isinstance(r, (int, float)):
-                _fail(where, f"r must be a number, got {r!r}")
-            if which not in ("l2", "ritz", "semigroup"):
-                _fail(where, "which must be l2, ritz, or semigroup")
-            pairs.append((float(s), float(r), which))
-        kwargs["operator_pairs"] = tuple(pairs)
-
-    return _wrap("document", StudyConfig,
-                 kind=kind, covariance=covariance, drift=drift,
-                 levels=levels, h_ref=h_ref, dt_levels=dt_levels,
-                 dt_ref=dt_ref, samples=samples, batch_size=batch_size,
-                 p_order=p_order, functional=functional, horizon=horizon,
-                 length=length, x0=profile, seed=seed, **kwargs)
+        covariance = _parse_noise(values)
+    return _wrap("document", StudyConfig, covariance=covariance,
+                 drift=_parse_drift(values), **fields)
 
 
 def load_config(path) -> StudyConfig:

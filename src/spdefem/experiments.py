@@ -166,11 +166,22 @@ class StudyConfig:
     levels step at their ``dt_levels``.
 
     The meshes of strong, weak and moment studies must nest (sorted, each
-    element count divides the next), as `noise._joint_factor` needs.  A
-    field the kind never reads is refused, not hashed: ``h_ref`` outside
-    strong and weak studies, ``p_order`` != 2 outside strong and
-    splitting_dt ones.
+    element count divides the next), as `noise._joint_factor` needs.
+    ``horizon``, ``length`` and ``dt_ref`` must be positive and finite.
+    The five kind-only fields, ``h_ref``, ``p_order``, ``dt_levels``,
+    ``functional`` and ``operator_pairs``, keep their defaults on every
+    kind `KIND_FIELDS` does not list for them: a value the study never
+    reads is refused, not hashed.  The YAML parser refuses the matching
+    key through the same table.
     """
+
+    KIND_FIELDS = {
+        "h_ref": ("strong", "weak"),
+        "p_order": ("strong", "splitting_dt"),
+        "dt_levels": ("splitting_dt",),
+        "functional": ("weak",),
+        "operator_pairs": ("operators",),
+    }
 
     kind: str
     covariance: CovarianceSpec
@@ -195,8 +206,11 @@ class StudyConfig:
             raise ValueError(f"unknown study kind {self.kind!r}")
         if self.x0 not in ("default", "zero", "mode1"):
             raise ValueError("x0 must be 'default', 'zero' or 'mode1'")
-        if self.horizon <= 0.0 or self.length <= 0.0:
-            raise ValueError("horizon and length must be positive")
+        for name in ("horizon", "length", "dt_ref"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.kind in ("strong", "weak", "moments", "splitting_dt"):
@@ -257,12 +271,12 @@ class StudyConfig:
                     f"{self.covariance.k_trunc}")
         if self.p_order < 1:
             raise ValueError("p_order must be at least 1")
-        if self.h_ref is not None and self.kind not in ("strong", "weak"):
-            raise ValueError("a reference width is only meaningful for "
-                             "strong or weak studies")
-        if self.p_order != 2 and self.kind not in ("strong", "splitting_dt"):
-            raise ValueError("p_order is only meaningful for strong or "
-                             "splitting_dt studies")
+        for name, kinds in self.KIND_FIELDS.items():
+            if (self.kind not in kinds and getattr(self, name)
+                    != self.__dataclass_fields__[name].default):
+                what = "a reference width" if name == "h_ref" else name
+                raise ValueError(f"{what} is only meaningful for "
+                                 f"{' or '.join(kinds)} studies")
 
     @property
     def step_ratios(self) -> tuple[int, ...]:
@@ -325,7 +339,8 @@ def _elements(width, length):
 
 def _check_multiple(coarse, fine, coarse_name, fine_name):
     ratio = coarse / fine
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 2:
+    if (not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9
+            or round(ratio) < 2):
         raise ValueError(f"every {coarse_name} must be an integer multiple "
                          f"(at least 2) of {fine_name}")
 

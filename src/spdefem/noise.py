@@ -55,8 +55,9 @@ class CovarianceSpec:
         if self.k_trunc < 1:
             raise ValueError("k_trunc must be a positive integer")
         if self.kind == "power_decay":
-            if self.rho is None or self.rho <= 0.0:
-                raise ValueError("power_decay requires rho > 0")
+            if self.rho is None or not 0.0 < self.rho < math.inf:
+                raise ValueError(f"power_decay requires a finite rho > 0, "
+                                 f"got {self.rho!r}")
         elif self.rho is not None:
             raise ValueError("rho is only meaningful for power_decay")
         if self.kind == "custom":

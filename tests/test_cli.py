@@ -350,6 +350,22 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not any(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("old, new, reason", [
+        ("rho: 2.0", "rho: .nan", "finite rho > 0, got nan"),
+        ("horizon: 0.25", "horizon: .inf",
+         "horizon must be positive and finite, got inf"),
+    ], ids=["rho-nan", "horizon-inf"])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, old, new,
+                                        reason):
+        # these used to die in the study with a traceback and exit 1
+        doc = tmp_path / "strong.yaml"
+        doc.write_text(STRONG_DOC.replace(old, new))
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert reason in err and "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_operator_pair_out_of_range_exits_two(self, tmp_path, capsys):
         doc = tmp_path / "operators.yaml"
         doc.write_text(OPERATORS_DOC + "operators:\n  pairs: [[0, 3, l2]]\n")

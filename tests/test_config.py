@@ -1,5 +1,6 @@
 """Tests for the YAML study-document parser."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from spdefem import (ConfigError, CovarianceSpec, PolynomialDrift,
 from spdefem import config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIG_DIR.parent / "README.md"
 
 MINIMAL_STRONG = """
 study:
@@ -21,6 +23,15 @@ noise:
   family: power_decay
   rho: 2.0
 """
+
+# the kind-only keys no other test adds to every other kind: the kind
+# that reads each, and a section that sets it
+KIND_ONLY_BLOCKS = {
+    "time.dt_levels": ("splitting_dt",
+                       "time:\n  dt_levels: [0.125, 0.0625, 0.03125]"),
+    "functional.id": ("weak", "functional:\n  id: cos_mode_1"),
+    "operators.pairs": ("operators", "operators:\n  pairs: [[0, 2, l2]]"),
+}
 
 
 class TestDefaults:
@@ -74,6 +85,31 @@ def test_non_weak_shipped_hashes_hold():
         "operators": "d67eeb26c3c049ee",
         "trajectory": "ab8fb42dc0f32e38",
     }
+
+
+def test_weak_shipped_hashes_hold():
+    # with the test above, pins the identity of all nine shipped configs
+    hashes = {name: load_config(CONFIG_DIR / f"{name}.yaml").config_hash
+              for name in ("weak_rate", "weak_linear_oracle")}
+    assert hashes == {"weak_rate": "62b5580faf7e16bd",
+                      "weak_linear_oracle": "4ab2e1230ecd3d5d"}
+
+
+def test_readme_yaml_block_parses():
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    assert parse_config(blocks[0]).kind == "strong"
+
+
+def test_module_docstring_names_every_schema_key():
+    # the docstring's schema lists each section at a four-space indent,
+    # then its keys (a log2 twin may share its plain key's line)
+    blocks = dict(re.findall(r"^    (\w+):\n((?:      .*\n)+)",
+                             config.__doc__, re.M))
+    missing = [f"{name}.{key}" for name, keys in config._SCHEMA.items()
+               for key in keys
+               if not re.search(rf"(?<!\w){key}:", blocks.get(name, ""))]
+    assert missing == []
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__,
@@ -203,6 +239,11 @@ class TestNoiseSection:
         with pytest.raises(ConfigError, match=r"noise\.rho"):
             parse_config(MINIMAL_STRONG.replace(
                 "family: power_decay", "family: white"))
+        # a custom family reads only its weights; rho would go unread
+        with pytest.raises(ConfigError, match=r"noise\.rho: not read"):
+            parse_config(MINIMAL_STRONG.replace(
+                "family: power_decay",
+                "family: custom\n  weights: [1.0, 0.25]"))
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError, match=r"noise\.family"):
@@ -310,6 +351,22 @@ operators:
             parse_config(MINIMAL_STRONG
                          + "\noperators:\n  pairs: [[0, 2, l2]]\n")
 
+    @pytest.mark.parametrize("key, kind", [
+        (key, kind) for key, (reader, _) in KIND_ONLY_BLOCKS.items()
+        for kind in ("strong", "weak", "moments", "operators",
+                     "splitting_dt") if kind != reader])
+    def test_kind_only_keys_refused_on_other_kinds(self, key, kind):
+        doc = MINIMAL_STRONG.replace("kind: strong", f"kind: {kind}")
+        if kind not in ("strong", "weak"):
+            doc = doc.replace("  reference_log2: 7\n", "")
+        if kind == "splitting_dt":
+            doc = doc.replace("[3, 4, 5]", "[5]") + (
+                "time:\n  dt_levels_log2: [3, 4, 5]\n  dt_ref_log2: 8\n")
+        parse_config(doc)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: only "
+                           "meaningful"):
+            parse_config(doc + KIND_ONLY_BLOCKS[key][1] + "\n")
+
 
 class TestDownstreamValidation:
     def test_study_level_errors_surface(self):
@@ -347,6 +404,43 @@ time: {dt_ref_log2: 8, dt_levels: %s}
             parse_config(doc % dt_levels)
         assert parse_config(doc % [r * 2.0 ** -8 for r in (16, 8, 4)]) \
             .step_ratios == (16, 8, 4)
+
+    @pytest.mark.parametrize("old, new, reason", [
+        ("rho: 2.0", "rho: .nan", r"noise: power_decay requires a finite "
+         r"rho > 0, got nan"),
+        ("rho: 2.0", "rho: .inf", "finite rho > 0, got inf"),
+        ("reference_log2: 7", "reference_log2: 7\n  length: .inf",
+         "length must be positive and finite, got inf"),
+        ("rho: 2.0", "rho: 2.0\ntime:\n  horizon: .inf",
+         "horizon must be positive and finite, got inf"),
+        ("rho: 2.0", "rho: 2.0\ntime:\n  horizon: .nan",
+         "horizon must be positive and finite, got nan"),
+        ("rho: 2.0", "rho: 2.0\ntime:\n  dt_ref: .nan",
+         "dt_ref must be positive and finite, got nan"),
+        ("rho: 2.0", "rho: 2.0\ntime:\n  dt_ref: 0",
+         "dt_ref must be positive and finite, got 0.0"),
+        ("reference_log2: 7", "reference_log2: -2000",
+         "width inf does not tile"),
+        ("rho: 2.0", "rho: 2.0\ndrift:\n  preset: linear\n  rate: .nan",
+         r"drift: coefficients must be a finite"),
+    ], ids=["rho-nan", "rho-inf", "length-inf", "horizon-inf",
+            "horizon-nan", "dt_ref-nan", "dt_ref-zero", "reference-2^2000",
+            "rate-nan"])
+    def test_non_finite_values_rejected(self, old, new, reason):
+        # each used to pass, or to crash the study with an OverflowError,
+        # ZeroDivisionError or a bare ValueError
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(MINIMAL_STRONG.replace(old, new))
+
+    def test_non_finite_step_size_rejected(self):
+        doc = """
+study: {kind: splitting_dt, samples: 100}
+mesh: {levels_log2: [5]}
+noise: {family: power_decay, rho: 2.0, k_trunc: 64}
+time: {dt_ref_log2: 8, dt_levels: [.inf, 0.0625, 0.03125]}
+"""
+        with pytest.raises(ConfigError, match="integer multiple"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_64_bits_rejected(self, seed):

@@ -1,6 +1,7 @@
 """Tests for study configuration, rate fitting, the coupled estimators,
 and report serialization."""
 
+import functools
 import hashlib
 import json
 import math
@@ -560,6 +561,28 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="p_order is only"):
             strong_config(kind=kind, p_order=3, **no_ref)
         assert strong_config(kind=kind, **no_ref).p_order == 2
+
+    @pytest.mark.parametrize("field, value, reader", [
+        ("dt_levels", (2.0 ** -3, 2.0 ** -4, 2.0 ** -5), "splitting_dt"),
+        ("functional", "cos_mode_1", "weak"),
+        ("operator_pairs", ((0.0, 2.0, "l2"),), "operators"),
+    ], ids=["dt_levels", "functional", "operator_pairs"])
+    @pytest.mark.parametrize("kind", ["strong", "weak", "moments",
+                                      "operators", "splitting_dt"])
+    def test_kind_only_fields_keep_their_default(self, field, value,
+                                                 reader, kind):
+        # a field the kind never reads would only change the hash
+        no_ref = {} if kind in ("strong", "weak") else dict(h_ref=None)
+        make = splitting_config if kind == "splitting_dt" \
+            else functools.partial(strong_config, kind=kind, **no_ref)
+        if kind == reader:
+            assert getattr(make(**{field: value}), field) == value
+            return
+        with pytest.raises(ValueError, match=f"{field} is only meaningful "
+                           f"for {reader} studies"):
+            make(**{field: value})
+        default = StudyConfig.__dataclass_fields__[field].default
+        assert getattr(make(**{field: default}), field) == default
 
     def test_reference_width_separation(self):
         with pytest.raises(ValueError, match="reference width"):
