@@ -44,12 +44,12 @@ mesh.reference, time.dt_levels, functional.id and operators.pairs, set
 the fields ``StudyConfig.KIND_FIELDS`` lists with the kinds that read
 them; on any other kind the parser refuses the key when present, as a
 library ``StudyConfig`` refuses a non-default value of the field.
-``horizon``, ``length``, ``dt_ref`` and ``rho`` must be finite.  Two
-removed keys are refused with the reason: ``time.policy`` (every strong
-or weak level steps at dt_ref) and ``noise.beta`` (no study reads a
-regularity index).  The meshes of strong, weak and moment studies must
-nest: sorted, each element count divides the next finer one (levels_log2
-ladders always do).
+``horizon``, ``length``, ``dt_ref``, ``rho``, every mesh width and every
+step size must be finite.  Two removed keys are refused with the reason:
+``time.policy`` (every strong or weak level steps at dt_ref) and
+``noise.beta`` (no study reads a regularity index).  The meshes of
+strong, weak and moment studies must nest: sorted, each element count
+divides the next finer one (levels_log2 ladders always do).
 """
 
 from __future__ import annotations

@@ -23,15 +23,14 @@ G_[0,2d] = e^{-Lam d} G_[0,d] + G_[d,2d] aggregates steps without error,
 so coarse step sizes see exactly the noise the fine grid saw.
 
 Strong, weak, splitting_dt and moment studies are one computation, run
-by one step-and-aggregate loop (`_CoupledEngine`): a table of levels,
-each mapped to a mesh, a drift, a start state and a drift step.  Strong
-and weak levels refine the mesh against a reference level, all at
-dt_ref, splitting_dt levels share the reference's mesh and coarsen the
-drift step, and a moment study runs on each mesh the full dynamics X
-and, on the same path, the stochastic convolution Z.  In strong and weak
-studies the first batch also reruns the finest tested mesh and the
-reference at twice dt_ref, on the same draws, to bound the
-drift-splitting time error (the dt-doubling probe).
+by one step-and-aggregate loop (`_CoupledEngine`) over a table of rows
+(`_Row`): each a mesh, a drift step, a drift and a start state, under a
+role that says how a batch reads it.  Strong and weak ``tested`` rows
+refine the mesh against a ``reference`` row at dt_ref, splitting_dt
+ones share its mesh and coarsen the drift step, and a moment study runs
+the full dynamics X and, on the same path, the stochastic convolution Z
+(``z`` rows).  In strong and weak studies the first batch also runs two
+``probe`` rows at twice dt_ref to bound the drift-splitting time error.
 
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
@@ -167,7 +166,8 @@ class StudyConfig:
 
     The meshes of strong, weak and moment studies must nest (sorted, each
     element count divides the next), as `noise._joint_factor` needs.
-    ``horizon``, ``length`` and ``dt_ref`` must be positive and finite.
+    ``horizon``, ``length`` and ``dt_ref`` must be positive and finite,
+    as must every mesh width and step size.
     The five kind-only fields, ``h_ref``, ``p_order``, ``dt_levels``,
     ``functional`` and ``operator_pairs``, keep their defaults on every
     kind `KIND_FIELDS` does not list for them: a value the study never
@@ -220,10 +220,17 @@ class StudyConfig:
             if not 1 <= self.batch_size <= self.samples:
                 raise ValueError("batch_size must lie in [1, samples]")
             _check_grid(self.horizon, self.dt_ref, "dt_ref")
+        # before the ordering checks, which NaN would fail under their
+        # reason; an infinite width or step fails a tiling check instead
         for h in (*self.levels, *([] if self.h_ref is None else [self.h_ref])):
             if not h > 0:
-                raise ValueError("mesh widths must be positive")
+                raise ValueError("mesh widths must be positive and finite, "
+                                 f"got {h!r}")
             _elements(h, self.length)
+        for dt in self.dt_levels:
+            if not dt > 0:
+                raise ValueError("step sizes must be positive and finite, "
+                                 f"got {dt!r}")
         if self.kind in ("strong", "weak", "moments", "operators"):
             if len(self.levels) < 3:
                 raise ValueError("need at least 3 mesh levels to fit a rate")
@@ -614,15 +621,15 @@ def _mesh_for(width: float, length: float) -> FemSpace:
     return FemSpace(_elements(width, length), length)
 
 
-def _initial_states(cfg, spaces, basis):
-    if cfg.x0 == "zero":
+def _initial_states(profile, length, spaces, basis):
+    """The start state of the `StudyConfig.x0` ``profile`` on each space."""
+    if profile == "zero":
         return [np.zeros(s.n) for s in spaces]
-    if cfg.x0 == "mode1":
+    if profile == "mode1":
         unit = np.zeros(basis.k_max)
         unit[0] = 1.0
         return [s.l2_project(basis, unit) for s in spaces]
-    return [default_initial_profile(s.interior, cfg.length)
-            for s in spaces]
+    return [default_initial_profile(s.interior, length) for s in spaces]
 
 
 class _JointNoise:
@@ -661,34 +668,64 @@ class _JointNoise:
                 "cholesky_jitter": self.cholesky_jitter}
 
 
+@dataclass(frozen=True)
+class _Row:
+    """One state of a Monte-Carlo study: it steps on the engine's mesh
+    ``mesh`` under ``drift`` from the `StudyConfig.x0` profile ``start``,
+    its drift step ``ratio`` reference steps long.  ``role`` says how a
+    batch reads it: ``tested``, ``reference``, ``probe`` or ``z``."""
+
+    role: str
+    mesh: int
+    ratio: int
+    drift: PolynomialDrift
+    start: str
+
+
+def _rows(cfg: StudyConfig, n_steps: int):
+    """The rows of ``cfg``'s study in stepping order, and its notes.
+
+    - Strong and weak: each tested mesh, then the reference mesh, at
+      ratio 1; then the dt-doubling probe, the finest tested mesh and the
+      reference at ratio 2 (e(2 dt) - e(dt) estimates a first-order
+      temporal error at dt), unless twice dt_ref overruns the horizon.
+    - splitting_dt: each tested ratio on the one mesh, then the reference.
+    - Moments: X on each mesh (``tested``), then Z on each mesh: no
+      drift, from zero, at ratio n_steps, so its one exact step yields
+      the stochastic convolution Z(T) on X's path, the decomposition
+      X = Z + Y the moment bounds rest on.
+    """
+    def row(role, mesh, ratio):
+        return _Row(role, mesh, ratio, cfg.drift, cfg.x0)
+
+    meshes = range(len(cfg.levels))
+    if cfg.kind == "moments":
+        zero = PolynomialDrift.zero()
+        return (*(row("tested", m, 1) for m in meshes),
+                *(_Row("z", m, n_steps, zero, "zero") for m in meshes)), ()
+    if cfg.kind == "splitting_dt":
+        return (*(row("tested", 0, ratio) for ratio in cfg.step_ratios),
+                row("reference", 0, 1)), ()
+    ref = len(meshes)
+    rows = (*(row("tested", m, 1) for m in meshes), row("reference", ref, 1))
+    if n_steps % 2:
+        return rows, ("dt-doubling probe skipped: twice dt_ref does not "
+                      "divide the horizon",)
+    return (*rows, row("probe", ref - 1, 2), row("probe", ref, 2)), ()
+
+
 class _CoupledEngine:
     """The one step-and-aggregate loop of every Monte-Carlo study.
 
-    A study is a table of levels.  Level i steps on the mesh
-    ``mesh_of[i]`` with its own drift and start state, and its drift step
-    is ``ratios[i]`` reference steps long.  Every reference step draws the
+    A study is a table of rows (`_rows`).  Every reference step draws the
     joint increment of all meshes once, from the one factor at dt_ref; a
-    ratio-1 level steps on it directly, a coarser level aggregates it
-    exactly over its step first.  Every step is checked for overflow, and
-    each level keeps the running sup norm of its state.  States are
-    stepped in per-batch buffers: each level swaps its state with a spare
-    every step and keeps one scratch array.
-
-    - Strong and weak: the tested meshes, then the reference mesh with
-      ratio 1 (``ref_index``).
-    - splitting_dt: every level on the one mesh, differing only in drift
-      step; the reference is the last level.
-    - Moments: each mesh twice.  X runs the configured drift from the
-      initial profile at ratio 1; Z runs no drift from zero at ratio
-      n_steps, so its one exact step over the horizon yields the
-      stochastic convolution Z(T) on X's path, the decomposition
-      X = Z + Y the moment bounds rest on.
-
-    Strong and weak studies end the table with the dt-doubling probe:
-    the finest tested mesh and the reference again, at twice their drift
-    steps (``probe_rows``).  Only the first batch runs them, on its
-    ordinary draws.  When twice the finest level's step does not divide
-    the horizon the probe is left out and ``notes`` says so.
+    ratio-1 row steps on its mesh's part directly, a coarser row
+    aggregates it exactly over its step first.  Each row checks every
+    step for overflow and keeps the running sup norm of its state, in
+    per-batch buffers: a spare it swaps with and one scratch array.  A
+    batch reads its outputs by role: moment statistics from ``tested``
+    and ``z``, errors from ``tested`` and ``reference``, the probe from
+    ``probe``.
     """
 
     def __init__(self, cfg: StudyConfig):
@@ -696,51 +733,30 @@ class _CoupledEngine:
         self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
                                    length=cfg.length)
         self.n_steps = round(cfg.horizon / cfg.dt_ref)
-        self.resolutions = list(cfg.levels)
-        self.probe_rows = ()
-        self.notes = ()
-        if cfg.kind == "moments":
-            n_meshes = len(cfg.levels)
-            widths = list(cfg.levels)
-            self.mesh_of = list(range(n_meshes)) * 2
-            self.ratios = [1] * n_meshes + [self.n_steps] * n_meshes
-            drifts = ([cfg.drift] * n_meshes
-                      + [PolynomialDrift.zero()] * n_meshes)
-        else:
-            if cfg.kind == "splitting_dt":
-                self.resolutions = list(cfg.dt_levels)
-                widths = list(cfg.levels)
-                self.mesh_of = [0] * (len(cfg.dt_levels) + 1)
-            else:
-                widths = list(cfg.levels) + [cfg.h_ref]
-                self.mesh_of = list(range(len(widths)))
-            self.ratios = list(cfg.step_ratios) + [1]
-            drifts = [cfg.drift] * len(self.mesh_of)
-        self.ref_index = len(self.mesh_of) - 1
-        if cfg.kind in ("strong", "weak"):
-            self._add_probe_rows()
-            drifts += [cfg.drift] * len(self.probe_rows)
+        self.resolutions = list(cfg.dt_levels if cfg.kind == "splitting_dt"
+                                else cfg.levels)
+        self.rows, self.notes = _rows(cfg, self.n_steps)
+        # only strong and weak studies have a reference mesh of their own
+        widths = (cfg.levels if cfg.h_ref is None
+                  else (*cfg.levels, cfg.h_ref))
         self.spaces = [_mesh_for(w, cfg.length) for w in widths]
         self.noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
                                  cfg.dt_ref)
-        self.integrators = [
-            Integrator(self.spaces[m], drift,
-                       SchemeConfig(ratio * cfg.dt_ref, self.n_steps // ratio))
-            for m, ratio, drift in zip(self.mesh_of, self.ratios, drifts)
-        ]
-        ref_decay = [np.exp(-s.eigenvalues * cfg.dt_ref)[:, None]
-                     for s in self.spaces]
-        self.decay = [ref_decay[m] for m in self.mesh_of]
-        starts = _initial_states(cfg, self.spaces, self.basis)
-        self.x0 = [starts[m] for m in self.mesh_of]
-        if cfg.kind == "moments":
-            self.x0[len(self.spaces):] = [np.zeros(s.n) for s in self.spaces]
-        # weak studies compare functionals (`_phi`), not fields
+        self.integrators = {
+            row: Integrator(self.spaces[row.mesh], row.drift,
+                            SchemeConfig(row.ratio * cfg.dt_ref,
+                                         self.n_steps // row.ratio))
+            for row in self.rows}
+        self.starts = {start: _initial_states(start, cfg.length, self.spaces,
+                                              self.basis)
+                       for start in {row.start for row in self.rows}}
+        # weak studies compare functionals, not fields
         self.comparers = []
         if cfg.kind in ("strong", "splitting_dt"):
-            ref_space = self.spaces[self.mesh_of[self.ref_index]]
-            self.comparers = [L2Comparer(ref_space, self.spaces[m])
-                              for m in self.mesh_of[:self.ref_index]]
+            ref, = (row for row in self.rows if row.role == "reference")
+            self.comparers = [
+                L2Comparer(self.spaces[ref.mesh], self.spaces[row.mesh])
+                for row in self.rows if row.role == "tested"]
 
     def load_kernels(self):
         """Load what the batches compute with: scipy's DST and the joint
@@ -749,19 +765,6 @@ class _CoupledEngine:
         instead of each importing scipy."""
         _dst()
         self.noise._chol  # noqa: B018 (first access wraps it)
-
-    def _add_probe_rows(self):
-        """Append the finest tested mesh and the reference at twice
-        dt_ref; e(2 dt) - e(dt) estimates a first-order temporal error at
-        dt."""
-        if self.n_steps % 2:
-            self.notes = ("dt-doubling probe skipped: twice dt_ref does "
-                          "not divide the horizon",)
-            return
-        self.probe_rows = (len(self.mesh_of), len(self.mesh_of) + 1)
-        self.mesh_of += [self.mesh_of[self.ref_index - 1],
-                         self.mesh_of[self.ref_index]]
-        self.ratios += [2, 2]
 
     def batch_bounds(self, index):
         start = index * self.cfg.batch_size
@@ -775,71 +778,73 @@ class _CoupledEngine:
         cfg = self.cfg
         start, stop = self.batch_bounds(index)
         batch = stop - start
-        # the probe rows close the table and run on the first batch only
-        n_rows = len(self.mesh_of) - (len(self.probe_rows) if index else 0)
-        rows = range(n_rows)
-        states = [np.tile(x0[:, None], (1, batch)) for x0 in self.x0[:n_rows]]
-        spares = [np.empty_like(state) for state in states]
-        scratch = [np.empty_like(state) for state in states]
-        sups = [np.abs(state).max(axis=0) for state in states]
-        acc = [np.zeros_like(state) if self.ratios[i] > 1 else None
-               for i, state in enumerate(states)]
         # a probe row that overflows drops its sample from the probe only
         aborted = np.zeros(batch, dtype=bool)
         probe_aborted = np.zeros(batch, dtype=bool)
-        guards = [probe_aborted if i in self.probe_rows else aborted
-                  for i in rows]
+        # the probe rows run on the first batch only, on its ordinary draws
+        rows = [row for row in self.rows if row.role != "probe" or not index]
+        plan = [(self.integrators[row], self.noise.slices[row.mesh], row.ratio,
+                 np.exp(-self.spaces[row.mesh].eigenvalues
+                        * cfg.dt_ref)[:, None] if row.ratio > 1 else None,
+                 probe_aborted if row.role == "probe" else aborted)
+                for row in rows]
+        states = [np.tile(self.starts[row.start][row.mesh][:, None],
+                          (1, batch)) for row in rows]
+        spares = [np.empty_like(state) for state in states]
+        scratch = [np.empty_like(state) for state in states]
+        sups = [np.abs(state).max(axis=0) for state in states]
+        acc = [np.zeros_like(state) if row.ratio > 1 else None
+               for row, state in zip(rows, states)]
         for step in range(self.n_steps):
             joint = self.noise.sample(cfg.seed, index, step, batch)
-            for i in rows:
-                ratio = self.ratios[i]
-                increment = joint[self.noise.slices[self.mesh_of[i]]]
+            for i, (integrator, part, ratio, decay, guard) in enumerate(plan):
+                increment = joint[part]
                 if ratio > 1:
-                    # exact aggregation to the level's drift step
-                    acc[i] *= self.decay[i]
+                    # exact aggregation to the row's drift step
+                    acc[i] *= decay
                     acc[i] += increment
                     if (step + 1) % ratio:
                         continue
                     increment = acc[i]
-                self.integrators[i].step_with_eigen_noise(
+                integrator.step_with_eigen_noise(
                     states[i], increment, out=spares[i], scratch=scratch[i])
                 states[i], spares[i] = spares[i], states[i]
                 if ratio > 1:
                     acc[i].fill(0.0)
-                np.maximum(sups[i], _discard_overflow(states[i], guards[i],
+                np.maximum(sups[i], _discard_overflow(states[i], guard,
                                                       scratch[i]),
                            out=sups[i])
+        got = {}
+        for row, state, sup in zip(rows, states, sups):
+            got.setdefault(row.role, []).append((self.spaces[row.mesh], state,
+                                                 sup))
         out = {"aborted": aborted, "draws": self.n_steps}
-        ref_i = self.ref_index
-        fine = ref_i - 1  # the finest tested level
-        probe = self.probe_rows if index == 0 else ()
+        if "z" in got:
+            out["x_sup"] = [sup ** 2 for *_, sup in got["tested"]]
+            out["z_sup"] = [sup ** 2 for *_, sup in got["z"]]
+            out["z_l2"] = [space.l2_norm(z) ** 2 for space, z, _ in got["z"]]
+            return out
+        probe = got.get("probe")  # the finest tested mesh, the reference
         if probe:
             out["probe_aborted"] = probe_aborted
-        if cfg.kind == "moments":
-            n_meshes = len(self.spaces)
-            out["x_sup"] = [sup ** 2 for sup in sups[:n_meshes]]
-            out["z_sup"] = [sup ** 2 for sup in sups[n_meshes:]]
-            out["z_l2"] = [space.l2_norm(z) ** 2
-                           for space, z in zip(self.spaces, states[n_meshes:])]
-        elif cfg.kind == "weak":
-            phi = [self._phi(i, states[i]) for i in range(ref_i + 1)]
-            out["values"] = [phi[ref_i] - p for p in phi[:ref_i]]
-            out["phi"] = phi
+        if self.comparers:
+            (_, ref, _), = got["reference"]
+            out["values"] = [cmp_.distance(ref, state) for cmp_, (_, state, _)
+                             in zip(self.comparers, got["tested"])]
             if probe:
-                out["probe"] = (self._phi(ref_i, states[probe[1]])
-                                - self._phi(fine, states[probe[0]]))
-        else:
-            out["values"] = [cmp_.distance(states[ref_i], state)
-                             for cmp_, state in zip(self.comparers, states)]
-            if probe:
-                out["probe"] = self.comparers[fine].distance(
-                    states[probe[1]], states[probe[0]])
-        return out
+                (_, fine, _), (_, doubled_ref, _) = probe
+                out["probe"] = self.comparers[-1].distance(doubled_ref, fine)
+            return out
 
-    def _phi(self, i, nodal):
-        return evaluate_functional(self.cfg.functional,
-                                   self.spaces[self.mesh_of[i]], self.basis,
-                                   nodal)
+        def phi(space, state, _):
+            return evaluate_functional(cfg.functional, space, self.basis,
+                                       state)
+
+        out["phi"] = [phi(*lv) for lv in got["tested"] + got["reference"]]
+        out["values"] = [out["phi"][-1] - p for p in out["phi"][:-1]]
+        if probe:
+            out["probe"] = phi(*probe[1]) - phi(*probe[0])
+        return out
 
 
 class _SplittingDtEngine(_CoupledEngine):
@@ -1092,7 +1097,7 @@ def simulate_trajectory(cfg: StudyConfig, seed: int | None = None):
     integrator = Integrator(
         space, cfg.drift, SchemeConfig(cfg.dt_ref, n_steps),
         covariance=cfg.covariance, basis=basis)
-    x0 = _initial_states(cfg, [space], basis)[0]
+    x0 = _initial_states(cfg.x0, cfg.length, [space], basis)[0]
     gen = substream(cfg.seed if seed is None else seed, purpose="trajectory")
     _, checkpoints = integrator.run(x0, gen, keep_checkpoints=True)
     times = np.arange(n_steps + 1) * cfg.dt_ref

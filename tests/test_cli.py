@@ -354,7 +354,9 @@ class TestErrorPaths:
         ("rho: 2.0", "rho: .nan", "finite rho > 0, got nan"),
         ("horizon: 0.25", "horizon: .inf",
          "horizon must be positive and finite, got inf"),
-    ], ids=["rho-nan", "horizon-inf"])
+        ("levels_log2: [2, 3, 4]", "levels: [.nan, 0.125, 0.0625]",
+         "mesh widths must be positive and finite, got nan"),
+    ], ids=["rho-nan", "horizon-inf", "levels-nan"])
     def test_non_finite_value_exits_two(self, tmp_path, capsys, old, new,
                                         reason):
         # these used to die in the study with a traceback and exit 1

@@ -423,9 +423,18 @@ time: {dt_ref_log2: 8, dt_levels: %s}
          "width inf does not tile"),
         ("rho: 2.0", "rho: 2.0\ndrift:\n  preset: linear\n  rate: .nan",
          r"drift: coefficients must be a finite"),
+        # NaN used to fail an ordering or positivity check, under its reason
+        ("levels_log2: [3, 4, 5]", "levels: [.nan, 0.125, 0.0625]",
+         "mesh widths must be positive and finite, got nan"),
+        ("reference_log2: 7", "reference: .nan",
+         "mesh widths must be positive and finite, got nan"),
+        ("kind: strong\nmesh:\n  levels_log2: [3, 4, 5]\n  reference_log2: 7",
+         "kind: splitting_dt\n  samples: 100\nmesh:\n  levels_log2: [5]\n"
+         "time:\n  dt_ref_log2: 8\n  dt_levels: [.nan, 0.0625, 0.03125]",
+         "step sizes must be positive and finite, got nan"),
     ], ids=["rho-nan", "rho-inf", "length-inf", "horizon-inf",
             "horizon-nan", "dt_ref-nan", "dt_ref-zero", "reference-2^2000",
-            "rate-nan"])
+            "rate-nan", "levels-nan", "reference-nan", "dt_levels-nan"])
     def test_non_finite_values_rejected(self, old, new, reason):
         # each used to pass, or to crash the study with an OverflowError,
         # ZeroDivisionError or a bare ValueError

@@ -23,7 +23,7 @@ from spdefem import (CovarianceSpec, FemSpace, Integrator, L2Comparer,
                      simulate_trajectory)
 from spdefem.dynamics import OVERFLOW_LIMIT
 from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
-                                 validate_functional_id)
+                                 _rows, validate_functional_id)
 from spdefem.noise import _joint_factor
 from test_fem import dense_eigensystem, hat_coupling
 
@@ -63,6 +63,25 @@ def splitting_config(**overrides):
     )
     base.update(overrides)
     return StudyConfig(**base)
+
+
+def moments_config(**overrides):
+    base = dict(
+        kind="moments",
+        covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
+        drift=AC,
+        levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
+        horizon=0.25,
+        dt_ref=2.0 ** -4,
+        samples=100,
+        batch_size=100,
+    )
+    base.update(overrides)
+    return StudyConfig(**base)
+
+
+def rows_of(engine, role):
+    return [row for row in engine.rows if row.role == role]
 
 
 class TestFitRate:
@@ -295,10 +314,12 @@ class TestCoupledDraws:
         engine = _CoupledEngine(cfg)
         # the finest tested mesh and the reference again, at twice their
         # drift steps, close the table
-        fine, ref = len(cfg.levels) - 1, engine.ref_index
-        assert engine.probe_rows == (ref + 1, ref + 2)
-        assert engine.mesh_of[ref + 1:] == [fine, ref]
-        assert engine.ratios[ref + 1:] == [2 * engine.ratios[fine], 2]
+        fine = rows_of(engine, "tested")[-1]
+        ref, = rows_of(engine, "reference")
+        probe = rows_of(engine, "probe")
+        assert engine.rows[-2:] == tuple(probe)
+        assert [(row.mesh, row.ratio) for row in probe] == [
+            (fine.mesh, 2 * fine.ratio), (ref.mesh, 2)]
         steps = [(cfg.dt_ref, step) for step in range(engine.n_steps)]
         out = engine.run_batch(0)
         assert calls == steps
@@ -321,7 +342,8 @@ class TestCoupledDraws:
 
         monkeypatch.setattr(Integrator, "step_with_eigen_noise", counted)
         engine = _CoupledEngine(strong_config())
-        probes = {id(engine.integrators[i]) for i in engine.probe_rows}
+        probes = {id(engine.integrators[row])
+                  for row in rows_of(engine, "probe")}
         engine.run_batch(1)
         assert stepped and not probes & {id(i) for i in stepped}
         stepped.clear()
@@ -371,8 +393,9 @@ class TestCoupledDraws:
         monkeypatch.setattr(_JointNoise, "sample", counted)
         cfg = splitting_config()
         engine = _CoupledEngine(cfg)
-        assert engine.probe_rows == ()
-        assert engine.mesh_of == [0] * (len(cfg.dt_levels) + 1)
+        assert rows_of(engine, "probe") == []
+        assert [row.mesh for row in engine.rows] == \
+            [0] * (len(cfg.dt_levels) + 1)
         out = engine.run_batch(0)
         assert calls == [cfg.dt_ref] * engine.n_steps
         assert out["draws"] == engine.n_steps and "probe" not in out
@@ -405,9 +428,9 @@ class TestTemporalProbe:
         # three reference steps: a doubled step cannot land on the horizon
         cfg = strong_config(horizon=0.75, dt_ref=2.0 ** -2)
         engine = _CoupledEngine(cfg)
-        assert engine.probe_rows == ()
+        assert rows_of(engine, "probe") == []
         assert all(i.config.dt * i.config.n_steps == cfg.horizon
-                   for i in engine.integrators)
+                   for i in engine.integrators.values())
         report = run_study(cfg)
         assert report.probe_ratio is None
         assert any(note.startswith("dt-doubling probe skipped")
@@ -421,8 +444,43 @@ class TestTemporalProbe:
             h_ref=2.0 ** -6, horizon=0.25, dt_ref=2.0 ** -6, samples=100,
             batch_size=100, seed=3)
         engine = _CoupledEngine(cfg)
-        assert engine.ratios[-2:] == [2, 2]
+        assert [(row.role, row.ratio) for row in engine.rows[-2:]] == \
+            [("probe", 2)] * 2
         assert run_study(cfg).probe_ratio is not None
+
+
+class TestRowTable:
+    # (role, mesh, ratio) of each row; strong_config steps 4 times, its
+    # horizon=0.75 variant 3 times (no room for a doubled step)
+    STRONG = [("tested", 0, 1), ("tested", 1, 1), ("tested", 2, 1),
+              ("reference", 3, 1)]
+    PROBE = [("probe", 2, 2), ("probe", 3, 2)]
+
+    @pytest.mark.parametrize("cfg, table, skipped", [
+        (strong_config(), STRONG + PROBE, False),
+        (strong_config(horizon=0.75, dt_ref=2.0 ** -2), STRONG, True),
+        (strong_config(kind="weak"), STRONG + PROBE, False),
+        (strong_config(kind="weak", horizon=0.75, dt_ref=2.0 ** -2), STRONG,
+         True),
+        (splitting_config(), [("tested", 0, 16), ("tested", 0, 8),
+                              ("tested", 0, 4), ("reference", 0, 1)], False),
+        # Z runs one exact step over the horizon: ratio n_steps = 4
+        (moments_config(), [("tested", 0, 1), ("tested", 1, 1),
+                            ("tested", 2, 1), ("z", 0, 4), ("z", 1, 4),
+                            ("z", 2, 4)], False),
+    ], ids=["strong", "strong-no-probe", "weak", "weak-no-probe",
+            "splitting_dt", "moments"])
+    def test_rows_per_kind(self, cfg, table, skipped):
+        rows, notes = _rows(cfg, round(cfg.horizon / cfg.dt_ref))
+        assert [(row.role, row.mesh, row.ratio) for row in rows] == table
+        for row in rows:
+            if row.role == "z":
+                # the stochastic convolution: no drift, from zero
+                assert row.drift.coeffs == (0.0,) and row.start == "zero"
+            else:
+                assert row.drift is cfg.drift and row.start == cfg.x0
+        assert [note.startswith("dt-doubling probe skipped")
+                for note in notes] == ([True] if skipped else [])
 
 
 class TestExponents:
@@ -743,7 +801,8 @@ class TestDeterminism:
         strong_config(samples=300),
         strong_config(kind="weak", dt_ref=2.0 ** -6, samples=300),
         splitting_config(samples=300),
-    ], ids=["strong", "weak", "splitting_dt"])
+        moments_config(samples=300),
+    ], ids=["strong", "weak", "splitting_dt", "moments"])
     def test_worker_count_does_not_change_bytes(self, cfg):
         serial = run_study(cfg, workers=1)
         forked = run_study(cfg, workers=3)

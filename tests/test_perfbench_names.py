@@ -2,10 +2,11 @@
 
 `perfbench.spans.instrument` wraps package callables by name, so a
 refactor that renames or removes one breaks the benchmark's tracer.
-This test instruments a fresh process, runs a tiny strong, a tiny
-splitting_dt, a tiny moments and a tiny operators study, and checks that
-the coupled studies recorded their batch and joint-draw spans and the
-operators study its operator-norm spans.
+This test instruments a fresh process, runs a tiny study of every kind
+(strong, weak, splitting_dt, moments and operators), so that each row
+table of the coupled engine runs through the patched names, and checks
+that the coupled studies recorded their batch and joint-draw spans and
+the operators study its operator-norm spans.
 """
 
 import json
@@ -29,6 +30,8 @@ common = dict(covariance=CovarianceSpec.power_decay(2.0, k_trunc=32),
 configs = {
     "strong": StudyConfig(kind="strong", levels=(0.25, 0.125, 0.0625),
                           h_ref=2.0 ** -6, dt_ref=2.0 ** -5, **common),
+    "weak": StudyConfig(kind="weak", levels=(0.25, 0.125, 0.0625),
+                        h_ref=2.0 ** -6, dt_ref=2.0 ** -5, **common),
     "splitting_dt": StudyConfig(kind="splitting_dt", levels=(0.125,),
                                 dt_levels=(2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
                                 dt_ref=2.0 ** -8, **common),
@@ -54,7 +57,7 @@ def test_tracer_records_batches_and_draws_of_coupled_studies():
                          text=True, env=env, cwd=ROOT, timeout=300)
     assert out.returncode == 0, out.stderr
     calls = json.loads(out.stdout)
-    for kind in ("strong", "splitting_dt", "moments"):
+    for kind in ("strong", "weak", "splitting_dt", "moments"):
         assert calls[kind]["experiments.batch"] == 1, kind
         assert calls[kind]["noise.draw"] > 0, kind
     # three default operator pairs on three meshes
