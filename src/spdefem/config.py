@@ -44,6 +44,10 @@ mesh.reference, time.dt_levels, functional.id and operators.pairs, set
 the fields ``StudyConfig.KIND_FIELDS`` lists with the kinds that read
 them; on any other kind the parser refuses the key when present, as a
 library ``StudyConfig`` refuses a non-default value of the field.
+An operators study draws no noise and steps no drift: the parser refuses
+study.samples, study.batch_size and every key of noise, drift, initial
+and time but time.horizon (semigroup pairs are evaluated there), so no
+key it never reads reaches its hash.
 ``horizon``, ``length``, ``dt_ref``, ``rho``, every mesh width and every
 step size must be finite.  Two removed keys are refused with the reason:
 ``time.policy`` (every strong or weak level steps at dt_ref) and
@@ -160,6 +164,12 @@ _FIELD_OF = {"mesh.reference": "h_ref", "initial.profile": "x0",
              "functional.id": "functional",
              "operators.pairs": "operator_pairs"}
 
+# the keys an operators study reads in the sections it shares with the
+# Monte-Carlo kinds (semigroup pairs are taken at t = horizon); any other
+# key there would be hashed but never read
+_OPERATORS_READ = {"study": ("kind", "seed"), "noise": (), "drift": (),
+                   "initial": (), "time": ("horizon",)}
+
 # the keys each noise family requires besides family; k_trunc is optional
 _NOISE_KEYS = {"power_decay": ("rho",), "white": (), "custom": ("weights",)}
 
@@ -270,7 +280,9 @@ def parse_config(text: str) -> StudyConfig:
     fields.setdefault("batch_size",
                       min(100, fields.get("samples", StudyConfig.samples)))
 
-    if "noise" not in doc and kind == "operators":
+    if kind == "operators":
+        for section, read in _OPERATORS_READ.items():
+            _only(values, section, "operators studies", (), read)
         covariance = CovarianceSpec.white(k_trunc=16)  # unused by the study
     else:
         covariance = _parse_noise(values)

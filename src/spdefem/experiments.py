@@ -597,16 +597,19 @@ class OperatorReport(dict):
                          for (s, r, which), fit in self.items())
 
 
-def _discard_overflow(state, aborted, scratch):
+def _discard_overflow(state, aborted):
     """Abort the columns of ``state`` that overflowed or went non-finite.
 
     Marks them in ``aborted`` and zeroes them in place, so they step on
     harmlessly until the reduction drops their samples.  Returns each
-    column's sup norm, taken before the zeroing through ``scratch``, a
-    work array of state's shape; the comparison is negated so that NaN
-    counts as an overflow.
+    column's sup norm, taken before the zeroing as max(max, -min), which
+    reads the state without writing |state| and has the bits of
+    ``np.abs(state).max(axis=0)`` (NaN propagates; adding 0.0 turns the
+    -0.0 of a zero column into +0.0).  The comparison is negated so that
+    NaN counts as an overflow.
     """
-    sup = np.abs(state, out=scratch).max(axis=0)
+    sup = np.maximum(state.max(axis=0), -state.min(axis=0))
+    sup += 0.0
     bad = ~(sup <= OVERFLOW_LIMIT)
     if bad.any():
         aborted |= bad
@@ -811,8 +814,7 @@ class _CoupledEngine:
                 states[i], spares[i] = spares[i], states[i]
                 if ratio > 1:
                     acc[i].fill(0.0)
-                np.maximum(sups[i], _discard_overflow(states[i], guard,
-                                                      scratch[i]),
+                np.maximum(sups[i], _discard_overflow(states[i], guard),
                            out=sups[i])
         got = {}
         for row, state, sup in zip(rows, states, sups):

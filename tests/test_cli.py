@@ -56,10 +56,6 @@ study:
   kind: operators
 mesh:
   levels_log2: [3, 4, 5, 6]
-noise:
-  family: power_decay
-  rho: 2.0
-  k_trunc: 64
 """
 
 SPLITTING_DT_DOC = """
@@ -366,6 +362,19 @@ class TestErrorPaths:
         assert code == 2
         err = capsys.readouterr().err
         assert reason in err and "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_operators_key_never_read_exits_two(self, tmp_path, capsys):
+        # a noise section used to be accepted, and hashed, on a study
+        # that draws no noise
+        doc = tmp_path / "operators.yaml"
+        doc.write_text(OPERATORS_DOC + "noise:\n  family: white\n")
+        code = cli.main(["study", str(doc), "--seed", "3", "--workers", "2",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "noise.family: not read by operators studies" in err
+        assert "Traceback" not in err
         assert not any(tmp_path.glob("*.csv"))
 
     def test_operator_pair_out_of_range_exits_two(self, tmp_path, capsys):

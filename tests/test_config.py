@@ -342,9 +342,42 @@ operators:
                                      f"kind: {kind}\n  p_order: 2")
         if kind != "weak":
             doc = doc.replace("  reference_log2: 7\n", "")
+        if kind == "operators":
+            doc = doc.split("noise:")[0]  # read by no operators study
         with pytest.raises(ConfigError, match=r"study\.p_order"):
             parse_config(doc)
         assert parse_config(doc.replace("  p_order: 2\n", "")).p_order == 2
+
+    OPERATORS_BASE = "study:\n  kind: operators\nmesh:\n  levels_log2: [3, 4, 5]\n"
+
+    @pytest.mark.parametrize("extra, path", [
+        ("  samples: 50\n", "study.samples"),
+        ("  batch_size: 50\n", "study.batch_size"),
+        ("time: {dt_ref_log2: 6}\n", "time.dt_ref_log2"),
+        ("noise: {family: power_decay, rho: 2.0, k_trunc: 64}\n",
+         "noise.family"),
+        ("drift: {preset: zero}\n", "drift.preset"),
+        ("initial: {profile: zero}\n", "initial.profile"),
+    ])
+    def test_keys_operators_studies_never_read_are_refused(self, extra,
+                                                           path):
+        # each used to parse, and to change the hash of a study that
+        # never reads it
+        doc = (self.OPERATORS_BASE.replace("mesh:", extra + "mesh:")
+               if extra.startswith("  ") else self.OPERATORS_BASE + extra)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: not "
+                           "read by operators studies$"):
+            parse_config(doc)
+
+    def test_operators_studies_keep_the_keys_they_read(self):
+        cfg = parse_config(self.OPERATORS_BASE)
+        assert cfg.config_hash == "df758fd58d161148"
+        # the seed (--seed overrides it too) and the horizon, at which
+        # semigroup pairs are evaluated, are read
+        doc = self.OPERATORS_BASE.replace("mesh:", "  seed: 3\nmesh:")
+        assert parse_config(doc).seed == 3
+        cfg = parse_config(self.OPERATORS_BASE + "time: {horizon: 0.5}\n")
+        assert cfg.horizon == 0.5
 
     def test_operators_section_only_for_operator_studies(self):
         with pytest.raises(ConfigError, match=r"operators\.pairs"):
@@ -359,6 +392,8 @@ operators:
         doc = MINIMAL_STRONG.replace("kind: strong", f"kind: {kind}")
         if kind not in ("strong", "weak"):
             doc = doc.replace("  reference_log2: 7\n", "")
+        if kind == "operators":
+            doc = doc.split("noise:")[0]  # read by no operators study
         if kind == "splitting_dt":
             doc = doc.replace("[3, 4, 5]", "[5]") + (
                 "time:\n  dt_levels_log2: [3, 4, 5]\n  dt_ref_log2: 8\n")

@@ -246,15 +246,24 @@ class TestSchemes:
             state, noise).tobytes()
         assert np.array_equal(state, before[0])
         assert np.array_equal(noise, before[1])
-        # the transforms' own operation order: scaled DST-I, the decay
-        # and the increment, scaled DST-I back
+        # the step's operation order: DST-I, one scale by the to-eigen
+        # scale times the decay, the increment, the from-eigen scale,
+        # DST-I back
         column = (slice(None),) + (None,) * (len(shape) - 1)
         flowed = integ.drift.flow(integ.dt, state)
-        coeffs = space._to_eigen_scale[column] * dst(flowed, type=1, axis=0)
-        coeffs = integ._decay[column] * coeffs + noise
+        eigen_side = (space._to_eigen_scale * integ._decay)[column]
+        coeffs = eigen_side * dst(flowed, type=1, axis=0) + noise
         expected = dst(space._from_eigen_scale[column] * coeffs, type=1,
                        axis=0)
         assert got.tobytes() == expected.tobytes()
+        # and, to rounding, the three passes of the eigen transforms: the
+        # to-eigen scale, then the decay, then the increment
+        coeffs = space._to_eigen_scale[column] * dst(flowed, type=1, axis=0)
+        coeffs = integ._decay[column] * coeffs + noise
+        three_pass = dst(space._from_eigen_scale[column] * coeffs, type=1,
+                         axis=0)
+        assert np.abs(got - three_pass).max() \
+            <= 1e-14 * np.abs(three_pass).max()
 
     def test_batched_steps_draw_factor_times_normals(self, small_setup):
         # every stochastic step draws factor @ normals from the generator,
@@ -396,9 +405,10 @@ class TestTangent:
         assert np.all(eta == 0.0)
 
     def test_finite_difference_agreement(self, small_setup):
-        # perturbing the initial state and rerunning with the same noise
-        # reproduces the tangent to the quotient's own O(eps) error
-        # (measured 2e-5 at eps=1e-5)
+        # perturbing the initial state both ways and rerunning with the
+        # same noise reproduces the tangent to the central quotient's own
+        # O(eps^2) error (measured at most 1.1e-8 at eps=1e-5; a one-sided
+        # quotient's O(eps) error reached 1.4e-4 on one of these paths)
         space, basis, cov = small_setup
         cfg = SchemeConfig(dt=2.0 ** -6, n_steps=16)
         integ = Integrator(space, PolynomialDrift.allen_cahn(), cfg,
@@ -410,14 +420,15 @@ class TestTangent:
                 + 0.2 * gen.standard_normal(space.n)
             y = gen.standard_normal(space.n)
             y /= space.l2_norm(y)
-            base, ckpts = integ.run(x0, substream(seed, purpose="tangent"),
-                                    keep_checkpoints=True)
+            _, ckpts = integ.run(x0, substream(seed, purpose="tangent"),
+                                 keep_checkpoints=True)
             eta = tangent_integrate(integ, ckpts, 0, y)
-            bumped = integ.run(x0 + eps * y,
-                               substream(seed, purpose="tangent"))
-            rel = space.l2_norm((bumped - base) / eps - eta) \
+            up, down = (integ.run(x0 + sign * eps * y,
+                                  substream(seed, purpose="tangent"))
+                        for sign in (1.0, -1.0))
+            rel = space.l2_norm((up - down) / (2.0 * eps) - eta) \
                 / space.l2_norm(eta)
-            assert rel < 1e-4
+            assert rel < 1e-6
 
     def test_partial_start_matches_restarted_run(self, small_setup):
         # starting the tangent midway only propagates the remaining steps

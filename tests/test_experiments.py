@@ -20,10 +20,11 @@ from spdefem import (CovarianceSpec, FemSpace, Integrator, L2Comparer,
                      default_initial_profile,
                      envelope_exponent, evaluate_functional, fit_rate,
                      growth_exponent, linear_weak_reference, run_study,
-                     simulate_trajectory)
+                     simulate_trajectory, substream)
 from spdefem.dynamics import OVERFLOW_LIMIT
 from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
-                                 _rows, validate_functional_id)
+                                 _discard_overflow, _rows,
+                                 validate_functional_id)
 from spdefem.noise import _joint_factor
 from test_fem import dense_eigensystem, hat_coupling
 
@@ -371,7 +372,8 @@ class TestCoupledDraws:
 
     def test_weak_engine_builds_no_comparer(self, monkeypatch):
         # a weak study compares functionals, never fields; the digest is
-        # the CSV's from when the engine still built a comparer per level
+        # the CSV's under the SFC64 draws (under Philox it was the CSV of
+        # an engine that still built a comparer per level)
         def refuse(*args):
             raise AssertionError("a weak study built an L2Comparer")
 
@@ -380,7 +382,7 @@ class TestCoupledDraws:
         assert _CoupledEngine(cfg).comparers == []
         csv = run_study(cfg).to_csv().encode()
         assert hashlib.sha256(csv).hexdigest() == (
-            "2f4211cb0f148e1b0e8ecdc94207df2994f5a70e86f49204166664d9e362fa6b")
+            "b92bfa36464ac58d00c5fd5f905dda4207a8a9cde980e0f636e0594b5235c046")
 
     def test_splitting_dt_draws_once_per_reference_step(self, monkeypatch):
         calls = []
@@ -945,6 +947,26 @@ class TestMoments:
             assert all(math.isfinite(m) for m in series)
         # every kept sample stayed under the limit at every step
         assert max(report.x_sup_moment) <= OVERFLOW_LIMIT ** 2
+
+    def test_overflow_check_reads_the_abs_sup_without_writing(self):
+        # the sup is max(max, -min) per column: the bits of |state|'s max,
+        # +0.0 on a column of zeros of either sign, NaN on a NaN column;
+        # NaN and +-inf columns are aborted and zeroed, the rest untouched
+        state = substream(5, purpose="test").standard_normal((6, 8))
+        state[:, 2] = 0.0
+        state[:, 3] = -0.0
+        state[1, 4] = np.nan
+        state[2, 5] = np.inf
+        state[3, 6] = -np.inf
+        state[4, 7] = -2.0 * OVERFLOW_LIMIT
+        before = state.copy()
+        abs_sup = np.abs(state).max(axis=0)
+        aborted = np.zeros(8, dtype=bool)
+        sup = _discard_overflow(state, aborted)
+        assert sup.tobytes() == abs_sup.tobytes()
+        assert aborted.tolist() == [False] * 4 + [True] * 4
+        assert np.all(state[:, 4:] == 0.0)
+        assert state[:, :4].tobytes() == before[:, :4].tobytes()
 
 
 class TestOperators:
