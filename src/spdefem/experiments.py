@@ -32,6 +32,10 @@ the full dynamics X and, on the same path, the stochastic convolution Z
 (``z`` rows).  In strong and weak studies the first batch also runs two
 ``probe`` rows at twice dt_ref to bound the drift-splitting time error.
 
+A batch returns per-level sample columns and aborted-sample masks only;
+the reduction gathers each level over the batches (`_gather`), and one
+builder (`_rate_report`) makes every rate report, Monte-Carlo or operator.
+
 Determinism contract: samples are organized in fixed-size batches, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
 reduction walks batches in index order.  Worker count therefore cannot
@@ -172,7 +176,8 @@ class StudyConfig:
     ``functional`` and ``operator_pairs``, keep their defaults on every
     kind `KIND_FIELDS` does not list for them: a value the study never
     reads is refused, not hashed.  The YAML parser refuses the matching
-    key through the same table.
+    key through the same table.  A drift whose closed-form flow overflows
+    a float over the longest drift step of a row (`_rows`) is refused.
     """
 
     KIND_FIELDS = {
@@ -284,6 +289,16 @@ class StudyConfig:
                 what = "a reference width" if name == "h_ref" else name
                 raise ValueError(f"{what} is only meaningful for "
                                  f"{' or '.join(kinds)} studies")
+        if self.kind != "operators" and self.drift._has_closed_flow:
+            rows, _ = _rows(self, round(self.horizon / self.dt_ref))
+            step = self.dt_ref * max(row.ratio for row in rows
+                                     if row.drift == self.drift)
+            try:
+                self.drift.flow(step, 0.0)
+            except OverflowError:
+                coeffs = list(map(float, self.drift.coeffs))
+                raise ValueError(f"drift coefficients {coeffs} overflow a "
+                                 f"float over a step of {step!r}") from None
 
     @property
     def step_ratios(self) -> tuple[int, ...]:
@@ -363,22 +378,25 @@ class FitResult:
     used: tuple[bool, ...]
 
 
+def _clears_floor(errors, stderrs):
+    """The noise-floor rule, elementwise: positive and above 4 stderr."""
+    return (errors > 0.0) & (errors > NOISE_FLOOR_FACTOR * stderrs)
+
+
 def fit_rate(levels) -> FitResult:
     """Weighted log-log regression of error against resolution.
 
     ``levels`` is a sequence of (h, error, stderr) triples.  A level is
     usable when its error clears the Monte-Carlo noise floor
-    (error > 4 stderr, i.e. relative standard error below 25%).
+    (`_clears_floor`: relative standard error below 25%).
     Log-scale weights come from the delta method, sigma_log =
     stderr/error; with all-zero stderr (deterministic errors) the fit
     degrades to ordinary least squares.  The confidence interval uses
     the residual-scaled covariance with a Student-t quantile on n-2
     degrees of freedom.
     """
-    hs = np.array([lv[0] for lv in levels], dtype=float)
-    errors = np.array([lv[1] for lv in levels], dtype=float)
-    stderrs = np.array([lv[2] for lv in levels], dtype=float)
-    usable = (errors > 0.0) & (errors > NOISE_FLOOR_FACTOR * stderrs)
+    hs, errors, stderrs = np.array(levels, dtype=float).reshape(-1, 3).T
+    usable = _clears_floor(errors, stderrs)
     if usable.sum() < 3:
         raise ValueError(
             f"insufficient data: only {int(usable.sum())} of {len(levels)} "
@@ -456,27 +474,37 @@ class LevelResult:
     usable: bool
 
 
-@dataclass
-class RateReport:
+@dataclass(kw_only=True)
+class _Report:
+    """The provenance and runtime fields of every study report."""
+
     kind: str
+    config_hash: str
+    seed: int
+    provenance: str = ""
+    aborted_total: int = 0
+    noise: dict | None = None
+    runtime_seconds: float = 0.0
+    timings: dict | None = None
+    runtime: dict | None = None
+    workers: int = 1
+    notes: tuple[str, ...] = ()
+    fit_failed = False         # overridden by the reports that fit a rate
+
+    def to_json(self) -> str:
+        return _artifact_json(asdict(self))
+
+
+@dataclass
+class RateReport(_Report):
     levels: list
     slope: float
     ci_lo: float
     ci_hi: float
     noise_floor: bool
     monotonic: bool
-    config_hash: str
-    seed: int
-    provenance: str = ""
     probe_ratio: float | None = None
-    aborted_total: int = 0
-    runtime_seconds: float = 0.0
-    workers: int = 1
     functional_means: list | None = None
-    noise: dict | None = None
-    timings: dict | None = None
-    runtime: dict | None = None
-    notes: tuple[str, ...] = ()
 
     @property
     def fit_failed(self) -> bool:
@@ -496,12 +524,9 @@ class RateReport:
               for lv in self.levels)])
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["levels"] = [
+        return _artifact_json({**asdict(self), "levels": [
             {"level": lv.index, "h": lv.resolution, "error": lv.error,
-             "stderr": lv.stderr, "usable": lv.usable}
-            for lv in self.levels]
-        return _artifact_json(payload)
+             "stderr": lv.stderr, "usable": lv.usable} for lv in self.levels]})
 
     def summary(self) -> str:
         return (f"{self.kind} study {self.config_hash}: "
@@ -512,8 +537,7 @@ class RateReport:
 
 
 @dataclass
-class MomentReport:
-    kind: str
+class MomentReport(_Report):
     resolutions: list
     z_sup_moment: list
     z_sup_stderr: list
@@ -522,17 +546,6 @@ class MomentReport:
     x_sup_moment: list
     x_sup_stderr: list
     exponents: dict
-    config_hash: str
-    seed: int
-    provenance: str = ""
-    aborted_total: int = 0
-    noise: dict | None = None
-    runtime_seconds: float = 0.0
-    timings: dict | None = None
-    runtime: dict | None = None
-    workers: int = 1
-    notes: tuple[str, ...] = ()
-    fit_failed = False         # a moment study fits no rate
 
     def to_csv(self) -> str:
         rows = zip(self.resolutions, self.z_sup_moment, self.z_sup_stderr,
@@ -542,9 +555,6 @@ class MomentReport:
             "level,h,z_sup,z_sup_stderr,z_l2,z_l2_stderr,x_sup,x_sup_stderr",
             *(f"{index}," + ",".join(f"{v:.17g}" for v in row)
               for index, row in enumerate(rows))])
-
-    def to_json(self) -> str:
-        return _artifact_json(asdict(self))
 
     def summary(self) -> str:
         exponents = ", ".join(f"{k}={v:.3f}"
@@ -560,16 +570,16 @@ class OperatorReport(dict):
 
     kind = "operators"
     notes = ()
-    fit_failed = False
     workers = 1                # operator studies never start a pool
 
-    def __init__(self, fits, config_hash, seed, provenance,
-                 runtime_seconds):
+    def __init__(self, fits, cfg, runtime_seconds):
         super().__init__(fits)
-        self.config_hash = config_hash
-        self.seed = seed
-        self.provenance = provenance
-        self.runtime_seconds = runtime_seconds
+        self.config_hash, self.seed = cfg.config_hash, cfg.seed
+        self.provenance, self.runtime_seconds = cfg.provenance, runtime_seconds
+
+    @property
+    def fit_failed(self) -> bool:
+        return any(fit.fit_failed for fit in self.values())
 
     def to_csv(self) -> str:
         return _artifact_csv(self.config_hash, self.seed, [
@@ -580,16 +590,12 @@ class OperatorReport(dict):
 
     def to_json(self) -> str:
         return _artifact_json({
-            "kind": self.kind,
             "fits": [{"s": s, "r": r, "which": which, "slope": fit.slope,
                       "ci_lo": fit.ci_lo, "ci_hi": fit.ci_hi}
                      for (s, r, which), fit in self.items()],
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "provenance": self.provenance,
-            "runtime_seconds": self.runtime_seconds,
-            "workers": self.workers,
-        })
+            **{name: getattr(self, name) for name in (
+                "kind", "seed", "config_hash", "provenance",
+                "runtime_seconds", "workers")}})
 
     def summary(self) -> str:
         return "\n".join(f"operator ({s:g}, {r:g}, {which}): "
@@ -820,7 +826,7 @@ class _CoupledEngine:
         for row, state, sup in zip(rows, states, sups):
             got.setdefault(row.role, []).append((self.spaces[row.mesh], state,
                                                  sup))
-        out = {"aborted": aborted, "draws": self.n_steps}
+        out = {"aborted": aborted}
         if "z" in got:
             out["x_sup"] = [sup ** 2 for *_, sup in got["tested"]]
             out["z_sup"] = [sup ** 2 for *_, sup in got["z"]]
@@ -899,21 +905,32 @@ def _map_batches(engine, map_fn, workers):
         _set_engine(None)
 
 
+def _gather(results, keys):
+    """Each level's kept samples of each per-level batch output in
+    ``keys`` (batches in index order), and the aborted sample count."""
+    keep = ~np.concatenate([r["aborted"] for r in results])
+    return ({key: [np.concatenate(columns)[keep]
+                   for columns in zip(*(r[key] for r in results))]
+             for key in keys if key in results[0]}, int((~keep).sum()))
+
+
 def _mean_stderr(values):
-    """Sample mean and its standard error (numpy scalars)."""
+    """Sample mean and its standard error, both NaN below 2 samples."""
+    if values.size < 2:
+        return math.nan, math.nan
     return values.mean(), values.std(ddof=1) / math.sqrt(values.size)
 
 
 def _level_stats(cfg, values):
-    """A level's (error, stderr): the weak error is |mean|; the strong
-    and splitting_dt errors are L^p means, their stderr by the delta
-    method."""
+    """A level's (error, stderr), NaN below 2 samples: the weak error is
+    |mean|; the strong and splitting_dt errors are L^p means, their stderr
+    by the delta method (0 when every sample error is 0)."""
     if cfg.kind == "weak":
         mean, stderr = _mean_stderr(values)
         return abs(float(mean)), float(stderr)
     mean_p, se_p = _mean_stderr(values ** cfg.p_order)
     error = mean_p ** (1.0 / cfg.p_order)
-    stderr = se_p * error / (cfg.p_order * mean_p) if mean_p > 0 else 0.0
+    stderr = se_p * error / (cfg.p_order * mean_p) if mean_p > 0 else se_p
     return float(error), float(stderr)
 
 
@@ -922,23 +939,35 @@ def _aborted_note(aborted_total, samples):
             "non-finite state) and were discarded")
 
 
-def _noise_summary(engine, results) -> dict:
-    """The JSON noise block: the factor's diagnostics and the draws made."""
-    return {**engine.noise.diagnostics(),
-            "draws": sum(r["draws"] for r in results)}
+def _rate_report(cfg, resolutions, stats, notes, **fields) -> RateReport:
+    """The `RateReport` of per-level (error, stderr) ``stats`` and other
+    ``fields``: noise floor, fit (NaN and a note when it fails), and the
+    monotonicity and aborted notes, appended to the list ``notes``."""
+    errors, stderrs = np.array(stats, dtype=float).T
+    usable = _clears_floor(errors, stderrs)
+    try:
+        fit = fit_rate(list(zip(resolutions, errors, stderrs)))
+        slope, ci_lo, ci_hi = fit.slope, fit.ci_lo, fit.ci_hi
+    except ValueError as exc:
+        slope = ci_lo = ci_hi = math.nan
+        notes.append(str(exc))
+    monotonic = bool(np.all(np.diff(errors[usable]) < 0.0))
+    if not monotonic:
+        notes.append("usable errors are not monotone in resolution")
+    if fields.get("aborted_total"):
+        notes.append(_aborted_note(fields["aborted_total"], cfg.samples))
+    return RateReport(
+        kind=cfg.kind, slope=slope, ci_lo=ci_lo, ci_hi=ci_hi,
+        levels=list(map(LevelResult, range(len(errors)), resolutions,
+                        errors.tolist(), stderrs.tolist(), usable.tolist())),
+        noise_floor=not usable.all(), monotonic=monotonic,
+        config_hash=cfg.config_hash, seed=cfg.seed,
+        provenance=cfg.provenance, notes=tuple(notes), **fields)
 
 
-def _reduce_rate_study(engine, results, workers):
-    cfg, resolutions = engine.cfg, engine.resolutions
-    keep = ~np.concatenate([r["aborted"] for r in results])
-    aborted_total = int((~keep).sum())
-    levels = []
-    for i, res in enumerate(resolutions):
-        values = np.concatenate([r["values"][i] for r in results])[keep]
-        error, stderr = _level_stats(cfg, values)
-        usable = error > 0.0 and error > NOISE_FLOOR_FACTOR * stderr
-        levels.append(LevelResult(index=i, resolution=res, error=error,
-                                  stderr=stderr, usable=usable))
+def _reduce_rate_study(engine, results):
+    cfg = engine.cfg
+    samples, aborted_total = _gather(results, ("values", "phi"))
     notes = list(engine.notes)
     probe_ratio = None
     first = results[0]
@@ -956,64 +985,41 @@ def _reduce_rate_study(engine, results, workers):
                 notes.append(
                     "dt-doubling probe above 10%: temporal error may "
                     "contaminate the finest level")
-    functional_means = None
-    if results and "phi" in results[0]:
-        functional_means = []
-        for i, res in enumerate(list(resolutions) + [cfg.h_ref]):
-            mean, stderr = _mean_stderr(
-                np.concatenate([r["phi"][i] for r in results])[keep])
-            functional_means.append({"h": res, "mean": float(mean),
-                                     "stderr": float(stderr)})
-    try:
-        fit = fit_rate([(lv.resolution, lv.error, lv.stderr)
-                        for lv in levels])
-        slope, ci_lo, ci_hi = fit.slope, fit.ci_lo, fit.ci_hi
-    except ValueError as exc:
-        slope = ci_lo = ci_hi = float("nan")
-        notes.append(str(exc))
-    errs = [lv.error for lv in levels if lv.usable]
-    monotonic = all(a > b for a, b in zip(errs, errs[1:]))
-    if not monotonic:
-        notes.append("usable errors are not monotone in resolution")
+    functional_means = [
+        {"h": h, "mean": float(mean), "stderr": float(stderr)}
+        for h, (mean, stderr) in zip((*engine.resolutions, cfg.h_ref),
+                                     map(_mean_stderr, samples["phi"]))
+    ] if "phi" in samples else None
+    return _rate_report(
+        cfg, engine.resolutions,
+        [_level_stats(cfg, values) for values in samples["values"]], notes,
+        probe_ratio=probe_ratio, aborted_total=aborted_total,
+        functional_means=functional_means)
+
+
+def _reduce_moment_study(engine, results):
+    cfg = engine.cfg
+    samples, aborted_total = _gather(results, ("z_sup", "z_l2", "x_sup"))
+    fields, exponents, notes = {}, {}, []
+    for key, levels in samples.items():
+        means, stderrs = ([float(x) for x in column] for column
+                          in zip(*map(_mean_stderr, levels)))
+        fields[key + "_moment"], fields[key + "_stderr"] = means, stderrs
+        if all(mean > 0.0 for mean in means):
+            exponents[key] = growth_exponent(cfg.levels, means)
+            exponents[key + "_envelope"] = envelope_exponent(cfg.levels,
+                                                             means)
+        else:  # NaN, or a zero moment: no power law to fit
+            exponents[key] = exponents[key + "_envelope"] = math.nan
+            notes.append(f"{key} moments are not all positive: its "
+                         "exponents are NaN")
     if aborted_total:
         notes.append(_aborted_note(aborted_total, cfg.samples))
-    return RateReport(
-        kind=cfg.kind, levels=levels, slope=slope, ci_lo=ci_lo, ci_hi=ci_hi,
-        noise_floor=not all(lv.usable for lv in levels), monotonic=monotonic,
-        config_hash=cfg.config_hash, seed=cfg.seed,
-        provenance=cfg.provenance, probe_ratio=probe_ratio,
-        aborted_total=aborted_total, functional_means=functional_means,
-        noise=_noise_summary(engine, results), workers=workers,
-        notes=tuple(notes))
-
-
-def _reduce_moment_study(engine, results, workers):
-    cfg = engine.cfg
-    keep = ~np.concatenate([r["aborted"] for r in results])
-    series = {"z_sup": ([], []), "z_l2": ([], []), "x_sup": ([], [])}
-    for key, (mean_list, se_list) in series.items():
-        for lvl in range(len(cfg.levels)):
-            mean, stderr = _mean_stderr(
-                np.concatenate([r[key][lvl] for r in results])[keep])
-            mean_list.append(float(mean))
-            se_list.append(float(stderr))
-    exponents = {}
-    for key, (mean_list, _) in series.items():
-        exponents[key] = growth_exponent(cfg.levels, mean_list)
-        exponents[key + "_envelope"] = envelope_exponent(cfg.levels,
-                                                         mean_list)
-    aborted_total = int((~keep).sum())
-    notes = ((_aborted_note(aborted_total, cfg.samples),) if aborted_total
-             else ())
     return MomentReport(
-        kind=cfg.kind, resolutions=list(cfg.levels),
-        z_sup_moment=series["z_sup"][0], z_sup_stderr=series["z_sup"][1],
-        z_l2_moment=series["z_l2"][0], z_l2_stderr=series["z_l2"][1],
-        x_sup_moment=series["x_sup"][0], x_sup_stderr=series["x_sup"][1],
-        exponents=exponents, config_hash=cfg.config_hash, seed=cfg.seed,
+        kind=cfg.kind, resolutions=list(cfg.levels), exponents=exponents,
+        config_hash=cfg.config_hash, seed=cfg.seed,
         provenance=cfg.provenance, aborted_total=aborted_total,
-        noise=_noise_summary(engine, results), workers=workers,
-        notes=notes)
+        notes=tuple(notes), **fields)
 
 
 def _operator_study(cfg, start) -> OperatorReport:
@@ -1026,25 +1032,13 @@ def _operator_study(cfg, start) -> OperatorReport:
     for s_exp, r_exp, which in cfg.operator_pairs:
         t0 = time.perf_counter()
         t_eval = cfg.horizon if which == "semigroup" else None
-        levels = []
-        for i, space in enumerate(spaces):
-            norm = operator_error_norm(space, basis, s=s_exp, r=r_exp,
-                                       which=which, t=t_eval)
-            levels.append(LevelResult(index=i, resolution=cfg.levels[i],
-                                      error=float(norm), stderr=0.0,
-                                      usable=True))
-        fit = fit_rate([(lv.resolution, lv.error, lv.stderr)
-                        for lv in levels])
-        errs = [lv.error for lv in levels]
-        reports[(s_exp, r_exp, which)] = RateReport(
-            kind=cfg.kind, levels=levels, slope=fit.slope, ci_lo=fit.ci_lo,
-            ci_hi=fit.ci_hi, noise_floor=False,
-            monotonic=all(a > b for a, b in zip(errs, errs[1:])),
-            config_hash=cfg.config_hash, seed=cfg.seed,
-            provenance=cfg.provenance,
-            runtime_seconds=time.perf_counter() - t0, workers=1)
-    return OperatorReport(reports, cfg.config_hash, cfg.seed,
-                          cfg.provenance, time.perf_counter() - start)
+        stats = [(operator_error_norm(space, basis, s=s_exp, r=r_exp,
+                                      which=which, t=t_eval), 0.0)
+                 for space in spaces]
+        reports[(s_exp, r_exp, which)] = _rate_report(
+            cfg, cfg.levels, stats, [],
+            runtime_seconds=time.perf_counter() - t0)
+    return OperatorReport(reports, cfg, time.perf_counter() - start)
 
 
 def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
@@ -1054,10 +1048,12 @@ def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
     ``map_fn`` and ``workers``.  Every other kind runs the coupled
     engine's batches through ``map_fn`` when given, else on ``workers``
     forked processes; the report is the same to the last digit either way.
-    Its JSON ``timings`` split ``runtime_seconds`` into engine set-up, the
-    batches and the reduction; its ``runtime`` block gives the pool's start
-    method (None when the batches run in this process) and this process's
-    OS thread count as the batch map starts.
+    Its JSON ``noise`` block, ``workers``, ``timings`` and ``runtime`` are
+    filled in here, after the reduction, which reads the samples alone:
+    ``timings`` split ``runtime_seconds`` into engine set-up, the batches
+    and the reduction; ``runtime`` gives the pool's start method (None when
+    the batches run in this process) and this process's OS thread count as
+    the batch map starts.
     """
     start = time.perf_counter()
     if cfg.kind == "operators":
@@ -1071,8 +1067,11 @@ def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
     mapped = time.perf_counter()
     reduce = (_reduce_moment_study if cfg.kind == "moments"
               else _reduce_rate_study)
-    report = reduce(engine, results, processes)
+    report = reduce(engine, results)
     end = time.perf_counter()
+    report.noise = {**engine.noise.diagnostics(),
+                    "draws": engine.n_batches * engine.n_steps}
+    report.workers = processes
     # differences of nearby clock readings are exact, so the three parts
     # add up to runtime_seconds exactly
     report.runtime_seconds = end - start

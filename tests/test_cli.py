@@ -423,6 +423,26 @@ class TestErrorPaths:
         assert "Traceback" not in out.stderr
         assert not any(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["study", "trajectory"])
+    @pytest.mark.parametrize("drift, coeffs, step", [
+        ("  preset: linear\n  rate: 100000\n", "[0.0, 100000.0]", 0.125),
+        ("  coeffs: [0, 20000, 0, -1]\n", "[0.0, 20000.0, 0.0, -1.0]",
+         0.125),
+    ])
+    def test_overflowing_drift_exits_two(self, tmp_path, capsys, command,
+                                         drift, coeffs, step):
+        # e^(a1 t) of the closed-form flow overflows over the probe's
+        # 2 dt_ref = 1/8: refused before any stepping
+        doc = tmp_path / "drift.yaml"
+        doc.write_text(STRONG_DOC + "drift:\n" + drift)
+        out = tmp_path / "out"
+        assert cli.main([command, str(doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"drift coefficients {coeffs} overflow a float over a step "
+                f"of {step!r}") in err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = cli.main(["study", str(tmp_path / "absent.yaml")])
         assert code == 2

@@ -9,12 +9,15 @@ import os
 import subprocess
 import sys
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import stdtrit
 from scipy.stats import t as student_t
 
+import spdefem.experiments as experiments
 from spdefem import (CovarianceSpec, FemSpace, Integrator, L2Comparer,
                      PolynomialDrift, RateReport, SpectralBasis, StudyConfig,
                      default_initial_profile,
@@ -23,7 +26,8 @@ from spdefem import (CovarianceSpec, FemSpace, Integrator, L2Comparer,
                      simulate_trajectory, substream)
 from spdefem.dynamics import OVERFLOW_LIMIT
 from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
-                                 _discard_overflow, _rows,
+                                 _discard_overflow, _rate_report,
+                                 _reduce_rate_study, _rows,
                                  validate_functional_id)
 from spdefem.noise import _joint_factor
 from test_fem import dense_eigensystem, hat_coupling
@@ -324,12 +328,10 @@ class TestCoupledDraws:
         steps = [(cfg.dt_ref, step) for step in range(engine.n_steps)]
         out = engine.run_batch(0)
         assert calls == steps
-        assert out["draws"] == engine.n_steps
         assert out["probe"].shape == out["probe_aborted"].shape == (100,)
         calls.clear()
         out = engine.run_batch(1)
         assert calls == steps
-        assert out["draws"] == engine.n_steps
         assert "probe" not in out and "probe_aborted" not in out
         assert len(out["values"]) == len(cfg.levels)
 
@@ -400,7 +402,7 @@ class TestCoupledDraws:
             [0] * (len(cfg.dt_levels) + 1)
         out = engine.run_batch(0)
         assert calls == [cfg.dt_ref] * engine.n_steps
-        assert out["draws"] == engine.n_steps and "probe" not in out
+        assert "probe" not in out
         report = run_study(cfg)
         assert report.probe_ratio is None
         assert report.noise == {
@@ -558,6 +560,24 @@ class TestFunctionals:
 
 
 class TestStudyConfig:
+    def test_drift_overflowing_over_the_probe_step_is_refused(self):
+        # 8000 dt_ref = 500 leaves e^500 finite, the probe's 2 dt_ref
+        # overflows; with an odd step count no row takes 2 dt_ref
+        drift = PolynomialDrift.linear(8000.0)
+        with pytest.raises(ValueError, match=r"\[0\.0, 8000\.0\] overflow "
+                           r"a float over a step of 0\.125"):
+            strong_config(drift=drift)
+        strong_config(drift=drift, horizon=3 * 2.0 ** -4)
+        moments_config(drift=drift)
+
+    def test_drift_overflowing_over_the_coarsest_dt_level_is_refused(self):
+        # the coarsest tested step, 2^-3, is the longest; dt_ref is 2^-7
+        with pytest.raises(ValueError, match="over a step of 0.125"):
+            splitting_config(drift=PolynomialDrift.linear(6000.0))
+        with pytest.raises(ValueError, match="over a step of 0.125"):
+            splitting_config(drift=PolynomialDrift((0.0, 3000.0, 0.0, -1.0)))
+        splitting_config(drift=PolynomialDrift.linear(4000.0))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown study kind"):
             strong_config(kind="med")
@@ -1077,3 +1097,129 @@ class TestReports:
         n_batches = -(-cfg.samples // cfg.batch_size)
         n_steps = round(cfg.horizon / cfg.dt_ref)
         assert doc["noise"]["draws"] == n_batches * n_steps
+
+
+def fake_engine(cfg, errors):
+    """An engine stand-in whose one batch gives every sample of level i
+    the error errors[i], exactly representable so its stderr is 0."""
+    engine = SimpleNamespace(cfg=cfg, notes=(), resolutions=list(cfg.levels))
+    batch = {"aborted": np.zeros(cfg.samples, dtype=bool),
+             "values": [np.full(cfg.samples, e) for e in errors]}
+    return engine, [batch]
+
+
+class TestReportPath:
+    HS = (2.0 ** -1, 2.0 ** -2, 2.0 ** -3, 2.0 ** -4)
+
+    def flags(self, report):
+        return ([(lv.error, lv.stderr, lv.usable) for lv in report.levels],
+                report.noise_floor, report.monotonic, report.notes,
+                report.fit_failed)
+
+    def test_zero_error_level_is_not_usable(self):
+        report = _rate_report(strong_config(), self.HS,
+                              [(0.5, 0.0), (0.25, 0.0), (0.125, 0.0),
+                               (0.0, 0.0)], [])
+        assert [lv.usable for lv in report.levels] == [True] * 3 + [False]
+        assert report.noise_floor and not report.fit_failed
+
+    def test_non_monotone_usable_series_gets_the_note(self):
+        # the drowned third level does not count against monotonicity
+        report = _rate_report(strong_config(), self.HS,
+                              [(0.5, 0.01), (0.25, 0.01), (0.3, 0.1),
+                               (0.125, 0.01)], [])
+        assert report.monotonic and report.notes == ()
+        report = _rate_report(strong_config(), self.HS,
+                              [(0.5, 0.01), (0.25, 0.01), (0.3, 0.01),
+                               (0.125, 0.01)], [])
+        assert not report.monotonic
+        assert report.notes == (
+            "usable errors are not monotone in resolution",)
+
+    def test_failed_fit_gives_nan_and_its_message(self):
+        report = _rate_report(strong_config(), self.HS,
+                              [(0.5, 0.0), (0.25, 0.0), (0.0, 0.0),
+                               (0.125, 1.0)], [])
+        assert report.fit_failed
+        assert all(math.isnan(v)
+                   for v in (report.slope, report.ci_lo, report.ci_hi))
+        assert report.notes == (
+            "insufficient data: only 2 of 4 levels clear the noise floor, "
+            "need 3 for a rate fit",)
+
+    def test_fit_uses_exactly_the_usable_levels(self):
+        for report in (run_study(strong_config()),
+                       _rate_report(strong_config(), self.HS,
+                                    [(0.5, 0.01), (0.2, 0.1), (0.1, 0.01),
+                                     (0.05, 0.01)], [])):
+            fit = fit_rate([(lv.resolution, lv.error, lv.stderr)
+                            for lv in report.levels])
+            assert fit.used == tuple(lv.usable for lv in report.levels)
+
+    @pytest.mark.parametrize("errors", [
+        (0.25, 0.5, 0.125, 0.0),      # a zero level and a rise
+        (0.25, 0.0, 0.0, 0.0),        # too few levels for a fit
+        (0.5, 0.25, 0.125, 0.0625),
+    ])
+    def test_operator_pair_gets_the_flags_of_a_monte_carlo_study(
+            self, errors, monkeypatch):
+        cfg = strong_config(levels=self.HS, h_ref=2.0 ** -6)
+        monte_carlo = _reduce_rate_study(*fake_engine(cfg, errors))
+        assert all(lv.stderr == 0.0 for lv in monte_carlo.levels)
+        by_elements = {round(1.0 / h): e for h, e in zip(self.HS, errors)}
+        monkeypatch.setattr(experiments, "operator_error_norm",
+                            lambda space, *args, **kw:
+                            by_elements[space.n + 1])
+        operators = run_study(StudyConfig(
+            kind="operators", covariance=cfg.covariance, drift=AC,
+            levels=self.HS, operator_pairs=((0.0, 2.0, "l2"),)))
+        pair = operators[(0.0, 2.0, "l2")]
+        assert self.flags(pair) == self.flags(monte_carlo)
+        assert (pair.slope == monte_carlo.slope
+                or math.isnan(pair.slope) and math.isnan(monte_carlo.slope))
+        assert operators.fit_failed == monte_carlo.fit_failed
+
+
+class TestDegenerateLevels:
+    """Studies whose levels keep too few samples report NaN, not a
+    spurious number, and warn nothing."""
+
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    def test_every_sample_aborted_reports_nan_error_and_stderr(self, kind):
+        cfg = strong_config(kind=kind, drift=PolynomialDrift((0, 5000.0)),
+                            horizon=0.5, samples=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_study(cfg)
+        assert report.aborted_total == 100 and report.fit_failed
+        for lv in report.levels:
+            assert math.isnan(lv.error) and math.isnan(lv.stderr)
+            assert not lv.usable
+        assert report.to_csv().splitlines()[-1] == "2,0.0625,nan,nan,false"
+        assert report.probe_ratio is None
+
+    def test_one_kept_sample_is_too_few(self):
+        cfg = strong_config()
+        engine, (batch,) = fake_engine(cfg, (0.5, 0.25, 0.125))
+        batch["aborted"][1:] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = _reduce_rate_study(engine, [batch])
+        assert report.aborted_total == cfg.samples - 1
+        assert all(math.isnan(lv.error) and math.isnan(lv.stderr)
+                   and not lv.usable for lv in report.levels)
+
+    def test_moment_series_not_all_positive_gets_nan_exponents(self):
+        # no noise: Z is 0 on every mesh, X is deterministic and positive
+        cfg = moments_config(covariance=CovarianceSpec.custom(np.zeros(8)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_study(cfg)
+        assert report.z_sup_moment == report.z_l2_moment == [0.0] * 3
+        for key in ("z_sup", "z_l2"):
+            assert math.isnan(report.exponents[key])
+            assert math.isnan(report.exponents[key + "_envelope"])
+        assert math.isfinite(report.exponents["x_sup"])
+        assert report.notes == tuple(
+            f"{key} moments are not all positive: its exponents are NaN"
+            for key in ("z_sup", "z_l2"))
