@@ -7,14 +7,12 @@ measured slopes land on r - s to three decimal places.  The semigroup
 variant shows the same order once the smoothing of e^{-tA} kicks in.
 """
 
-from spdefem import CovarianceSpec, PolynomialDrift, StudyConfig, run_study
+from spdefem import StudyConfig, run_study
 
 
 def main():
     cfg = StudyConfig(
         kind="operators",
-        covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
-        drift=PolynomialDrift.allen_cahn(),
         levels=tuple(2.0 ** -k for k in range(3, 8)),
         operator_pairs=(
             (0.0, 2.0, "l2"),

@@ -67,7 +67,6 @@ from .config import ConfigError, load_config
 from .dynamics import IntegrationError
 from .experiments import (_artifact_csv, _artifact_json, run_study,
                           simulate_trajectory)
-from .selftest import run_selftest
 
 # the imports made most of the objects a study process holds: keep the
 # cyclic collector from scanning them again, and forked workers from
@@ -194,6 +193,7 @@ def _run_trajectory(args) -> int:
 
 
 def _run_selftest(args) -> int:
+    from .selftest import run_selftest  # here: a study never loads it
     start = time.perf_counter()
     results = run_selftest(seed=args.seed if args.seed is not None else 0,
                            workers=max(args.workers, 2))

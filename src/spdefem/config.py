@@ -11,7 +11,7 @@ Schema (sections and keys, with defaults in brackets):
     study:
       kind: strong | weak | splitting_dt | moments | operators   (required)
       samples: int            [400]
-      batch_size: int         [min(100, samples)]
+      batch_size: int         [100]
       p_order: int            # strong and splitting_dt only  [2]
       seed: int               [0]
     mesh:
@@ -39,15 +39,15 @@ Schema (sections and keys, with defaults in brackets):
 
 A ``<key>_log2`` key gives ``<key>`` as 2^-k; giving both is rejected,
 as is a key the noise family or drift preset does not read (``rho``
-under ``custom`` too).  The five kind-only keys, study.p_order,
-mesh.reference, time.dt_levels, functional.id and operators.pairs, set
-the fields ``StudyConfig.KIND_FIELDS`` lists with the kinds that read
-them; on any other kind the parser refuses the key when present, as a
-library ``StudyConfig`` refuses a non-default value of the field.
-An operators study draws no noise and steps no drift: the parser refuses
-study.samples, study.batch_size and every key of noise, drift, initial
-and time but time.horizon (semigroup pairs are evaluated there), so no
-key it never reads reaches its hash.
+under ``custom`` too).  One rule says which kind reads which key: each
+key sets a ``StudyConfig`` field, every ``noise`` key the covariance and
+every ``drift`` key the drift, and on a kind ``StudyConfig.KIND_FIELDS``
+does not list for that field the key is refused, as a library
+``StudyConfig`` refuses a non-default value of it.  So an operators
+study, which draws no noise and steps no drift, reads only study.kind,
+study.seed, the mesh widths and length, time.horizon (semigroup pairs
+are evaluated there) and operators.pairs, and no key it never reads
+reaches its hash.
 ``horizon``, ``length``, ``dt_ref``, ``rho``, every mesh width and every
 step size must be finite.  Two removed keys are refused with the reason:
 ``time.policy`` (every strong or weak level steps at dt_ref) and
@@ -63,7 +63,7 @@ import math
 import yaml
 
 from .dynamics import PolynomialDrift
-from .experiments import StudyConfig
+from .experiments import STUDY_KINDS, StudyConfig, _kinds_text
 from .fem import _check_operator_pair
 from .noise import CovarianceSpec
 
@@ -159,16 +159,10 @@ _REMOVED_KEYS = {
 }
 
 # the StudyConfig field of each plain key whose name differs from it;
-# noise and drift keys build the covariance and the drift instead
+# the noise and drift keys build theirs in `_BUILT`
 _FIELD_OF = {"mesh.reference": "h_ref", "initial.profile": "x0",
              "functional.id": "functional",
              "operators.pairs": "operator_pairs"}
-
-# the keys an operators study reads in the sections it shares with the
-# Monte-Carlo kinds (semigroup pairs are taken at t = horizon); any other
-# key there would be hashed but never read
-_OPERATORS_READ = {"study": ("kind", "seed"), "noise": (), "drift": (),
-                   "initial": (), "time": ("horizon",)}
 
 # the keys each noise family requires besides family; k_trunc is optional
 _NOISE_KEYS = {"power_decay": ("rho",), "white": (), "custom": ("weights",)}
@@ -246,6 +240,10 @@ def _parse_drift(values: dict) -> PolynomialDrift:
                  *(values[f"drift.{key}"] for key in required))
 
 
+# the field that all keys of a section build together, and its builder
+_BUILT = {"noise": ("covariance", _parse_noise),
+          "drift": ("drift", _parse_drift)}
+
 # libyaml's safe loader, several times faster than the pure-Python
 # SafeLoader, which is the fallback where pyyaml was built without libyaml
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -261,33 +259,26 @@ def parse_config(text: str) -> StudyConfig:
     values = _checked_values(doc)
 
     kind = values.get("study.kind")
-    if kind is None:
-        _fail("study.kind", "required: strong, weak, splitting_dt, "
-              "moments, or operators")
+    if kind not in STUDY_KINDS:
+        _fail("study.kind", ("required" if kind is None else f"unknown kind "
+              f"{kind!r}") + f"; choose {_kinds_text(STUDY_KINDS)}")
     fields = {}
     for path, value in values.items():
         plain = path.removesuffix("_log2")
         section, _, key = plain.partition(".")
-        if section in ("noise", "drift"):
-            continue
-        field = _FIELD_OF.get(plain, key)
+        built = _BUILT.get(section)
+        field = built[0] if built else _FIELD_OF.get(plain, key)
         kinds = StudyConfig.KIND_FIELDS.get(field)
         if kinds is not None and kind not in kinds:
-            _fail(path, f"only meaningful for {' or '.join(kinds)} studies")
-        fields[field] = value
+            _fail(path, f"only meaningful for {_kinds_text(kinds)} studies")
+        if not built:
+            fields[field] = value
     if "levels" not in fields:
         _fail("mesh.levels", "required (or mesh.levels_log2)")
-    fields.setdefault("batch_size",
-                      min(100, fields.get("samples", StudyConfig.samples)))
-
-    if kind == "operators":
-        for section, read in _OPERATORS_READ.items():
-            _only(values, section, "operators studies", (), read)
-        covariance = CovarianceSpec.white(k_trunc=16)  # unused by the study
-    else:
-        covariance = _parse_noise(values)
-    return _wrap("document", StudyConfig, covariance=covariance,
-                 drift=_parse_drift(values), **fields)
+    for field, build in _BUILT.values():
+        if kind in StudyConfig.KIND_FIELDS[field]:
+            fields[field] = build(values)
+    return _wrap("document", StudyConfig, **fields)
 
 
 def load_config(path) -> StudyConfig:

@@ -83,9 +83,9 @@ class PolynomialDrift:
             raise ValueError(
                 "one-sided Lipschitz violated: cubic coefficient must be "
                 "negative")
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(c.tolist())
         self.degree = degree
-        self._deriv_coeffs = tuple(polyder(c))
+        self._deriv_coeffs = tuple(polyder(c).tolist())
         if degree <= 1:
             self.one_sided_constant = float(c[1]) if degree == 1 else 0.0
         else:

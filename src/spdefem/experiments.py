@@ -47,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import time
@@ -160,6 +159,12 @@ def default_initial_profile(points: np.ndarray, length: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # configuration
 
+def _kinds_text(kinds) -> str:
+    """Study kinds as English: "a", "a or b", "a, b or c"."""
+    *rest, last = kinds
+    return f"{', '.join(rest)} or {last}" if rest else last
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Frozen description of one study; hashed into every report.
@@ -172,15 +177,20 @@ class StudyConfig:
     element count divides the next), as `noise._joint_factor` needs.
     ``horizon``, ``length`` and ``dt_ref`` must be positive and finite,
     as must every mesh width and step size.
-    The five kind-only fields, ``h_ref``, ``p_order``, ``dt_levels``,
-    ``functional`` and ``operator_pairs``, keep their defaults on every
-    kind `KIND_FIELDS` does not list for them: a value the study never
-    reads is refused, not hashed.  The YAML parser refuses the matching
-    key through the same table.  A drift whose closed-form flow overflows
-    a float over the longest drift step of a row (`_rows`) is refused.
+    `KIND_FIELDS` is the one record of which kind reads which field, for
+    library callers and the YAML parser alike: a field it lists keeps its
+    default on the kinds it does not list, so a value the study never
+    reads is refused, not hashed, and one whose default is None is
+    required on the kinds it does.  An operators study takes only
+    ``levels``, ``horizon``, ``length``, ``seed`` and ``operator_pairs``.
+    A drift whose closed-form flow overflows a float over the longest
+    drift step of a row (`_rows`) is refused.
     """
 
     KIND_FIELDS = {
+        **dict.fromkeys(("covariance", "drift", "samples", "batch_size",
+                         "dt_ref", "x0"),
+                        ("strong", "weak", "moments", "splitting_dt")),
         "h_ref": ("strong", "weak"),
         "p_order": ("strong", "splitting_dt"),
         "dt_levels": ("splitting_dt",),
@@ -189,8 +199,8 @@ class StudyConfig:
     }
 
     kind: str
-    covariance: CovarianceSpec
-    drift: PolynomialDrift
+    covariance: CovarianceSpec | None = None
+    drift: PolynomialDrift | None = None
     levels: tuple[float, ...] = ()
     h_ref: float | None = None
     dt_levels: tuple[float, ...] = ()
@@ -209,6 +219,15 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
+        for name, kinds in self.KIND_FIELDS.items():
+            value = getattr(self, name)
+            what = "a reference width" if name == "h_ref" else name
+            if self.kind in kinds and value is None:
+                raise ValueError(f"{what} is required for {self.kind} studies")
+            if (self.kind not in kinds
+                    and value != self.__dataclass_fields__[name].default):
+                raise ValueError(f"{what} is only meaningful for "
+                                 f"{_kinds_text(kinds)} studies")
         if self.x0 not in ("default", "zero", "mode1"):
             raise ValueError("x0 must be 'default', 'zero' or 'mode1'")
         for name in ("horizon", "length", "dt_ref"):
@@ -218,13 +237,15 @@ class StudyConfig:
                                  f"got {value!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.kind in ("strong", "weak", "moments", "splitting_dt"):
+        if self.kind in self.KIND_FIELDS["samples"]:
             if self.samples < 100:
                 raise ValueError("Monte-Carlo studies need at least 100 "
                                  "samples")
             if not 1 <= self.batch_size <= self.samples:
                 raise ValueError("batch_size must lie in [1, samples]")
-            _check_grid(self.horizon, self.dt_ref, "dt_ref")
+            steps = self.horizon / self.dt_ref
+            if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+                raise ValueError("dt_ref must divide the horizon evenly")
         # before the ordering checks, which NaN would fail under their
         # reason; an infinite width or step fails a tiling check instead
         for h in (*self.levels, *([] if self.h_ref is None else [self.h_ref])):
@@ -245,8 +266,6 @@ class StudyConfig:
             for pair in self.operator_pairs:
                 _check_operator_pair(*pair)
         if self.kind in ("strong", "weak"):
-            if self.h_ref is None:
-                raise ValueError("coupled studies need a reference width")
             if not self.h_ref < min(self.levels) / 2.0:
                 raise ValueError("reference width must be finer than half "
                                  "the smallest tested width")
@@ -283,20 +302,14 @@ class StudyConfig:
                     f"{self.covariance.k_trunc}")
         if self.p_order < 1:
             raise ValueError("p_order must be at least 1")
-        for name, kinds in self.KIND_FIELDS.items():
-            if (self.kind not in kinds and getattr(self, name)
-                    != self.__dataclass_fields__[name].default):
-                what = "a reference width" if name == "h_ref" else name
-                raise ValueError(f"{what} is only meaningful for "
-                                 f"{' or '.join(kinds)} studies")
-        if self.kind != "operators" and self.drift._has_closed_flow:
+        if self.drift is not None and self.drift._has_closed_flow:
             rows, _ = _rows(self, round(self.horizon / self.dt_ref))
             step = self.dt_ref * max(row.ratio for row in rows
                                      if row.drift == self.drift)
             try:
                 self.drift.flow(step, 0.0)
             except OverflowError:
-                coeffs = list(map(float, self.drift.coeffs))
+                coeffs = list(self.drift.coeffs)
                 raise ValueError(f"drift coefficients {coeffs} overflow a "
                                  f"float over a step of {step!r}") from None
 
@@ -309,15 +322,19 @@ class StudyConfig:
 
     @property
     def config_hash(self) -> str:
+        # operators reads no noise and no drift: it hashes the white noise
+        # and Allen-Cahn drift once filled in, so that its hashes hold
+        covariance = self.covariance or CovarianceSpec.white(k_trunc=16)
+        drift = self.drift or PolynomialDrift.allen_cahn()
         payload = {
             "kind": self.kind,
             "covariance": {
-                "kind": self.covariance.kind,
-                "k_trunc": self.covariance.k_trunc,
-                "rho": self.covariance.rho,
-                "weights": self.covariance.custom_weights,
+                "kind": covariance.kind,
+                "k_trunc": covariance.k_trunc,
+                "rho": covariance.rho,
+                "weights": covariance.custom_weights,
             },
-            "drift": list(self.drift.coeffs),
+            "drift": list(drift.coeffs),
             "levels": list(self.levels),
             "h_ref": self.h_ref,
             "dt_levels": list(self.dt_levels),
@@ -342,12 +359,6 @@ class StudyConfig:
     def provenance(self) -> str:
         from . import __version__
         return f"spdefem-{__version__}+cfg.{self.config_hash}.s{self.seed}"
-
-
-def _check_grid(horizon, dt, name):
-    steps = horizon / dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise ValueError(f"{name} must divide the horizon evenly")
 
 
 def _elements(width, length):
@@ -569,7 +580,6 @@ class OperatorReport(dict):
     of its error norms, and writes the study's artifacts."""
 
     kind = "operators"
-    notes = ()
     workers = 1                # operator studies never start a pool
 
     def __init__(self, fits, cfg, runtime_seconds):
@@ -580,6 +590,13 @@ class OperatorReport(dict):
     @property
     def fit_failed(self) -> bool:
         return any(fit.fit_failed for fit in self.values())
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Every pair's notes, each prefixed with its (s, r, which)."""
+        return tuple(f"({s:g}, {r:g}, {which}): {note}"
+                     for (s, r, which), fit in self.items()
+                     for note in fit.notes)
 
     def to_csv(self) -> str:
         return _artifact_csv(self.config_hash, self.seed, [
@@ -595,7 +612,7 @@ class OperatorReport(dict):
                      for (s, r, which), fit in self.items()],
             **{name: getattr(self, name) for name in (
                 "kind", "seed", "config_hash", "provenance",
-                "runtime_seconds", "workers")}})
+                "runtime_seconds", "workers", "notes")}})
 
     def summary(self) -> str:
         return "\n".join(f"operator ({s:g}, {r:g}, {which}): "
@@ -775,18 +792,13 @@ class _CoupledEngine:
         _dst()
         self.noise._chol  # noqa: B018 (first access wraps it)
 
-    def batch_bounds(self, index):
-        start = index * self.cfg.batch_size
-        return start, min(start + self.cfg.batch_size, self.cfg.samples)
-
     @property
     def n_batches(self):
         return -(-self.cfg.samples // self.cfg.batch_size)
 
     def run_batch(self, index):
         cfg = self.cfg
-        start, stop = self.batch_bounds(index)
-        batch = stop - start
+        batch = min(cfg.batch_size, cfg.samples - index * cfg.batch_size)
         # a probe row that overflows drops its sample from the probe only
         aborted = np.zeros(batch, dtype=bool)
         probe_aborted = np.zeros(batch, dtype=bool)
@@ -898,6 +910,7 @@ def _map_batches(engine, map_fn, workers):
         processes = _batch_processes(engine, map_fn, workers)
         if processes == 1:
             return [engine.run_batch(i) for i in indices]
+        import multiprocessing  # here: a serial study never loads it
         ctx = multiprocessing.get_context(_START_METHOD)
         with ctx.Pool(processes) as pool:
             return pool.map(_engine_batch, indices)

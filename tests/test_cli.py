@@ -221,6 +221,33 @@ class TestStudyCommand:
         assert len(calls) == 12
         assert payload["runtime_seconds"] >= 0.02 * len(calls)
 
+    @pytest.mark.parametrize("errors, code, note", [
+        ((0.5, 0.25, 0.3, 0.0625), 0,
+         "usable errors are not monotone in resolution"),
+        ((0.0, 0.0, 0.0, 0.0), 1,
+         "insufficient data: only 0 of 4 levels clear the noise floor, "
+         "need 3 for a rate fit"),
+    ], ids=["non-monotone", "all-zero"])
+    def test_operator_notes_reach_console_and_json(self, tmp_path, capsys,
+                                                   monkeypatch, errors,
+                                                   code, note):
+        # the pairs' notes used to stay in their reports: an operator
+        # study whose fit failed exited 1 without saying why
+        by_elements = dict(zip((8, 16, 32, 64), errors))
+        monkeypatch.setattr(experiments, "operator_error_norm",
+                            lambda space, *args, **kwargs:
+                            by_elements[space.n + 1])
+        doc = tmp_path / "operators.yaml"
+        doc.write_text(OPERATORS_DOC)
+        assert cli.main(["study", str(doc), "--out", str(tmp_path)]) == code
+        notes = [f"({pair}): {note}"
+                 for pair in ("0, 2, l2", "1, 2, ritz", "0, 1, l2")]
+        out = capsys.readouterr().out
+        assert all(f"  note: {line}\n" in out for line in notes)
+        payload = json.loads(next(tmp_path.glob("operators_*.json"))
+                             .read_text())
+        assert payload["notes"] == notes
+
     def test_noise_floor_only_fit_exits_nonzero(self, strong_doc,
                                                 tmp_path, monkeypatch):
         drowned = RateReport(
@@ -373,7 +400,8 @@ class TestErrorPaths:
                          "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "noise.family: not read by operators studies" in err
+        assert ("noise.family: only meaningful for strong, weak, moments "
+                "or splitting_dt studies") in err
         assert "Traceback" not in err
         assert not any(tmp_path.glob("*.csv"))
 
@@ -535,6 +563,8 @@ experiments.operator_error_norm = first_work(experiments.operator_error_norm)
 entry = set(sys.modules)
 seen["code"] = cli.main(sys.argv[1:])
 seen["ended"] = scipy_modules()
+seen["unused"] = sorted({"multiprocessing", "spdefem.selftest"}
+                        & set(sys.modules))
 print(json.dumps(seen))
 """
 
@@ -588,6 +618,16 @@ class TestLazyScipy:
         assert seen["set_up"] == []
         if doc == "strong":
             assert "scipy.fft" in seen["ended"]
+
+    @pytest.mark.parametrize("doc", ["operators", "strong"])
+    def test_serial_study_loads_no_pool_or_selftest(self, doc, tmp_path):
+        # both are imported only on the paths that use them
+        config = tmp_path / "study.yaml"
+        config.write_text(STUDY_DOCS[doc])
+        out = _fresh_python(["-c", _MODULE_PROBE, "study", str(config),
+                             "--out", str(tmp_path / "out")], "1")
+        seen = json.loads(out.splitlines()[-1])
+        assert seen["code"] == 0 and seen["unused"] == []
 
     def test_pool_workers_inherit_scipy(self, strong_doc, tmp_path):
         log = tmp_path / "workers.jsonl"

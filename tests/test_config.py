@@ -365,8 +365,9 @@ operators:
         # never reads it
         doc = (self.OPERATORS_BASE.replace("mesh:", extra + "mesh:")
                if extra.startswith("  ") else self.OPERATORS_BASE + extra)
-        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: not "
-                           "read by operators studies$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: only "
+                           "meaningful for strong, weak, moments or "
+                           "splitting_dt studies$"):
             parse_config(doc)
 
     def test_operators_studies_keep_the_keys_they_read(self):
@@ -378,6 +379,11 @@ operators:
         assert parse_config(doc).seed == 3
         cfg = parse_config(self.OPERATORS_BASE + "time: {horizon: 0.5}\n")
         assert cfg.horizon == 0.5
+
+    def test_library_operators_config_matches_its_document(self):
+        cfg = StudyConfig(kind="operators", levels=(0.125, 0.0625, 0.03125))
+        assert cfg.config_hash == "df758fd58d161148"
+        assert cfg == parse_config(self.OPERATORS_BASE)
 
     def test_operators_section_only_for_operator_studies(self):
         with pytest.raises(ConfigError, match=r"operators\.pairs"):

@@ -47,6 +47,12 @@ class TestDrift:
         assert zero.one_sided_constant == 0.0
         assert np.all(zero(np.linspace(-3, 3, 7)) == 0.0)
 
+    def test_coefficients_are_plain_floats(self):
+        drift = PolynomialDrift.linear(1e5)
+        assert repr(drift) == "PolynomialDrift(coeffs=(0.0, 100000.0))"
+        assert all(type(c) is float
+                   for c in drift.coeffs + drift._deriv_coeffs)
+
     def test_trailing_zeros_trimmed(self):
         drift = PolynomialDrift((0.0, 1.0, 0.0, 0.0))
         assert drift.degree == 1

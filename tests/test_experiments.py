@@ -36,6 +36,11 @@ AC = PolynomialDrift.allen_cahn()
 ZERO = PolynomialDrift.zero()
 
 
+# the fields only the Monte-Carlo kinds read (StudyConfig.KIND_FIELDS)
+MONTE_CARLO_ONLY = ("covariance", "drift", "samples", "batch_size", "dt_ref",
+                    "x0")
+
+
 def strong_config(**overrides):
     base = dict(
         kind="strong",
@@ -49,6 +54,8 @@ def strong_config(**overrides):
         batch_size=100,
         seed=17,
     )
+    if overrides.get("kind") == "operators":
+        base = {k: v for k, v in base.items() if k not in MONTE_CARLO_ONLY}
     base.update(overrides)
     return StudyConfig(**base)
 
@@ -613,7 +620,8 @@ class TestStudyConfig:
                                       (0.5, 1.0, "semigroup")])
     def test_operator_pairs_in_range(self, pair):
         with pytest.raises(ValueError, match="error norm needs"):
-            strong_config(kind="operators", operator_pairs=(pair,))
+            strong_config(kind="operators", operator_pairs=(pair,),
+                          h_ref=None)
 
     @pytest.mark.parametrize("kind, widths", [
         ("strong", dict(levels=(1 / 6, 1 / 8, 1 / 32), h_ref=2.0 ** -7)),
@@ -641,6 +649,32 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="p_order is only"):
             strong_config(kind=kind, p_order=3, **no_ref)
         assert strong_config(kind=kind, **no_ref).p_order == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("covariance", CovarianceSpec.white(k_trunc=16)),
+        ("drift", PolynomialDrift.allen_cahn()),
+        ("samples", 200),
+        ("batch_size", 50),
+        ("dt_ref", 2.0 ** -4),
+        ("x0", "zero"),
+    ], ids=MONTE_CARLO_ONLY)
+    def test_operators_refuse_the_monte_carlo_fields(self, field, value):
+        # each used to be taken, and hashed, by a study that never reads it
+        with pytest.raises(ValueError, match=f"^{field} is only meaningful "
+                           "for strong, weak, moments or splitting_dt "
+                           "studies$"):
+            StudyConfig(kind="operators", levels=(0.125, 0.0625, 0.03125),
+                        **{field: value})
+
+    @pytest.mark.parametrize("field", ["covariance", "drift"])
+    @pytest.mark.parametrize("kind", ["strong", "weak", "moments",
+                                      "splitting_dt"])
+    def test_monte_carlo_kinds_need_noise_and_drift(self, kind, field):
+        make = {"moments": moments_config, "splitting_dt": splitting_config
+                }.get(kind, functools.partial(strong_config, kind=kind))
+        with pytest.raises(ValueError, match=f"^{field} is required for "
+                           f"{kind} studies$"):
+            make(**{field: None})
 
     @pytest.mark.parametrize("field, value, reader", [
         ("dt_levels", (2.0 ** -3, 2.0 ** -4, 2.0 ** -5), "splitting_dt"),
@@ -993,9 +1027,7 @@ class TestOperators:
     def test_projection_and_ritz_rates(self):
         cfg = StudyConfig(
             kind="operators",
-            covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
-            drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
-            seed=0)
+            levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6), seed=0)
         fits = run_study(cfg)
         assert fits[(0.0, 2.0, "l2")].slope == pytest.approx(2.0, abs=0.1)
         assert fits[(1.0, 2.0, "ritz")].slope == pytest.approx(1.0, abs=0.1)
@@ -1004,9 +1036,7 @@ class TestOperators:
     def test_pair_runtimes_sum_within_the_call(self):
         cfg = StudyConfig(
             kind="operators",
-            covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
-            drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
-            seed=0)
+            levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6), seed=0)
         start = time.perf_counter()
         fits = run_study(cfg)
         wall = time.perf_counter() - start
@@ -1171,8 +1201,8 @@ class TestReportPath:
                             lambda space, *args, **kw:
                             by_elements[space.n + 1])
         operators = run_study(StudyConfig(
-            kind="operators", covariance=cfg.covariance, drift=AC,
-            levels=self.HS, operator_pairs=((0.0, 2.0, "l2"),)))
+            kind="operators", levels=self.HS,
+            operator_pairs=((0.0, 2.0, "l2"),)))
         pair = operators[(0.0, 2.0, "l2")]
         assert self.flags(pair) == self.flags(monte_carlo)
         assert (pair.slope == monte_carlo.slope

@@ -38,7 +38,7 @@ configs = {
     "moments": StudyConfig(kind="moments", levels=(0.25, 0.125, 0.0625),
                            dt_ref=2.0 ** -5, **common),
     "operators": StudyConfig(kind="operators",
-                             levels=(0.25, 0.125, 0.0625), **common),
+                             levels=(0.25, 0.125, 0.0625), horizon=0.125),
 }
 calls = {}
 for kind, cfg in configs.items():
