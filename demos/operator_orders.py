@@ -22,7 +22,7 @@ def main():
         ),
         seed=0,
     )
-    fits = run_study(cfg)
+    fits = run_study(cfg).fits
     print("operator errors between Sobolev levels s -> r")
     print("    s    r   variant     slope     expected")
     for (s, r, which), fit in fits.items():

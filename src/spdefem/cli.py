@@ -11,12 +11,12 @@ sets the process count for Monte-Carlo batches, ``--out`` picks the
 output directory (the SPDEFEM_OUT environment variable is the fallback,
 then the current directory).
 
-Artifacts are named after the study kind and config hash, so a rerun of
-the same document lands on the same files.  The CLI formats no study
-artifact: each report `run_study` returns writes its own CSV, JSON and
-console summary.  Study CSVs carry no wall-clock metadata and are
-byte-identical across reruns and worker counts; the JSON summaries carry
-runtime and the number of worker processes that ran batches (1 for
+Artifacts are named after the report kind and config hash, so a rerun of
+the same document lands on the same files.  The CLI formats no artifact:
+one function writes the CSV and JSON of a study's or trajectory's report,
+and prints its summary and notes.  CSVs carry no wall-clock metadata and
+are byte-identical across reruns and worker counts; the JSON summaries
+carry runtime and the number of worker processes that ran batches (1 for
 serial runs and operator studies).  The trajectory command rejects
 operator studies, which have no sample path.
 
@@ -60,12 +60,10 @@ import time
 # bring back the idle threads (see the module docstring)
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np  # noqa: E402
-
-from . import __version__
+from . import __version__  # noqa: E402
 from .config import ConfigError, load_config
 from .dynamics import IntegrationError
-from .experiments import (_artifact_csv, _artifact_json, run_study,
+from .experiments import (TrajectoryReport, _artifact_json, run_study,
                           simulate_trajectory)
 
 # the imports made most of the objects a study process holds: keep the
@@ -128,23 +126,31 @@ def _out_dir(args) -> str:
     return directory
 
 
-def _load(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
-def _run_study(args) -> int:
-    cfg = _load(args)
-    directory = _out_dir(args)
-    report = run_study(cfg, workers=args.workers)
-    stem = os.path.join(directory, f"{cfg.kind}_{cfg.config_hash}_s{cfg.seed}")
+def _run_report(args) -> int:
+    """Write the CSV and JSON of the study's or trajectory's report, and
+    print its summary and notes."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.command == "study":
+        report = run_study(cfg, workers=args.workers)
+    else:
+        start = time.perf_counter()
+        try:
+            path = simulate_trajectory(cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        report = TrajectoryReport(
+            *path, kind="trajectory", config_hash=cfg.config_hash,
+            seed=cfg.seed, provenance=cfg.provenance,
+            runtime_seconds=time.perf_counter() - start)
+    stem = os.path.join(_out_dir(args),
+                        f"{report.kind}_{cfg.config_hash}_s{cfg.seed}")
     _write(stem + ".csv", report.to_csv())
     _write(stem + ".json", report.to_json())
     print(report.summary())
@@ -152,44 +158,6 @@ def _run_study(args) -> int:
         print(f"  note: {note}")
     print(f"wrote {stem}.csv and {stem}.json")
     return 1 if report.fit_failed else 0
-
-
-def _run_trajectory(args) -> int:
-    cfg = _load(args)
-    start = time.perf_counter()
-    try:
-        space, times, states = simulate_trajectory(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    runtime = time.perf_counter() - start
-    directory = _out_dir(args)
-    stem = os.path.join(directory, f"trajectory_{cfg.config_hash}_s{cfg.seed}")
-
-    # nodal values per step, boundary nodes included for plotting
-    nodes = space.nodes
-    padded = np.zeros((states.shape[0], nodes.size))
-    padded[:, 1:-1] = states
-    _write(stem + ".csv", _artifact_csv(cfg.config_hash, cfg.seed, [
-        "# columns: t then nodal values at x=" +
-        ",".join(f"{x:.17g}" for x in nodes),
-        "t," + ",".join(f"x{i}" for i in range(nodes.size)),
-        *(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
-          for t, row in zip(times, padded))]))
-    _write(stem + ".json", _artifact_json({
-        "kind": "trajectory",
-        "config_hash": cfg.config_hash,
-        "seed": cfg.seed,
-        "provenance": cfg.provenance,
-        "n_steps": int(states.shape[0] - 1),
-        "n_nodes": int(nodes.size),
-        "final_sup_norm": float(np.abs(states[-1]).max()),
-        "runtime_seconds": runtime,
-        "workers": 1,
-    }))
-    print(f"trajectory {cfg.config_hash}: {states.shape[0] - 1} steps on "
-          f"{space.n} interior nodes, runtime={runtime:.1f}s")
-    print(f"wrote {stem}.csv and {stem}.json")
-    return 0
 
 
 def _run_selftest(args) -> int:
@@ -219,8 +187,7 @@ def _run_selftest(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {"study": _run_study, "trajectory": _run_trajectory,
-               "selftest": _run_selftest}[args.command]
+    handler = _run_selftest if args.command == "selftest" else _run_report
     try:
         return handler(args)
     except ConfigError as exc:

@@ -270,6 +270,7 @@ class Integrator:
         self.config = config
         self.dt = config.dt
         self._decay = np.exp(-space.eigenvalues * config.dt)
+        self._eigen_side = space._to_eigen_scale * self._decay
         self._noise_factor = None
         if covariance is not None:
             if basis is None:
@@ -301,19 +302,17 @@ class Integrator:
         allocated when omitted, with the same bits either way.
 
         In place after the flow: a DST-I, one pass scaling by the to-eigen
-        scale times ``_decay`` (an n-vector built per call), the increment,
+        scale times ``_decay`` (``_eigen_side``, built once), the increment,
         the from-eigen scale, a DST-I back.  This is `FemSpace.to_eigen`,
         the decay and `FemSpace.from_eigen` with the first two scales
         fused, equal to them up to rounding.
         """
-        space = self.space
         coeffs = _dst_in_place(self.drift.flow(self.dt, state, out=out,
                                                scratch=scratch))
-        _scale_columns(space._to_eigen_scale * self._decay, coeffs,
-                       out=coeffs)
+        _scale_columns(self._eigen_side, coeffs, out=coeffs)
         coeffs += noise_eigen
-        return _dst_in_place(_scale_columns(space._from_eigen_scale, coeffs,
-                                            out=coeffs))
+        return _dst_in_place(_scale_columns(self.space._from_eigen_scale,
+                                            coeffs, out=coeffs))
 
     def run(self, x0: np.ndarray,
             generator: np.random.Generator | None = None, *,

@@ -487,7 +487,7 @@ class LevelResult:
 
 @dataclass(kw_only=True)
 class _Report:
-    """The provenance and runtime fields of every study report."""
+    """The provenance and runtime fields of every report."""
 
     kind: str
     config_hash: str
@@ -504,6 +504,11 @@ class _Report:
 
     def to_json(self) -> str:
         return _artifact_json(asdict(self))
+
+    def _json(self, **fields) -> str:
+        """The base fields, and ``fields`` for a subclass's own."""
+        return _artifact_json({**{name: getattr(self, name) for name
+                                  in _Report.__dataclass_fields__}, **fields})
 
 
 @dataclass
@@ -534,10 +539,13 @@ class RateReport(_Report):
               f"{lv.stderr:.17g},{'true' if lv.usable else 'false'}"
               for lv in self.levels)])
 
+    def _json_levels(self) -> list:
+        return [{"level": lv.index, "h": lv.resolution, "error": lv.error,
+                 "stderr": lv.stderr, "usable": lv.usable}
+                for lv in self.levels]
+
     def to_json(self) -> str:
-        return _artifact_json({**asdict(self), "levels": [
-            {"level": lv.index, "h": lv.resolution, "error": lv.error,
-             "stderr": lv.stderr, "usable": lv.usable} for lv in self.levels]})
+        return _artifact_json({**asdict(self), "levels": self._json_levels()})
 
     def summary(self) -> str:
         return (f"{self.kind} study {self.config_hash}: "
@@ -575,49 +583,68 @@ class MomentReport(_Report):
                 f"runtime={self.runtime_seconds:.1f}s")
 
 
-class OperatorReport(dict):
-    """An operator study: maps each (s, r, which) pair to the `RateReport`
-    of its error norms, and writes the study's artifacts."""
+@dataclass
+class OperatorReport(_Report):
+    """An operator study: ``fits`` maps each (s, r, which) pair to the
+    `RateReport` of its error norms."""
 
-    kind = "operators"
-    workers = 1                # operator studies never start a pool
-
-    def __init__(self, fits, cfg, runtime_seconds):
-        super().__init__(fits)
-        self.config_hash, self.seed = cfg.config_hash, cfg.seed
-        self.provenance, self.runtime_seconds = cfg.provenance, runtime_seconds
+    fits: dict
 
     @property
     def fit_failed(self) -> bool:
-        return any(fit.fit_failed for fit in self.values())
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        """Every pair's notes, each prefixed with its (s, r, which)."""
-        return tuple(f"({s:g}, {r:g}, {which}): {note}"
-                     for (s, r, which), fit in self.items()
-                     for note in fit.notes)
+        return any(fit.fit_failed for fit in self.fits.values())
 
     def to_csv(self) -> str:
         return _artifact_csv(self.config_hash, self.seed, [
             "s,r,which,slope,ci_lo,ci_hi",
             *(f"{s:.17g},{r:.17g},{which},{fit.slope:.17g},"
               f"{fit.ci_lo:.17g},{fit.ci_hi:.17g}"
-              for (s, r, which), fit in self.items())])
+              for (s, r, which), fit in self.fits.items())])
 
     def to_json(self) -> str:
-        return _artifact_json({
-            "fits": [{"s": s, "r": r, "which": which, "slope": fit.slope,
-                      "ci_lo": fit.ci_lo, "ci_hi": fit.ci_hi}
-                     for (s, r, which), fit in self.items()],
-            **{name: getattr(self, name) for name in (
-                "kind", "seed", "config_hash", "provenance",
-                "runtime_seconds", "workers", "notes")}})
+        # a list: the (s, r, which) keys are not JSON
+        return self._json(fits=[
+            {"s": s, "r": r, "which": which, "slope": fit.slope,
+             "ci_lo": fit.ci_lo, "ci_hi": fit.ci_hi,
+             "levels": fit._json_levels(),
+             "runtime_seconds": fit.runtime_seconds, "notes": fit.notes}
+            for (s, r, which), fit in self.fits.items()])
 
     def summary(self) -> str:
         return "\n".join(f"operator ({s:g}, {r:g}, {which}): "
                          f"slope={fit.slope:.4f}"
-                         for (s, r, which), fit in self.items())
+                         for (s, r, which), fit in self.fits.items())
+
+
+@dataclass
+class TrajectoryReport(_Report):
+    """The (space, times, values) path of `simulate_trajectory`: the CSV
+    holds it, boundary nodes included for plotting, the JSON its size and
+    final sup norm."""
+
+    space: FemSpace
+    times: np.ndarray
+    values: np.ndarray
+
+    def to_csv(self) -> str:
+        nodes = self.space.nodes
+        padded = np.pad(self.values, ((0, 0), (1, 1)))
+        return _artifact_csv(self.config_hash, self.seed, [
+            "# columns: t then nodal values at x=" +
+            ",".join(f"{x:.17g}" for x in nodes),
+            "t," + ",".join(f"x{i}" for i in range(nodes.size)),
+            *(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row)
+              for t, row in zip(self.times, padded))])
+
+    def to_json(self) -> str:
+        return self._json(n_steps=len(self.times) - 1,
+                          n_nodes=self.space.nodes.size,
+                          final_sup_norm=float(np.abs(self.values[-1]).max()))
+
+    def summary(self) -> str:
+        return (f"trajectory {self.config_hash}: {len(self.times) - 1} steps "
+                f"on {self.space.n} interior nodes, "
+                f"runtime={self.runtime_seconds:.1f}s")
 
 
 def _discard_overflow(state, aborted):
@@ -877,37 +904,20 @@ _ENGINE = None
 _START_METHOD = "fork"
 
 
-def _os_threads():
-    """OS threads of this process, or None where /proc does not list them."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return None
-
-
-def _set_engine(engine):
-    global _ENGINE
-    _ENGINE = engine
-
-
 def _engine_batch(index):
     return _ENGINE.run_batch(index)
 
 
-def _batch_processes(engine, map_fn, workers):
-    """Size of `_map_batches`' pool, or 1 when the batches run in this
-    process (serially, or through the caller's ``map_fn``)."""
-    return 1 if map_fn is not None else max(1, min(workers, engine.n_batches))
-
-
-def _map_batches(engine, map_fn, workers):
+def _map_batches(engine, map_fn, processes):
+    """The engine's batch outputs, in index order: through ``map_fn`` when
+    given, else serially or on a pool of ``processes`` forked workers."""
+    global _ENGINE
     engine.load_kernels()
-    _set_engine(engine)
+    _ENGINE = engine
     try:
         indices = range(engine.n_batches)
         if map_fn is not None:
             return list(map_fn(_engine_batch, indices))
-        processes = _batch_processes(engine, map_fn, workers)
         if processes == 1:
             return [engine.run_batch(i) for i in indices]
         import multiprocessing  # here: a serial study never loads it
@@ -915,7 +925,7 @@ def _map_batches(engine, map_fn, workers):
         with ctx.Pool(processes) as pool:
             return pool.map(_engine_batch, indices)
     finally:
-        _set_engine(None)
+        _ENGINE = None
 
 
 def _gather(results, keys):
@@ -1035,23 +1045,50 @@ def _reduce_moment_study(engine, results):
         notes=tuple(notes), **fields)
 
 
-def _operator_study(cfg, start) -> OperatorReport:
-    """Exact projection/Ritz/semigroup error norms and their orders;
-    semigroup pairs are evaluated at t = cfg.horizon."""
+def _monte_carlo_study(cfg, map_fn, workers):
+    """A coupled-engine study's report, its ``workers`` and ``noise``
+    filled in, and each phase's end on the clock."""
+    engine = _CoupledEngine(cfg)
+    set_up = time.perf_counter()
+    processes = (1 if map_fn is not None
+                 else max(1, min(workers, engine.n_batches)))
+    results = _map_batches(engine, map_fn, processes)
+    mapped = time.perf_counter()
+    reduce = (_reduce_moment_study if cfg.kind == "moments"
+              else _reduce_rate_study)
+    report = reduce(engine, results)
+    report.workers = processes
+    report.noise = {**engine.noise.diagnostics(),
+                    "draws": engine.n_batches * engine.n_steps}
+    return report, {"setup_s": set_up, "batches_s": mapped,
+                    "reduce_s": time.perf_counter()}
+
+
+def _operator_study(cfg):
+    """Exact projection/Ritz/semigroup error norms and their orders, and
+    each phase's end on the clock; semigroup pairs are evaluated at
+    t = cfg.horizon."""
     finest_n = _elements(min(cfg.levels), cfg.length)
     basis = SpectralBasis(k_max=max(8 * finest_n, 2048), length=cfg.length)
     spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
-    reports = {}
+    set_up = time.perf_counter()
+    fits = {}
     for s_exp, r_exp, which in cfg.operator_pairs:
         t0 = time.perf_counter()
         t_eval = cfg.horizon if which == "semigroup" else None
         stats = [(operator_error_norm(space, basis, s=s_exp, r=r_exp,
                                       which=which, t=t_eval), 0.0)
                  for space in spaces]
-        reports[(s_exp, r_exp, which)] = _rate_report(
+        fits[(s_exp, r_exp, which)] = _rate_report(
             cfg, cfg.levels, stats, [],
             runtime_seconds=time.perf_counter() - t0)
-    return OperatorReport(reports, cfg, time.perf_counter() - start)
+    report = OperatorReport(
+        kind=cfg.kind, fits=fits, config_hash=cfg.config_hash, seed=cfg.seed,
+        provenance=cfg.provenance,
+        notes=tuple(f"({s:g}, {r:g}, {which}): {note}"
+                    for (s, r, which), fit in fits.items()
+                    for note in fit.notes))
+    return report, {"setup_s": set_up, "pairs_s": time.perf_counter()}
 
 
 def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
@@ -1061,36 +1098,29 @@ def run_study(cfg: StudyConfig, map_fn=None, workers: int = 1):
     ``map_fn`` and ``workers``.  Every other kind runs the coupled
     engine's batches through ``map_fn`` when given, else on ``workers``
     forked processes; the report is the same to the last digit either way.
-    Its JSON ``noise`` block, ``workers``, ``timings`` and ``runtime`` are
-    filled in here, after the reduction, which reads the samples alone:
-    ``timings`` split ``runtime_seconds`` into engine set-up, the batches
-    and the reduction; ``runtime`` gives the pool's start method (None when
-    the batches run in this process) and this process's OS thread count as
-    the batch map starts.
+    Every report's ``runtime_seconds``, ``timings`` and ``runtime`` are
+    filled in here, after the reduction, which reads the samples or norms
+    alone: ``timings`` split ``runtime_seconds`` into the study's phases
+    (set-up, batches and reduction; an operator study's set-up and
+    pairs); ``runtime`` gives the pool's start method (None when the work
+    runs in this process) and this process's OS thread count as the study
+    starts.
     """
     start = time.perf_counter()
-    if cfg.kind == "operators":
-        return _operator_study(cfg, start)
-    engine = _CoupledEngine(cfg)
-    set_up = time.perf_counter()
-    processes = _batch_processes(engine, map_fn, workers)
-    runtime = {"start_method": _START_METHOD if processes > 1 else None,
-               "threads": _os_threads()}
-    results = _map_batches(engine, map_fn, workers)
-    mapped = time.perf_counter()
-    reduce = (_reduce_moment_study if cfg.kind == "moments"
-              else _reduce_rate_study)
-    report = reduce(engine, results)
-    end = time.perf_counter()
-    report.noise = {**engine.noise.diagnostics(),
-                    "draws": engine.n_batches * engine.n_steps}
-    report.workers = processes
-    # differences of nearby clock readings are exact, so the three parts
-    # add up to runtime_seconds exactly
-    report.runtime_seconds = end - start
-    report.timings = {"setup_s": set_up - start, "batches_s": mapped - set_up,
-                      "reduce_s": end - mapped}
-    report.runtime = runtime
+    try:  # None where /proc does not list the threads
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = None
+    report, ends = (_operator_study(cfg) if cfg.kind == "operators"
+                    else _monte_carlo_study(cfg, map_fn, workers))
+    # each phase runs from the previous one's end; differences of nearby
+    # clock readings are exact, so the parts add up to runtime_seconds
+    clocks = [start, *ends.values()]
+    report.timings = {name: end - begin for name, begin, end
+                      in zip(ends, clocks, clocks[1:])}
+    report.runtime_seconds = clocks[-1] - start
+    report.runtime = {"threads": threads, "start_method":
+                      _START_METHOD if report.workers > 1 else None}
     return report
 
 

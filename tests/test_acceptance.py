@@ -133,7 +133,7 @@ def test_04_splitting_step_order(splitting_report):
 
 def test_05_operator_approximation_orders():
     """Projection and Ritz error orders within 0.1 of r - s."""
-    fits = run_study(study_from("operators.yaml"))
+    fits = run_study(study_from("operators.yaml")).fits
     expected = {(0.0, 2.0, "l2"): 2.0, (1.0, 2.0, "ritz"): 1.0,
                 (0.0, 1.0, "l2"): 1.0}
     gaps = {key: abs(fits[key].slope - want)

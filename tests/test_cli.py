@@ -14,7 +14,8 @@ import pytest
 import spdefem.cli as cli
 import spdefem.experiments as experiments
 from spdefem.config import parse_config
-from spdefem.experiments import LevelResult, RateReport, run_study
+from spdefem.experiments import (LevelResult, RateReport, TrajectoryReport,
+                                 _Report, run_study, simulate_trajectory)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -264,21 +265,31 @@ class TestStudyCommand:
 
 
 class TestLibraryParity:
-    @pytest.mark.parametrize("kind", sorted(STUDY_DOCS))
+    @pytest.mark.parametrize("kind", [*sorted(STUDY_DOCS), "trajectory"])
     def test_report_writes_the_cli_artifacts(self, kind, tmp_path):
+        text = STUDY_DOCS.get(kind, STRONG_DOC)
         doc = tmp_path / f"{kind}.yaml"
-        doc.write_text(STUDY_DOCS[kind])
-        report = run_study(parse_config(STUDY_DOCS[kind]))
-        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        doc.write_text(text)
+        cfg = parse_config(text)
+        if kind == "trajectory":
+            report = TrajectoryReport(
+                *simulate_trajectory(cfg), kind=kind,
+                config_hash=cfg.config_hash, seed=cfg.seed,
+                provenance=cfg.provenance)
+            code = cli.main(["trajectory", str(doc), "--out", str(tmp_path)])
+        else:
+            report = run_study(cfg)
+            code = cli.main(["study", str(doc), "--out", str(tmp_path)])
         assert next(tmp_path.glob(f"{kind}_*.csv")).read_text() \
             == report.to_csv()
 
         def drop_runtime(text):
             return re.sub(r'\n *"(runtime_seconds|setup_s|batches_s|reduce_s'
-                          r'|start_method|threads)": [^\n]*', "", text)
+                          r'|pairs_s|start_method|threads)": [^\n]*',
+                          "", text)
 
         written = next(tmp_path.glob(f"{kind}_*.json")).read_text()
-        assert "runtime_seconds" in written
+        assert set(_Report.__dataclass_fields__) <= set(json.loads(written))
         assert drop_runtime(written) == drop_runtime(report.to_json())
         assert code == (1 if report.fit_failed else 0)
 
@@ -519,8 +530,8 @@ class TestSingleThreadedProcess:
 
     def test_csv_bytes_do_not_depend_on_openblas_threads(self, strong_doc,
                                                          tmp_path):
-        # the study process counts its threads as the batch map starts,
-        # in the pooled case before the fork
+        # the study process counts its threads as the study starts, in
+        # the pooled case before the fork
         threads = 1 if os.path.isdir("/proc/self/task") else None
         csvs = set()
         for value, workers in ((None, "1"), ("1", "1"), ("2", "1"),

@@ -203,12 +203,13 @@ class TestSchemes:
         assert np.abs(out - semigroup(space, 0.25, x0)).max() < 1e-13
 
     def test_splitting_with_operator_removed_is_nodewise_flow(self, small_setup):
-        # emulate a zero operator by forcing unit decay factors
+        # emulate a zero operator by forcing unit decay factors into the
+        # eigen-side scale a step applies
         space, _, _ = small_setup
         ac = PolynomialDrift.allen_cahn()
         cfg = SchemeConfig(dt=0.25, n_steps=1)
         integ = Integrator(space, ac, cfg)
-        integ._decay = np.ones_like(integ._decay)
+        integ._eigen_side = space._to_eigen_scale.copy()
         x0 = np.sin(np.pi * space.interior) * 1.3
         out = integ.step(x0)
         assert np.abs(out - ac.flow(0.25, x0)).max() < 1e-12

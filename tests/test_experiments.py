@@ -883,21 +883,26 @@ class TestDeterminism:
             doc.pop("workers")
         assert a == b
 
-    @pytest.mark.parametrize("kind", ["strong", "moments"])
+    @pytest.mark.parametrize("kind", ["strong", "moments", "operators"])
     def test_json_timings_split_the_runtime(self, kind):
         cfg = strong_config()
+        parts = {"setup_s", "batches_s", "reduce_s"}
         if kind == "moments":
             cfg = StudyConfig(
                 kind="moments",
                 covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
                 drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
                 horizon=0.25, dt_ref=2.0 ** -4, samples=100, batch_size=100)
+        if kind == "operators":
+            cfg = strong_config(kind="operators", h_ref=None)
+            parts = {"setup_s", "pairs_s"}
         report = run_study(cfg)
         doc = json.loads(report.to_json())
         timings = doc["timings"]
-        assert set(timings) == {"setup_s", "batches_s", "reduce_s"}
+        assert set(timings) == parts
         assert min(timings.values()) >= 0.0
-        assert math.fsum(timings.values()) <= doc["runtime_seconds"]
+        # differences of one clock's readings: the parts add up exactly
+        assert math.fsum(timings.values()) == doc["runtime_seconds"]
         assert not any(key in report.to_csv() for key in timings)
 
     def test_json_workers_counts_processes_that_ran_batches(self):
@@ -907,9 +912,9 @@ class TestDeterminism:
         assert run_study(strong_config(), workers=3).workers == 2
         assert run_study(strong_config(), map_fn=map,
                          workers=2).workers == 1
-        reports = run_study(strong_config(kind="operators", h_ref=None),
-                            workers=2)
-        assert {r.workers for r in reports.values()} == {1}
+        report = run_study(strong_config(kind="operators", h_ref=None),
+                           workers=2)
+        assert report.workers == 1
 
     def test_seed_changes_results(self):
         a = run_study(strong_config(seed=1))
@@ -1028,7 +1033,7 @@ class TestOperators:
         cfg = StudyConfig(
             kind="operators",
             levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6), seed=0)
-        fits = run_study(cfg)
+        fits = run_study(cfg).fits
         assert fits[(0.0, 2.0, "l2")].slope == pytest.approx(2.0, abs=0.1)
         assert fits[(1.0, 2.0, "ritz")].slope == pytest.approx(1.0, abs=0.1)
         assert fits[(0.0, 1.0, "l2")].slope == pytest.approx(1.0, abs=0.1)
@@ -1038,11 +1043,36 @@ class TestOperators:
             kind="operators",
             levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6), seed=0)
         start = time.perf_counter()
-        fits = run_study(cfg)
+        fits = run_study(cfg).fits
         wall = time.perf_counter() - start
         runtimes = [fit.runtime_seconds for fit in fits.values()]
         assert all(r > 0.0 for r in runtimes)
         assert sum(runtimes) <= wall
+
+    def test_json_writes_each_pair_and_its_exact_norms(self):
+        cfg = StudyConfig(kind="operators",
+                          levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
+                          horizon=0.125, seed=0)
+        report = run_study(cfg)
+        doc = json.loads(report.to_json())
+        assert [(f["s"], f["r"], f["which"]) for f in doc["fits"]] \
+            == list(cfg.operator_pairs) == list(report.fits)
+        # the study's basis: 2048 modes, more than 8 per finest element
+        basis = SpectralBasis(k_max=2048, length=cfg.length)
+        for fit, pair in zip(doc["fits"], report.fits.values()):
+            assert set(fit) == {"s", "r", "which", "slope", "ci_lo",
+                                "ci_hi", "levels", "runtime_seconds",
+                                "notes"}
+            assert fit["slope"] == pair.slope
+            assert fit["runtime_seconds"] == pair.runtime_seconds > 0.0
+            assert fit["notes"] == []
+            assert [lv["h"] for lv in fit["levels"]] == list(cfg.levels)
+            for lv, h in zip(fit["levels"], cfg.levels):
+                exact = experiments.operator_error_norm(
+                    FemSpace(round(1.0 / h)), basis, s=fit["s"], r=fit["r"],
+                    which=fit["which"])
+                assert lv["error"] == exact      # bit for bit
+                assert lv["stderr"] == 0.0 and lv["usable"]
 
 
 class TestRunStudyDispatch:
@@ -1203,7 +1233,7 @@ class TestReportPath:
         operators = run_study(StudyConfig(
             kind="operators", levels=self.HS,
             operator_pairs=((0.0, 2.0, "l2"),)))
-        pair = operators[(0.0, 2.0, "l2")]
+        pair = operators.fits[(0.0, 2.0, "l2")]
         assert self.flags(pair) == self.flags(monte_carlo)
         assert (pair.slope == monte_carlo.slope
                 or math.isnan(pair.slope) and math.isnan(monte_carlo.slope))
