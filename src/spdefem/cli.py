@@ -6,10 +6,11 @@ Three commands:
     spdefem trajectory <config.yaml>  checkpoint one sample path
     spdefem selftest                  run the built-in verification battery
 
-Shared flags: ``--seed`` overrides the document's seed, ``--workers``
-sets the process count for Monte-Carlo batches, ``--out`` picks the
-output directory (the SPDEFEM_OUT environment variable is the fallback,
-then the current directory).
+Shared flags: ``--seed`` overrides the document's seed, ``--out`` picks
+the output directory (the SPDEFEM_OUT environment variable is the
+fallback, then the current directory).  Only ``study`` takes
+``--workers``, the process count for Monte-Carlo batches; the selftest
+always checks determinism across 2 workers.
 
 Artifacts are named after the report kind and config hash, so a rerun of
 the same document lands on the same files.  The CLI formats no artifact:
@@ -98,19 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"spdefem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, needs_config):
+    def add_shared(p, needs_config, takes_workers=False):
         if needs_config:
             p.add_argument("config", help="YAML study document")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the document's seed")
-        p.add_argument("--workers", type=_worker_count, default=1,
-                       help="worker processes for sample batches")
+        if takes_workers:
+            p.add_argument("--workers", type=_worker_count, default=1,
+                           help="worker processes for sample batches")
         p.add_argument("--out", default=None,
                        help="output directory (default: $SPDEFEM_OUT or .)")
 
     add_shared(sub.add_parser(
         "study", help="run the configured convergence or moment study"),
-        needs_config=True)
+        needs_config=True, takes_workers=True)
     add_shared(sub.add_parser(
         "trajectory", help="simulate one path and checkpoint every step"),
         needs_config=True)
@@ -163,8 +165,7 @@ def _run_report(args) -> int:
 def _run_selftest(args) -> int:
     from .selftest import run_selftest  # here: a study never loads it
     start = time.perf_counter()
-    results = run_selftest(seed=args.seed if args.seed is not None else 0,
-                           workers=max(args.workers, 2))
+    results = run_selftest(seed=args.seed if args.seed is not None else 0)
     failures = [r for r in results if not r.passed]
     for r in results:
         mark = "ok  " if r.passed else "FAIL"

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .fem import _dst_in_place, _scale_columns
-from .noise import CovarianceSpec, _joint_factor
+from .noise import CovarianceSpec, _JointNoise
 
 __all__ = [
     "PolynomialDrift",
@@ -257,8 +257,9 @@ class Integrator:
 
     With ``covariance=None`` the dynamics are deterministic.  Otherwise a
     spectral basis must be supplied, and `step` adds the exact stochastic
-    convolution increment, drawn as L @ standard normals with L the
-    sparse one-step factor of `noise._joint_factor`.  A step is the flow,
+    convolution increment, drawn as L @ standard normals through a
+    one-mesh `noise._JointNoise` (L the factor of the step covariance
+    `noise._step_covariances`, diagonal on one mesh).  A step is the flow,
     a DST-I, one scale by the to-eigen scale times the decay, the
     increment, the from-eigen scale and a DST-I back.
     """
@@ -271,22 +272,21 @@ class Integrator:
         self.dt = config.dt
         self._decay = np.exp(-space.eigenvalues * config.dt)
         self._eigen_side = space._to_eigen_scale * self._decay
-        self._noise_factor = None
+        self._noise = None
         if covariance is not None:
             if basis is None:
                 raise ValueError("sampling noise requires a spectral basis")
-            self._noise_factor, _ = _joint_factor([space], basis, covariance,
-                                                  config.dt)
+            self._noise = _JointNoise([space], basis, covariance, config.dt)
 
     def step(self, state: np.ndarray,
              generator: np.random.Generator | None = None) -> np.ndarray:
         """One step, drawing the convolution increment from ``generator``."""
-        if self._noise_factor is None:
+        if self._noise is None:
             return self.step_with_eigen_noise(state, 0.0)
         if generator is None:
             raise ValueError("stochastic step requires a generator")
         return self.step_with_eigen_noise(
-            state, self._noise_factor @ generator.standard_normal(state.shape))
+            state, self._noise.product(generator.standard_normal(state.shape)))
 
     def step_with_eigen_noise(self, state: np.ndarray,
                               noise_eigen: np.ndarray, out=None,

@@ -51,7 +51,6 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +58,8 @@ from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
 from .fem import (FemSpace, L2Comparer, _check_operator_pair, _dst,
                   operator_error_norm)
-from .noise import (CovarianceSpec, _check_nested, _joint_factor,
-                    _joint_factor_arrays)
+from .noise import (CovarianceSpec, _check_nested, _JointNoise,
+                    _step_covariances)
 from .rng import substream
 from .spectral import SpectralBasis
 
@@ -174,7 +173,8 @@ class StudyConfig:
     levels step at their ``dt_levels``.
 
     The meshes of strong, weak and moment studies must nest (sorted, each
-    element count divides the next), as `noise._joint_factor` needs.
+    element count divides the next), as the ancestor arrays of
+    `noise._step_covariances`, which `noise._JointNoise` factors, need.
     ``horizon``, ``length`` and ``dt_ref`` must be positive and finite,
     as must every mesh width and step size.
     `KIND_FIELDS` is the one record of which kind reads which field, for
@@ -270,7 +270,7 @@ class StudyConfig:
                 raise ValueError("reference width must be finer than half "
                                  "the smallest tested width")
         if self.kind in ("strong", "weak", "moments"):
-            # one joint noise factor drives every mesh (noise._joint_factor)
+            # one noise._JointNoise of _step_covariances drives every mesh
             widths = (self.levels if self.kind == "moments"
                       else (*self.levels, self.h_ref))
             _check_nested(_elements(h, self.length) for h in widths)
@@ -683,42 +683,6 @@ def _initial_states(profile, length, spaces, basis):
         unit[0] = 1.0
         return [s.l2_project(basis, unit) for s in spaces]
     return [default_initial_profile(s.interior, length) for s in spaces]
-
-
-class _JointNoise:
-    """Exact sampler of every mesh's convolution increment over a step d.
-
-    Holds the sparse joint factor of `noise._joint_factor_arrays`, rows in
-    mesh order, and the slice of each mesh's rows in a draw.  The factor
-    is built as numpy CSR arrays and wrapped as a scipy.sparse matrix
-    (``_chol``) on first use, so set-up loads no scipy.
-    """
-
-    def __init__(self, spaces, basis, covariance, dt):
-        self.dt = dt
-        self.slices = []
-        offset = 0
-        for space in spaces:
-            self.slices.append(slice(offset, offset + space.n))
-            offset += space.n
-        self.dim = offset
-        self._factor, self.cholesky_jitter = _joint_factor_arrays(
-            spaces, basis, covariance, dt)
-
-    @cached_property
-    def _chol(self):
-        import scipy.sparse as sp
-        return sp.csr_matrix(self._factor, shape=(self.dim, self.dim))
-
-    def sample(self, seed, batch_index, substep_index, batch):
-        gen = substream(seed, sample=batch_index, step=substep_index,
-                        purpose="wiener")
-        return self._chol @ gen.standard_normal((self.dim, batch))
-
-    def diagnostics(self) -> dict:
-        """Size, sparsity and regularization of the joint factor."""
-        return {"joint_dim": self.dim, "factor_nnz": self._factor[0].size,
-                "cholesky_jitter": self.cholesky_jitter}
 
 
 @dataclass(frozen=True)
@@ -1157,13 +1121,14 @@ def linear_weak_reference(space, basis, covariance, x0_nodal, horizon,
 
     X(T) is Gaussian: the mean decays the initial state through the
     discrete semigroup, the covariance is the exact convolution
-    covariance L L^T over [0, T].  The sine-mode pairing p is then scalar
-    Gaussian, with variance s^2 = |L^T p|^2, and
-    E cos(N(m, s^2)) = cos(m) exp(-s^2/2).
+    covariance over [0, T], one step of `noise._step_covariances`,
+    diagonal on one mesh.  The sine-mode pairing p is then scalar
+    Gaussian with the exact horizon variance s^2 = sum_i var_i p_i^2,
+    with no factor built, and E cos(N(m, s^2)) = cos(m) exp(-s^2/2).
     """
     if not 1 <= mode <= basis.k_max:
         raise ValueError(f"mode must lie in 1..{basis.k_max}, got {mode}")
-    factor, _ = _joint_factor([space], basis, covariance, horizon)
+    cov, _, _ = _step_covariances([space], basis, covariance, horizon)
     decay = np.exp(-space.eigenvalues * horizon)
     mean_eigen = decay * space.to_eigen(np.asarray(x0_nodal, float))
     index, overlap = space.alias_overlaps(basis)
@@ -1171,5 +1136,5 @@ def linear_weak_reference(space, basis, covariance, x0_nodal, horizon,
     if index[mode - 1] >= 0:
         pairing[index[mode - 1]] = overlap[mode - 1]
     m = float(pairing @ mean_eigen)
-    s_sq = float(np.sum((factor.T @ pairing) ** 2))
+    s_sq = float(cov[0][0] @ pairing ** 2)
     return math.cos(m) * math.exp(-0.5 * s_sq)

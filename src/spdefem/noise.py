@@ -19,13 +19,13 @@ On the uniform meshes of `FemSpace` each sine mode overlaps exactly one
 eigenvector per mesh (its nodal alias) or none, so b has at most one
 nonzero per column and the single-mesh covariance is diagonal.  On
 nested meshes an eigen index meets in each coarser mesh only its alias
-there, its ancestor: `_joint_factor` eliminates the joint covariance on
-per-mesh-pair ancestor arrays, without fill, into a sparse lower L, and
-every stochastic path draws a step as L @ normals.
-
-The factor is computed with numpy alone, as canonical CSR arrays
-(`_joint_factor_arrays`), so building it loads no scipy; `_joint_factor`
-wraps them as a scipy.sparse matrix.
+there, its ancestor: `_step_covariances` computes the joint covariance
+of a step of any length, a horizon included, as per-mesh-pair ancestor
+arrays.  `_JointNoise`, the one object that factors them, eliminates
+them without fill into a sparse lower L (numpy CSR arrays, so set-up
+loads no scipy; wrapped as scipy.sparse on first use), and every
+stochastic path draws a step as L @ normals through it.  The weak
+oracle and the selftest read the exact covariance and factor nothing.
 """
 
 from __future__ import annotations
@@ -33,8 +33,11 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from . import rng
 
 __all__ = ["CovarianceSpec"]
 
@@ -103,25 +106,17 @@ def _check_nested(counts) -> None:
                          "must divide the next finer one")
 
 
-def _joint_factor(spaces, basis, covariance: CovarianceSpec, dt: float):
-    """`_joint_factor_arrays` as (scipy.sparse CSR matrix, jitter)."""
-    import scipy.sparse as sp
-    arrays, jitter = _joint_factor_arrays(spaces, basis, covariance, dt)
-    dim = arrays[2].size - 1
-    return sp.csr_matrix(arrays, shape=(dim, dim)), jitter
-
-
-def _joint_factor_arrays(spaces, basis, covariance: CovarianceSpec,
-                         dt: float):
-    """Sparse lower factor of the joint one-step covariance of ``spaces``.
+def _step_covariances(spaces, basis, covariance: CovarianceSpec,
+                      dt: float):
+    """The joint covariance of ``spaces``' eigen coordinates over a step dt.
 
     The meshes must nest.  Ordered finest first, mesh pair a <= b gives
     ``up[a][b]``, mesh b's alias of each eigen index of mesh a (-1: none),
     and ``cov[a][b]``, the covariance entry (module docstring) of the
-    index and that ancestor, summed in mode order; `_nested_cholesky`
-    eliminates them.  Returns (L, jitter): L as CSR arrays (data,
-    indices, indptr), rows in the order of ``spaces``, columns finest
-    mesh first.
+    index and that ancestor, summed in mode order (0.0 where there is no
+    ancestor).  Returns (cov, up, rows), ``rows`` the row in the order of
+    ``spaces`` of each index in block order: the arguments of
+    `_nested_cholesky`.  On one mesh ``cov[0][0]`` is the diagonal.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -144,10 +139,44 @@ def _joint_factor_arrays(spaces, basis, covariance: CovarianceSpec,
             q = covariance.weights[hit] * (amp_b[hit] * amp_a[hit])
             cov[a][b] = (np.bincount(index_a[hit], q, lam[a].size)
                          * (-np.expm1(-pair * dt) / pair))
-    # the row in mesh order of each index in block order
     starts = np.cumsum([0] + [space.n for space in spaces])
     rows = np.concatenate([starts[a] + np.arange(spaces[a].n) for a in order])
-    return _nested_cholesky(cov, up, rows)
+    return cov, up, rows
+
+
+class _JointNoise:
+    """Exact sampler of every mesh's convolution increment over a step dt:
+    the factor of `_step_covariances`, rows in mesh order, and the slice
+    of each mesh's rows in a draw.  A keyed draw looks `rng.substream` up
+    on the module at each call, so a wrapper rebound there sees it."""
+
+    def __init__(self, spaces, basis, covariance, dt):
+        self.dt = dt
+        starts = np.cumsum([0] + [space.n for space in spaces]).tolist()
+        self.slices = [slice(*ends) for ends in zip(starts, starts[1:])]
+        self.dim = starts[-1]
+        self._factor, self.cholesky_jitter = _nested_cholesky(
+            *_step_covariances(spaces, basis, covariance, dt))
+
+    @cached_property
+    def _chol(self):
+        import scipy.sparse as sp
+        return sp.csr_matrix(self._factor, shape=(self.dim, self.dim))
+
+    def product(self, normals):
+        """L @ normals: the increments of the given standard normals, one
+        per row of L, in columns when 2-D."""
+        return self._chol @ normals
+
+    def sample(self, seed, batch_index, substep_index, batch):
+        gen = rng.substream(seed, sample=batch_index, step=substep_index,
+                            purpose="wiener")
+        return self.product(gen.standard_normal((self.dim, batch)))
+
+    def diagnostics(self) -> dict:
+        """Size, sparsity and regularization of the joint factor."""
+        return {"joint_dim": self.dim, "factor_nnz": self._factor[0].size,
+                "cholesky_jitter": self.cholesky_jitter}
 
 
 def _nested_cholesky(cov, up, rows):

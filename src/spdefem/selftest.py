@@ -2,11 +2,12 @@
 
 Each check exercises one hand-derivable fact against an independent
 computation: closed-form discrete eigenvalues, the reaction flow against
-a Runge-Kutta oracle, the convolution covariance composition law, the
-known deterministic approximation rates, a Gaussian closed form for the
-weak estimator, the tangent process against finite differences, and the
-byte-level determinism contract.  The battery is what the ``selftest``
-command runs; it finishes in well under a minute on one core.
+a Runge-Kutta oracle, the composition law of the two-mesh convolution
+covariance, the known deterministic approximation rates, a Gaussian
+closed form for the weak estimator, the tangent process against finite
+differences, and the byte-level determinism contract.  The battery is
+what the ``selftest`` command runs; it finishes in well under a minute
+on one core.
 
 Checks return nothing on success and raise on failure; the runner
 collects per-check status and timing.
@@ -25,7 +26,7 @@ from .dynamics import Integrator, PolynomialDrift, SchemeConfig, \
 from .experiments import (StudyConfig, default_initial_profile, fit_rate,
                           linear_weak_reference, run_study)
 from .fem import FemSpace, operator_error_norm
-from .noise import CovarianceSpec, _joint_factor
+from .noise import CovarianceSpec, _step_covariances
 from .rng import substream
 from .spectral import SpectralBasis
 
@@ -98,24 +99,25 @@ def check_flow_derivative_bounds() -> None:
 
 
 def check_covariance_composition() -> None:
-    """One-step convolution covariance over 2 dt equals the decayed
-    composition of two dt steps."""
-    space = FemSpace(24)
+    """Two nested meshes' convolution covariance over 2d, cross-mesh
+    entries included, is the decayed composition of two d steps:
+    C(2d) = e^{-(lam_a + lam_b) d} C(d) + C(d) on every ancestor link."""
+    spaces = [FemSpace(24), FemSpace(8)]  # finest first: the block order
     basis = SpectralBasis(k_max=128)
     spec = CovarianceSpec.power_decay(2.0, k_trunc=128)
     dt = 0.05
-
-    def step_covariance(step):
-        factor, _ = _joint_factor([space], basis, spec, step)
-        return (factor @ factor.T).toarray()
-
-    single, double = step_covariance(dt), step_covariance(2.0 * dt)
-    decay = np.exp(-space.eigenvalues * dt)
-    composed = decay[:, None] * single * decay[None, :] + single
-    gap = np.abs(double - composed).max()
-    scale = np.abs(double).max()
-    _check(gap < 1e-12 * max(scale, 1.0),
-           f"covariance composition violated by {gap:.3e}")
+    (single, up, _), (double, _, _) = (
+        _step_covariances(spaces, basis, spec, step) for step in (dt, 2 * dt))
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        has = up[a][b] >= 0
+        decay = np.exp(-dt * (spaces[a].eigenvalues[has]
+                              + spaces[b].eigenvalues[up[a][b][has]]))
+        composed = decay * single[a][b][has] + single[a][b][has]
+        gap = np.abs(double[a][b][has] - composed).max()
+        scale = np.abs(double[a][b]).max()
+        _check(scale > 0.0 and gap < 1e-12 * max(scale, 1.0),
+               f"mesh pair {a}{b}: covariance composition violated by "
+               f"{gap:.3e}")
 
 
 def check_truncation_tail() -> None:

@@ -435,6 +435,20 @@ class TestErrorPaths:
         assert "--workers" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["trajectory", "selftest"])
+    def test_workers_outside_study_exits_two(self, strong_doc, tmp_path,
+                                             capsys, command):
+        # one path runs in one process, and the selftest fixes its own
+        # worker count: only study takes --workers
+        config = [] if command == "selftest" else [str(strong_doc)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *config, "--workers", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["study", "trajectory", "selftest"])
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_exits_two(self, strong_doc, tmp_path,

@@ -10,6 +10,7 @@ from scipy.fft import dst
 from spdefem import (CovarianceSpec, FemSpace, IntegrationError, Integrator,
                      PolynomialDrift, SchemeConfig, SpectralBasis, substream,
                      tangent_integrate)
+from spdefem.noise import _JointNoise
 
 from oracles import field_values, semigroup
 
@@ -231,8 +232,8 @@ class TestSchemes:
         integ = Integrator(space, ac, cfg, covariance=cov, basis=basis)
         x0 = np.sin(np.pi * space.interior)
         internal = integ.step(x0, substream(7, purpose="test"))
-        noise = integ._noise_factor @ substream(7, purpose="test") \
-            .standard_normal(space.n)
+        noise = integ._noise.product(
+            substream(7, purpose="test").standard_normal(space.n))
         external = integ.step_with_eigen_noise(x0, noise)
         assert np.array_equal(internal, external)
 
@@ -284,9 +285,27 @@ class TestSchemes:
         gen = substream(8, purpose="test")
         external = x0
         for _ in range(4):
-            noise = integ._noise_factor @ gen.standard_normal((space.n, 3))
+            noise = integ._noise.product(gen.standard_normal((space.n, 3)))
             external = integ.step_with_eigen_noise(external, noise)
         assert np.array_equal(internal, external)
+
+    @pytest.mark.parametrize("shape", [(15,), (15, 4)])
+    def test_step_increment_is_the_joint_noise_product(self, small_setup,
+                                                       shape):
+        # the one-mesh Integrator draws through a _JointNoise of its own
+        # step: its increment is that object's product of the same normals
+        space, basis, cov = small_setup
+        integ = Integrator(space, PolynomialDrift.allen_cahn(),
+                           SchemeConfig(dt=2.0 ** -5, n_steps=1),
+                           covariance=cov, basis=basis)
+        state = substream(11, purpose="test").standard_normal(shape)
+        internal = integ.step(state, substream(12, purpose="test"))
+        joint = _JointNoise([space], basis, cov, 2.0 ** -5)
+        increment = joint.product(
+            substream(12, purpose="test").standard_normal(shape))
+        assert increment.shape == shape
+        external = integ.step_with_eigen_noise(state, increment)
+        assert internal.tobytes() == external.tobytes()
 
     def test_configuration_validation(self, small_setup):
         space, basis, cov = small_setup

@@ -29,7 +29,7 @@ from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
                                  _discard_overflow, _rate_report,
                                  _reduce_rate_study, _rows,
                                  validate_functional_id)
-from spdefem.noise import _joint_factor
+from spdefem.noise import _step_covariances
 from test_fem import dense_eigensystem, hat_coupling
 
 AC = PolynomialDrift.allen_cahn()
@@ -282,8 +282,8 @@ class TestJointNoise:
         spaces = [FemSpace(n) for n in (6, 8, 32)]
         covariance = CovarianceSpec.power_decay(2.0, k_trunc=64)
         with pytest.raises(ValueError, match=r"\[6, 8, 32\] do not nest"):
-            _joint_factor(spaces, SpectralBasis(k_max=64), covariance,
-                          2.0 ** -7)
+            _JointNoise(spaces, SpectralBasis(k_max=64), covariance,
+                        2.0 ** -7)
 
     @pytest.mark.parametrize("rho", [None, 1.0])  # white, power decay
     @pytest.mark.parametrize("k_trunc", [16, 300])
@@ -298,7 +298,8 @@ class TestJointNoise:
         basis = SpectralBasis(k_max=k_trunc)
         spec = (CovarianceSpec.white(k_trunc) if rho is None
                 else CovarianceSpec.power_decay(rho, k_trunc))
-        chol, jitter = _joint_factor(spaces, basis, spec, 2.0 ** -7)
+        noise = _JointNoise(spaces, basis, spec, 2.0 ** -7)
+        chol, jitter = noise._chol, noise.cholesky_jitter
         dense, overlaps = dense_joint_covariance(spaces, basis, spec,
                                                  2.0 ** -7)
         chol_dense = chol.toarray()
@@ -970,8 +971,8 @@ class TestMoments:
         assert abs(report.exponents["z_l2"]) < 0.15
 
     def test_convolution_l2_moment_matches_exact_law(self):
-        # Z_h(T) = L_T xi in eigen coordinates, M-orthonormal, so
-        # E|Z_h(T)|^2 = |L_T|_F^2 with L_T the one-step factor over [0, T]
+        # Z_h(T) is Gaussian in eigen coordinates, M-orthonormal, so
+        # E|Z_h(T)|^2 = tr C_T with C_T the one-step covariance over [0, T]
         cfg = StudyConfig(
             kind="moments",
             covariance=CovarianceSpec.power_decay(2.0, k_trunc=256),
@@ -983,9 +984,9 @@ class TestMoments:
         for h, mean, se in zip(cfg.levels, report.z_l2_moment,
                                report.z_l2_stderr):
             space = FemSpace(round(1.0 / h))
-            factor, _ = _joint_factor([space], basis, cfg.covariance,
-                                      cfg.horizon)
-            exact = float(factor.multiply(factor).sum())
+            cov, _, _ = _step_covariances([space], basis, cfg.covariance,
+                                          cfg.horizon)
+            exact = float(cov[0][0].sum())
             assert abs(mean - exact) < 4.0 * se, (h, mean, exact, se)
 
     def test_overflowing_samples_are_aborted_not_averaged(self):

@@ -12,7 +12,9 @@ import scipy.sparse as sparse
 from spdefem import (FemSpace, Integrator, PolynomialDrift, SchemeConfig,
                      SpectralBasis)
 from spdefem import noise
-from spdefem.noise import CovarianceSpec, _joint_factor, _nested_cholesky
+from spdefem.experiments import default_initial_profile, linear_weak_reference
+from spdefem.noise import (CovarianceSpec, _JointNoise, _nested_cholesky,
+                           _step_covariances)
 from spdefem.rng import substream
 
 from oracles import nested_cholesky, semigroup
@@ -46,15 +48,18 @@ def dense_step_covariance(space, basis, spec, dt):
 
 
 class TestConvolutionSampler:
-    """The single-mesh factor of `_joint_factor` and the Integrator draws."""
+    """The single-mesh factor of `_JointNoise` and the Integrator draws."""
 
     def setup_method(self):
         self.basis = SpectralBasis(k_max=256)
         self.space = FemSpace(16)
         self.spec = CovarianceSpec.power_decay(2.0, k_trunc=256)
 
+    def factor(self, dt):
+        return _JointNoise([self.space], self.basis, self.spec, dt)._chol
+
     def step_covariance(self, dt):
-        factor, _ = _joint_factor([self.space], self.basis, self.spec, dt)
+        factor = self.factor(dt)
         return (factor @ factor.T).toarray()
 
     def integrator(self, dt, n_steps, spec=None):
@@ -65,7 +70,7 @@ class TestConvolutionSampler:
     def test_zero_covariance_gives_pure_decay(self):
         spec0 = CovarianceSpec.custom(np.zeros(64))
         integ = self.integrator(0.125, 1, spec0)
-        assert integ._noise_factor.nnz == 0
+        assert integ._noise._chol.nnz == 0
         state = substream(5, purpose="test").standard_normal(self.space.n)
         out = integ.step(state, substream(6, purpose="test"))
         expected = semigroup(self.space, 0.125, state)
@@ -97,7 +102,7 @@ class TestConvolutionSampler:
                 <= 1e-14 * np.abs(dense).max()
 
     def test_sampled_moments_match_covariance(self):
-        factor, _ = _joint_factor([self.space], self.basis, self.spec, 1.0)
+        factor = self.factor(1.0)
         n_samples = 20_000
         z = factor @ substream(7, purpose="test").standard_normal(
             (self.space.n, n_samples))
@@ -146,9 +151,9 @@ class TestConvolutionSampler:
     def test_basis_smaller_than_truncation_rejected(self):
         small = SpectralBasis(k_max=16)
         with pytest.raises(ValueError, match="k_trunc"):
-            _joint_factor([self.space], small, self.spec, 0.1)
+            _JointNoise([self.space], small, self.spec, 0.1)
         with pytest.raises(ValueError, match="dt"):
-            _joint_factor([self.space], self.basis, self.spec, 0.0)
+            _JointNoise([self.space], self.basis, self.spec, 0.0)
 
     def test_cholesky_jitter_cap_reports_failure(self):
         # [[1, 2], [2, 1]] as two one-index blocks, the second the first's
@@ -221,22 +226,61 @@ class TestConvolutionSampler:
             return _nested_cholesky(cov, up, rows)
 
         monkeypatch.setattr(noise, "_nested_cholesky", spy)
-        got, jitter = _joint_factor([FemSpace(n) for n in nest],
-                                    SpectralBasis(k_max=spec.k_trunc), spec,
-                                    2.0 ** -8)
+        got = _JointNoise([FemSpace(n) for n in nest],
+                          SpectralBasis(k_max=spec.k_trunc), spec, 2.0 ** -8)
         (cov, up, rows), = calls
         want, want_jitter = nested_cholesky(cov, up)
-        assert jitter == want_jitter
+        assert got.cholesky_jitter == want_jitter
+        got = got._chol
         want = want[np.argsort(rows)]
         for part in ("indptr", "indices", "data"):
             assert (getattr(got, part).tobytes()
                     == getattr(want, part).tobytes()), part
 
     def test_factor_is_diagonal_square_root(self):
-        factor, jitter = _joint_factor([self.space], self.basis, self.spec,
-                                       0.5)
+        noise = _JointNoise([self.space], self.basis, self.spec, 0.5)
+        factor = noise._chol
         assert sparse.issparse(factor) and factor.format == "csr"
-        assert factor.nnz == self.space.n and jitter == 0.0
+        assert factor.nnz == self.space.n and noise.cholesky_jitter == 0.0
         dense = dense_step_covariance(self.space, self.basis, self.spec, 0.5)
         assert np.allclose(factor.diagonal(), np.sqrt(np.diag(dense)),
                            rtol=1e-14, atol=0.0)
+
+
+class TestHorizonVariance:
+    """`linear_weak_reference` reads the exact horizon variance of
+    `_step_covariances`, with no factor: it must equal the Gaussian
+    closed form on the dense covariance formula."""
+
+    @pytest.mark.parametrize("n,spec", [
+        (16, CovarianceSpec.white(64)),
+        (16, CovarianceSpec.power_decay(2.0, 64)),
+        (32, CovarianceSpec.white(12)),
+        (32, CovarianceSpec.power_decay(2.0, 12))],
+        ids=["white", "power_decay", "white-k_trunc<n",
+             "power_decay-k_trunc<n"])
+    @pytest.mark.parametrize("mode", [1, 3])
+    def test_reference_matches_dense_closed_form(self, n, spec, mode):
+        space = FemSpace(n)
+        basis = SpectralBasis(k_max=spec.k_trunc)
+        x0 = default_initial_profile(space.interior, 1.0)
+        horizon = 0.3
+        dense = dense_step_covariance(space, basis, spec, horizon)
+        pairing = space.mode_overlap(basis).toarray()[:, mode - 1]
+        mean = pairing @ (np.exp(-space.eigenvalues * horizon)
+                          * space.to_eigen(x0))
+        want = np.cos(mean) * np.exp(-0.5 * pairing @ dense @ pairing)
+        got = linear_weak_reference(space, basis, spec, x0, horizon,
+                                    mode=mode)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_one_mesh_covariance_is_the_dense_diagonal(self):
+        space, spec = FemSpace(32), CovarianceSpec.power_decay(2.0, 12)
+        basis = SpectralBasis(k_max=12)
+        cov, _, rows = _step_covariances([space], basis, spec, 0.3)
+        dense = dense_step_covariance(space, basis, spec, 0.3)
+        assert np.array_equal(rows, np.arange(space.n))
+        assert np.abs(cov[0][0] - np.diag(dense)).max() \
+            <= 1e-15 * np.abs(dense).max()
+        # modes 13..31 are not covered: those indices have no noise
+        assert not np.diag(dense)[12:].any() and not cov[0][0][12:].any()
