@@ -20,7 +20,6 @@ def run(covariance):
         horizon=1.0,
         dt_ref=2.0 ** -6,
         samples=200,
-        batch_size=100,
         seed=5,
     )
     return run_study(cfg, workers=2)

@@ -19,7 +19,6 @@ def main():
         dt_ref=2.0 ** -12,
         horizon=1.0,
         samples=200,
-        batch_size=100,
         seed=2,
     )
     report = run_study(cfg, workers=2)

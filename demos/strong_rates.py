@@ -29,7 +29,6 @@ def main():
             horizon=1.0,
             dt_ref=2.0 ** -6,
             samples=200,
-            batch_size=100,
             seed=11,
         )
         report = run_study(cfg, workers=2)

@@ -28,7 +28,6 @@ def run(drift, functional, seed):
         horizon=1.0,
         dt_ref=2.0 ** -6,
         samples=2000,
-        batch_size=100,
         functional=functional,
         seed=seed,
     )

@@ -11,17 +11,14 @@ Schema (sections and keys, with defaults in brackets):
     study:
       kind: strong | weak | splitting_dt | moments | operators   (required)
       samples: int            [400]
-      batch_size: int         [100]
-      p_order: int            # strong and splitting_dt only  [2]
       seed: int               [0]
     mesh:
       levels_log2: [3, 4, 5]  # h = 2^-k;  or  levels: [0.125, ...]
       reference_log2: 9       # strong and weak only; or  reference: float
-      length: float           [1.0]
     noise:
       family: power_decay | white | custom                        (required)
       rho: float              # power_decay only (required there)
-      k_trunc: int            [1024; custom: the number of weights]
+      k_trunc: int            [K_TRUNC = 1024; custom: the number of weights]
       weights: [floats]       # custom only (required there)
     drift:
       preset: allen_cahn | zero | linear    # or  coeffs: [a0, a1, ...]
@@ -45,13 +42,14 @@ every ``drift`` key the drift, and on a kind ``StudyConfig.KIND_FIELDS``
 does not list for that field the key is refused, as a library
 ``StudyConfig`` refuses a non-default value of it.  So an operators
 study, which draws no noise and steps no drift, reads only study.kind,
-study.seed, the mesh widths and length, time.horizon (semigroup pairs
-are evaluated there) and operators.pairs, and no key it never reads
-reaches its hash.
-``horizon``, ``length``, ``dt_ref``, ``rho``, every mesh width and every
-step size must be finite.  Two removed keys are refused with the reason:
-``time.policy`` (every strong or weak level steps at dt_ref) and
-``noise.beta`` (no study reads a regularity index).  The meshes of
+study.seed, the mesh widths, time.horizon (semigroup pairs are
+evaluated there) and operators.pairs, and no key it never reads reaches
+its hash.
+``horizon``, ``dt_ref``, ``rho``, every mesh width and every step size
+must be finite.  Removed keys are refused with the reason: ``time.policy``
+and ``noise.beta``, which no study reads, and ``study.batch_size``,
+``study.p_order`` and ``mesh.length``, which every study fixes (batches of
+100 samples, root-mean-square errors, the unit interval).  The meshes of
 strong, weak and moment studies must nest: sorted, each element count
 divides the next finer one (levels_log2 ladders always do).
 """
@@ -65,7 +63,7 @@ import yaml
 from .dynamics import PolynomialDrift
 from .experiments import STUDY_KINDS, StudyConfig, _kinds_text
 from .fem import _check_operator_pair
-from .noise import CovarianceSpec
+from .noise import K_TRUNC, CovarianceSpec
 
 __all__ = ["ConfigError", "parse_config", "load_config"]
 
@@ -136,11 +134,9 @@ def _pair(value, path):
 
 # section -> key -> check, which returns the converted value
 _SCHEMA = {
-    "study": {"kind": _STR, "samples": _INT, "batch_size": _INT,
-              "p_order": _INT, "seed": _INT},
+    "study": {"kind": _STR, "samples": _INT, "seed": _INT},
     "mesh": {"levels": _NUMBERS, "levels_log2": _EXPONENTS,
-             "reference": _NUMBER, "reference_log2": _EXPONENT,
-             "length": _NUMBER},
+             "reference": _NUMBER, "reference_log2": _EXPONENT},
     "noise": {"family": _STR, "rho": _NUMBER, "k_trunc": _INT,
               "weights": _NUMBERS},
     "drift": {"preset": _STR, "rate": _NUMBER, "coeffs": _NUMBERS},
@@ -156,6 +152,11 @@ _REMOVED_KEYS = {
                    "level of a strong or weak study steps at dt_ref",
     "noise.beta": "removed: no study reads a regularity index, so a "
                   "custom family takes only its weights",
+    "study.batch_size": "removed: every study runs in batches of 100 "
+                        "samples",
+    "study.p_order": "removed: strong and splitting_dt errors are always "
+                     "root-mean-square",
+    "mesh.length": "removed: every study runs on the unit interval [0, 1]",
 }
 
 # the StudyConfig field of each plain key whose name differs from it;
@@ -219,7 +220,7 @@ def _parse_noise(values: dict) -> CovarianceSpec:
           ("family", "k_trunc"))
     weights = values.get("noise.weights")
     k_trunc = values.get("noise.k_trunc",
-                         1024 if weights is None else len(weights))
+                         K_TRUNC if weights is None else len(weights))
     return _wrap("noise", CovarianceSpec, kind=family, k_trunc=k_trunc,
                  rho=values.get("noise.rho"), custom_weights=weights)
 

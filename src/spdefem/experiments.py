@@ -36,7 +36,7 @@ A batch returns per-level sample columns and aborted-sample masks only;
 the reduction gathers each level over the batches (`_gather`), and one
 builder (`_rate_report`) makes every rate report, Monte-Carlo or operator.
 
-Determinism contract: samples are organized in fixed-size batches, all
+Determinism contract: samples are organized in batches of `BATCH_SIZE`, all
 randomness is keyed by (seed, batch index, substep index, purpose), and
 reduction walks batches in index order.  Worker count therefore cannot
 change any digit of a report.
@@ -83,6 +83,10 @@ __all__ = [
 STUDY_KINDS = ("strong", "weak", "moments", "operators", "splitting_dt")
 
 NOISE_FLOOR_FACTOR = 4.0
+
+# samples per batch (the unit of work and of the random keys); 100 ran
+# fastest of 25, 50, 100, 200 and 400 on the shipped studies
+BATCH_SIZE = 100
 
 _COS_MODE_PATTERN = re.compile(r"^cos_mode_([1-9][0-9]*)$")
 
@@ -168,31 +172,31 @@ def _kinds_text(kinds) -> str:
 class StudyConfig:
     """Frozen description of one study; hashed into every report.
 
-    Every level of a strong or weak study, the reference included, steps
-    at dt_ref, so its levels differ only in the mesh width; splitting_dt
-    levels step at their ``dt_levels``.
+    Every study runs on the unit interval [0, 1], and a Monte-Carlo one
+    in batches of `BATCH_SIZE` samples.  Every level of a strong or weak
+    study, the reference included, steps at dt_ref, so its levels differ
+    only in the mesh width; splitting_dt levels step at their
+    ``dt_levels``.  Strong and splitting_dt errors are root-mean-square.
 
     The meshes of strong, weak and moment studies must nest (sorted, each
     element count divides the next), as the ancestor arrays of
     `noise._step_covariances`, which `noise._JointNoise` factors, need.
-    ``horizon``, ``length`` and ``dt_ref`` must be positive and finite,
+    ``horizon`` and ``dt_ref`` must be positive and finite,
     as must every mesh width and step size.
     `KIND_FIELDS` is the one record of which kind reads which field, for
     library callers and the YAML parser alike: a field it lists keeps its
     default on the kinds it does not list, so a value the study never
     reads is refused, not hashed, and one whose default is None is
     required on the kinds it does.  An operators study takes only
-    ``levels``, ``horizon``, ``length``, ``seed`` and ``operator_pairs``.
+    ``levels``, ``horizon``, ``seed`` and ``operator_pairs``.
     A drift whose closed-form flow overflows a float over the longest
     drift step of a row (`_rows`) is refused.
     """
 
     KIND_FIELDS = {
-        **dict.fromkeys(("covariance", "drift", "samples", "batch_size",
-                         "dt_ref", "x0"),
+        **dict.fromkeys(("covariance", "drift", "samples", "dt_ref", "x0"),
                         ("strong", "weak", "moments", "splitting_dt")),
         "h_ref": ("strong", "weak"),
-        "p_order": ("strong", "splitting_dt"),
         "dt_levels": ("splitting_dt",),
         "functional": ("weak",),
         "operator_pairs": ("operators",),
@@ -206,11 +210,8 @@ class StudyConfig:
     dt_levels: tuple[float, ...] = ()
     dt_ref: float = 2.0 ** -8
     samples: int = 400
-    batch_size: int = 100
-    p_order: int = 2
     functional: str = "exp_neg_sq_norm"
     horizon: float = 1.0
-    length: float = 1.0
     x0: str = "default"
     seed: int = 0
     operator_pairs: tuple = ((0.0, 2.0, "l2"), (1.0, 2.0, "ritz"),
@@ -230,7 +231,7 @@ class StudyConfig:
                                  f"{_kinds_text(kinds)} studies")
         if self.x0 not in ("default", "zero", "mode1"):
             raise ValueError("x0 must be 'default', 'zero' or 'mode1'")
-        for name in ("horizon", "length", "dt_ref"):
+        for name in ("horizon", "dt_ref"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -241,8 +242,6 @@ class StudyConfig:
             if self.samples < 100:
                 raise ValueError("Monte-Carlo studies need at least 100 "
                                  "samples")
-            if not 1 <= self.batch_size <= self.samples:
-                raise ValueError("batch_size must lie in [1, samples]")
             steps = self.horizon / self.dt_ref
             if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
                 raise ValueError("dt_ref must divide the horizon evenly")
@@ -252,7 +251,7 @@ class StudyConfig:
             if not h > 0:
                 raise ValueError("mesh widths must be positive and finite, "
                                  f"got {h!r}")
-            _elements(h, self.length)
+            _elements(h)
         for dt in self.dt_levels:
             if not dt > 0:
                 raise ValueError("step sizes must be positive and finite, "
@@ -273,7 +272,7 @@ class StudyConfig:
             # one noise._JointNoise of _step_covariances drives every mesh
             widths = (self.levels if self.kind == "moments"
                       else (*self.levels, self.h_ref))
-            _check_nested(_elements(h, self.length) for h in widths)
+            _check_nested(_elements(h) for h in widths)
         if self.kind == "splitting_dt":
             if len(self.dt_levels) < 3:
                 raise ValueError("need at least 3 step sizes to fit a rate")
@@ -300,8 +299,6 @@ class StudyConfig:
                     f"functional {self.functional} pairs with sine mode "
                     f"{match.group(1)}, beyond the noise's k_trunc = "
                     f"{self.covariance.k_trunc}")
-        if self.p_order < 1:
-            raise ValueError("p_order must be at least 1")
         if self.drift is not None and self.drift._has_closed_flow:
             rows, _ = _rows(self, round(self.horizon / self.dt_ref))
             step = self.dt_ref * max(row.ratio for row in rows
@@ -339,17 +336,14 @@ class StudyConfig:
             "h_ref": self.h_ref,
             "dt_levels": list(self.dt_levels),
             "dt_ref": self.dt_ref,
-            # the one drift-step policy, kept so existing hashes hold
-            "dt_policy": "fixed",
             "samples": self.samples,
-            "batch_size": self.batch_size,
-            "p_order": self.p_order,
             "functional": self.functional,
-            # the one time-stepping scheme, kept so existing hashes hold
-            "scheme": "splitting_exact_flow",
             "horizon": self.horizon,
-            "length": self.length,
             "x0": self.x0,
+            # the one drift-step policy, scheme, batch size, error order
+            # and domain length, kept so that existing hashes hold
+            "dt_policy": "fixed", "scheme": "splitting_exact_flow",
+            "batch_size": BATCH_SIZE, "p_order": 2, "length": 1.0,
             "operator_pairs": [list(p) for p in self.operator_pairs],
         }
         text = json.dumps(payload, sort_keys=True)
@@ -361,12 +355,13 @@ class StudyConfig:
         return f"spdefem-{__version__}+cfg.{self.config_hash}.s{self.seed}"
 
 
-def _elements(width, length):
-    """Element count of the uniform mesh of ``width``, which must tile."""
-    n = round(length / width)
-    if n < 2 or abs(length / n - width) > 1e-12 * length:
+def _elements(width):
+    """Element count of the uniform mesh of ``width``, which must tile
+    [0, 1]."""
+    n = round(1.0 / width)
+    if n < 2 or abs(1.0 / n - width) > 1e-12:
         raise ValueError(f"mesh width {width:g} does not tile the domain "
-                         f"[0, {length:g}]")
+                         "[0, 1]")
     return n
 
 
@@ -670,11 +665,11 @@ def _discard_overflow(state, aborted):
 # ---------------------------------------------------------------------------
 # the coupled engine (every Monte-Carlo study)
 
-def _mesh_for(width: float, length: float) -> FemSpace:
-    return FemSpace(_elements(width, length), length)
+def _mesh_for(width: float) -> FemSpace:
+    return FemSpace(_elements(width))
 
 
-def _initial_states(profile, length, spaces, basis):
+def _initial_states(profile, spaces, basis):
     """The start state of the `StudyConfig.x0` ``profile`` on each space."""
     if profile == "zero":
         return [np.zeros(s.n) for s in spaces]
@@ -682,7 +677,7 @@ def _initial_states(profile, length, spaces, basis):
         unit = np.zeros(basis.k_max)
         unit[0] = 1.0
         return [s.l2_project(basis, unit) for s in spaces]
-    return [default_initial_profile(s.interior, length) for s in spaces]
+    return [default_initial_profile(s.interior, s.length) for s in spaces]
 
 
 @dataclass(frozen=True)
@@ -747,8 +742,7 @@ class _CoupledEngine:
 
     def __init__(self, cfg: StudyConfig):
         self.cfg = cfg
-        self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc,
-                                   length=cfg.length)
+        self.basis = SpectralBasis(k_max=cfg.covariance.k_trunc)
         self.n_steps = round(cfg.horizon / cfg.dt_ref)
         self.resolutions = list(cfg.dt_levels if cfg.kind == "splitting_dt"
                                 else cfg.levels)
@@ -756,7 +750,7 @@ class _CoupledEngine:
         # only strong and weak studies have a reference mesh of their own
         widths = (cfg.levels if cfg.h_ref is None
                   else (*cfg.levels, cfg.h_ref))
-        self.spaces = [_mesh_for(w, cfg.length) for w in widths]
+        self.spaces = [_mesh_for(w) for w in widths]
         self.noise = _JointNoise(self.spaces, self.basis, cfg.covariance,
                                  cfg.dt_ref)
         self.integrators = {
@@ -764,8 +758,7 @@ class _CoupledEngine:
                             SchemeConfig(row.ratio * cfg.dt_ref,
                                          self.n_steps // row.ratio))
             for row in self.rows}
-        self.starts = {start: _initial_states(start, cfg.length, self.spaces,
-                                              self.basis)
+        self.starts = {start: _initial_states(start, self.spaces, self.basis)
                        for start in {row.start for row in self.rows}}
         # weak studies compare functionals, not fields
         self.comparers = []
@@ -785,11 +778,11 @@ class _CoupledEngine:
 
     @property
     def n_batches(self):
-        return -(-self.cfg.samples // self.cfg.batch_size)
+        return -(-self.cfg.samples // BATCH_SIZE)
 
     def run_batch(self, index):
         cfg = self.cfg
-        batch = min(cfg.batch_size, cfg.samples - index * cfg.batch_size)
+        batch = min(BATCH_SIZE, cfg.samples - index * BATCH_SIZE)
         # a probe row that overflows drops its sample from the probe only
         aborted = np.zeros(batch, dtype=bool)
         probe_aborted = np.zeros(batch, dtype=bool)
@@ -910,14 +903,14 @@ def _mean_stderr(values):
 
 def _level_stats(cfg, values):
     """A level's (error, stderr), NaN below 2 samples: the weak error is
-    |mean|; the strong and splitting_dt errors are L^p means, their stderr
-    by the delta method (0 when every sample error is 0)."""
+    |mean|; the strong and splitting_dt errors are root-mean-square, their
+    stderr by the delta method (0 when every sample error is 0)."""
     if cfg.kind == "weak":
         mean, stderr = _mean_stderr(values)
         return abs(float(mean)), float(stderr)
-    mean_p, se_p = _mean_stderr(values ** cfg.p_order)
-    error = mean_p ** (1.0 / cfg.p_order)
-    stderr = se_p * error / (cfg.p_order * mean_p) if mean_p > 0 else se_p
+    mean_sq, se_sq = _mean_stderr(values ** 2)
+    error = mean_sq ** 0.5
+    stderr = se_sq * error / (2 * mean_sq) if mean_sq > 0 else se_sq
     return float(error), float(stderr)
 
 
@@ -1032,9 +1025,8 @@ def _operator_study(cfg):
     """Exact projection/Ritz/semigroup error norms and their orders, and
     each phase's end on the clock; semigroup pairs are evaluated at
     t = cfg.horizon."""
-    finest_n = _elements(min(cfg.levels), cfg.length)
-    basis = SpectralBasis(k_max=max(8 * finest_n, 2048), length=cfg.length)
-    spaces = [_mesh_for(w, cfg.length) for w in cfg.levels]
+    basis = SpectralBasis(k_max=max(8 * _elements(min(cfg.levels)), 2048))
+    spaces = [_mesh_for(w) for w in cfg.levels]
     set_up = time.perf_counter()
     fits = {}
     for s_exp, r_exp, which in cfg.operator_pairs:
@@ -1099,13 +1091,13 @@ def simulate_trajectory(cfg: StudyConfig, seed: int | None = None):
     """
     if cfg.kind == "operators":
         raise ValueError("an operator study has no sample path to simulate")
-    basis = SpectralBasis(k_max=cfg.covariance.k_trunc, length=cfg.length)
-    space = _mesh_for(min(cfg.levels), cfg.length)
+    basis = SpectralBasis(k_max=cfg.covariance.k_trunc)
+    space = _mesh_for(min(cfg.levels))
     n_steps = round(cfg.horizon / cfg.dt_ref)
     integrator = Integrator(
         space, cfg.drift, SchemeConfig(cfg.dt_ref, n_steps),
         covariance=cfg.covariance, basis=basis)
-    x0 = _initial_states(cfg.x0, cfg.length, [space], basis)[0]
+    x0 = _initial_states(cfg.x0, [space], basis)[0]
     gen = substream(cfg.seed if seed is None else seed, purpose="trajectory")
     _, checkpoints = integrator.run(x0, gen, keep_checkpoints=True)
     times = np.arange(n_steps + 1) * cfg.dt_ref

@@ -41,6 +41,8 @@ from . import rng
 
 __all__ = ["CovarianceSpec"]
 
+K_TRUNC = 1024  # sine modes a power_decay or white covariance keeps by default
+
 
 @dataclass(frozen=True)
 class CovarianceSpec:
@@ -75,11 +77,12 @@ class CovarianceSpec:
             raise ValueError("weights are only meaningful for custom kind")
 
     @classmethod
-    def power_decay(cls, rho: float, k_trunc: int = 4096) -> "CovarianceSpec":
+    def power_decay(cls, rho: float,
+                    k_trunc: int = K_TRUNC) -> "CovarianceSpec":
         return cls(kind="power_decay", k_trunc=k_trunc, rho=rho)
 
     @classmethod
-    def white(cls, k_trunc: int = 4096) -> "CovarianceSpec":
+    def white(cls, k_trunc: int = K_TRUNC) -> "CovarianceSpec":
         return cls(kind="white", k_trunc=k_trunc)
 
     @classmethod

@@ -171,7 +171,7 @@ def check_deterministic_semigroup_rate() -> None:
         drift=PolynomialDrift.zero(),
         levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
         h_ref=2.0 ** -7, horizon=0.5, dt_ref=2.0 ** -3,
-        samples=100, batch_size=100, x0="mode1", seed=0)
+        samples=100, x0="mode1", seed=0)
     report = run_study(cfg)
     _check(abs(report.slope - 2.0) < 0.1,
            f"semigroup slope {report.slope:.3f}, expected 2")
@@ -186,7 +186,7 @@ def check_weak_gaussian_oracle(seed: int) -> None:
     cfg = StudyConfig(
         kind="weak", covariance=cov, drift=PolynomialDrift.zero(),
         levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), h_ref=2.0 ** -6,
-        horizon=0.5, dt_ref=2.0 ** -4, samples=200, batch_size=100,
+        horizon=0.5, dt_ref=2.0 ** -4, samples=200,
         functional="cos_mode_1", seed=seed)
     report = run_study(cfg)
     basis = SpectralBasis(k_max=cov.k_trunc)
@@ -246,8 +246,7 @@ def check_determinism(seed: int, workers: int) -> None:
         covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
         drift=PolynomialDrift.allen_cahn(),
         levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), h_ref=2.0 ** -6,
-        horizon=0.25, dt_ref=2.0 ** -4, samples=200, batch_size=100,
-        seed=seed)
+        horizon=0.25, dt_ref=2.0 ** -4, samples=200, seed=seed)
     first = run_study(cfg).to_csv()
     again = run_study(cfg).to_csv()
     _check(first == again, "rerun changed the CSV bytes")

@@ -106,11 +106,11 @@ def test_03_weak_rate_with_gaussian_sanity(weak_report,
     assert passed
 
     cfg = study_from("weak_linear_oracle.yaml")
-    basis = SpectralBasis(k_max=cfg.covariance.k_trunc, length=cfg.length)
+    basis = SpectralBasis(k_max=cfg.covariance.k_trunc)
     worst = 0.0
     for entry in weak_linear_report.functional_means:
-        space = FemSpace(round(cfg.length / entry["h"]), cfg.length)
-        x0 = default_initial_profile(space.interior, cfg.length)
+        space = FemSpace(round(1.0 / entry["h"]))
+        x0 = default_initial_profile(space.interior, space.length)
         oracle = linear_weak_reference(space, basis, cfg.covariance, x0,
                                        cfg.horizon)
         worst = max(worst,

@@ -463,18 +463,27 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_removed_key_exits_two(self, tmp_path):
-        doc = tmp_path / "weak.yaml"
-        doc.write_text(STRONG_DOC.replace("kind: strong", "kind: weak")
-                       + "  policy: h2beta\n")
+        doc = tmp_path / "study.yaml"
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        out = subprocess.run(
-            [sys.executable, "-m", "spdefem.cli", "study", str(doc),
-             "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert out.returncode == 2
-        assert "time.policy: removed" in out.stderr
-        assert "Traceback" not in out.stderr
-        assert not any(tmp_path.glob("*.csv"))
+        for text, removal in [
+                (STRONG_DOC.replace("kind: strong", "kind: weak")
+                 + "  policy: h2beta\n", "time.policy: removed"),
+                (STRONG_DOC.replace("seed: 17", "seed: 17\n  batch_size: 100"),
+                 "study.batch_size: removed: every study runs in batches"),
+                (STRONG_DOC.replace("seed: 17", "seed: 17\n  p_order: 2"),
+                 "study.p_order: removed: strong and splitting_dt errors"),
+                (STRONG_DOC.replace("reference_log2: 6",
+                                    "reference_log2: 6\n  length: 1.0"),
+                 "mesh.length: removed: every study runs on the unit")]:
+            doc.write_text(text)
+            out = subprocess.run(
+                [sys.executable, "-m", "spdefem.cli", "study", str(doc),
+                 "--out", str(tmp_path)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert out.returncode == 2
+            assert removal in out.stderr
+            assert "Traceback" not in out.stderr
+            assert not any(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["study", "trajectory"])
     @pytest.mark.parametrize("drift, coeffs, step", [

@@ -40,20 +40,12 @@ class TestDefaults:
         assert cfg.kind == "strong"
         assert cfg.horizon == 1.0
         assert cfg.samples == 400
-        assert cfg.p_order == 2
         assert cfg.seed == 0
-        assert cfg.batch_size == 100
         assert cfg.dt_ref == 2.0 ** -8
-        assert cfg.length == 1.0
         assert cfg.x0 == "default"
         assert cfg.drift.coeffs == (0.0, 1.0, 0.0, -1.0)  # reaction preset
         assert cfg.covariance.kind == "power_decay"
         assert cfg.covariance.rho == 2.0
-
-    def test_batch_size_defaults_to_min_of_100_and_samples(self):
-        cfg = parse_config(MINIMAL_STRONG.replace(
-            "kind: strong", "kind: strong\n  samples: 150"))
-        assert cfg.batch_size == 100
 
     def test_log2_and_plain_widths_agree(self):
         plain = MINIMAL_STRONG.replace(
@@ -224,6 +216,16 @@ class TestNoiseSection:
         assert cfg.covariance.kind == "white"
         assert cfg.covariance.k_trunc == 256
 
+    def test_omitted_k_trunc_is_the_library_default(self):
+        # one default for the parser and the classmethods, so an omitted
+        # k_trunc means one study whichever entry point built it
+        cfg = parse_config(MINIMAL_STRONG)
+        assert cfg.covariance == CovarianceSpec.power_decay(2.0)
+        assert cfg.covariance.k_trunc == 1024
+        white = parse_config(MINIMAL_STRONG.replace(
+            "family: power_decay\n  rho: 2.0", "family: white"))
+        assert white.covariance == CovarianceSpec.white()
+
     def test_custom_requires_weights_and_refuses_beta(self):
         doc = MINIMAL_STRONG.replace(
             "family: power_decay\n  rho: 2.0",
@@ -287,9 +289,43 @@ time: {policy: h2beta}
                 (weak + "\ntime:\n  policy: h2beta\n",
                  r"time\.policy: removed: the h2beta step policy is gone"),
                 (weak + "  beta: 1.0\n",
-                 r"noise\.beta: removed: no study reads a regularity index")]:
+                 r"noise\.beta: removed: no study reads a regularity index"),
+                (weak.replace("kind: weak", "kind: weak\n  batch_size: 100"),
+                 r"study\.batch_size: removed: every study runs in batches "
+                 "of 100 samples"),
+                (MINIMAL_STRONG.replace("kind: strong",
+                                        "kind: strong\n  p_order: 2"),
+                 r"study\.p_order: removed: strong and splitting_dt errors "
+                 "are always root-mean-square"),
+                (weak.replace("reference_log2: 7",
+                              "reference_log2: 7\n  length: 1.0"),
+                 r"mesh\.length: removed: every study runs on the unit "
+                 r"interval \[0, 1\]")]:
             with pytest.raises(ConfigError, match=reason):
                 parse_config(doc)
+
+    @pytest.mark.parametrize("kind", ["strong", "weak", "moments",
+                                      "operators", "splitting_dt"])
+    def test_fixed_knobs_refused_on_every_kind(self, kind):
+        # batches of 100, root-mean-square errors and the unit interval
+        # hold for every kind, so no kind takes the removed keys
+        doc = MINIMAL_STRONG.replace("kind: strong", f"kind: {kind}")
+        if kind not in ("strong", "weak"):
+            doc = doc.replace("  reference_log2: 7\n", "")
+        if kind == "operators":
+            doc = doc.split("noise:")[0]  # read by no operators study
+        if kind == "splitting_dt":
+            doc = doc.replace("[3, 4, 5]", "[5]") + (
+                "time:\n  dt_levels_log2: [3, 4, 5]\n  dt_ref_log2: 8\n")
+        parse_config(doc)
+        for key, path in [("batch_size: 100", "study.batch_size"),
+                          ("p_order: 2", "study.p_order")]:
+            with pytest.raises(ConfigError,
+                               match=rf"^{re.escape(path)}: removed"):
+                parse_config(doc.replace(f"kind: {kind}",
+                                         f"kind: {kind}\n  {key}"))
+        with pytest.raises(ConfigError, match=r"^mesh\.length: removed"):
+            parse_config(doc.replace("mesh:\n", "mesh:\n  length: 1.0\n"))
 
     def test_splitting_document(self):
         cfg = parse_config("""
@@ -336,23 +372,10 @@ operators:
         with pytest.raises(ConfigError, match=r"mesh\.reference"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("kind", ["weak", "moments", "operators"])
-    def test_p_order_only_for_strong_and_splitting_dt(self, kind):
-        doc = MINIMAL_STRONG.replace("kind: strong",
-                                     f"kind: {kind}\n  p_order: 2")
-        if kind != "weak":
-            doc = doc.replace("  reference_log2: 7\n", "")
-        if kind == "operators":
-            doc = doc.split("noise:")[0]  # read by no operators study
-        with pytest.raises(ConfigError, match=r"study\.p_order"):
-            parse_config(doc)
-        assert parse_config(doc.replace("  p_order: 2\n", "")).p_order == 2
-
     OPERATORS_BASE = "study:\n  kind: operators\nmesh:\n  levels_log2: [3, 4, 5]\n"
 
     @pytest.mark.parametrize("extra, path", [
         ("  samples: 50\n", "study.samples"),
-        ("  batch_size: 50\n", "study.batch_size"),
         ("time: {dt_ref_log2: 6}\n", "time.dt_ref_log2"),
         ("noise: {family: power_decay, rho: 2.0, k_trunc: 64}\n",
          "noise.family"),
@@ -450,8 +473,6 @@ time: {dt_ref_log2: 8, dt_levels: %s}
         ("rho: 2.0", "rho: .nan", r"noise: power_decay requires a finite "
          r"rho > 0, got nan"),
         ("rho: 2.0", "rho: .inf", "finite rho > 0, got inf"),
-        ("reference_log2: 7", "reference_log2: 7\n  length: .inf",
-         "length must be positive and finite, got inf"),
         ("rho: 2.0", "rho: 2.0\ntime:\n  horizon: .inf",
          "horizon must be positive and finite, got inf"),
         ("rho: 2.0", "rho: 2.0\ntime:\n  horizon: .nan",
@@ -473,7 +494,7 @@ time: {dt_ref_log2: 8, dt_levels: %s}
          "kind: splitting_dt\n  samples: 100\nmesh:\n  levels_log2: [5]\n"
          "time:\n  dt_ref_log2: 8\n  dt_levels: [.nan, 0.0625, 0.03125]",
          "step sizes must be positive and finite, got nan"),
-    ], ids=["rho-nan", "rho-inf", "length-inf", "horizon-inf",
+    ], ids=["rho-nan", "rho-inf", "horizon-inf",
             "horizon-nan", "dt_ref-nan", "dt_ref-zero", "reference-2^2000",
             "rate-nan", "levels-nan", "reference-nan", "dt_levels-nan"])
     def test_non_finite_values_rejected(self, old, new, reason):

@@ -25,9 +25,9 @@ from spdefem import (CovarianceSpec, FemSpace, Integrator, L2Comparer,
                      growth_exponent, linear_weak_reference, run_study,
                      simulate_trajectory, substream)
 from spdefem.dynamics import OVERFLOW_LIMIT
-from spdefem.experiments import (FUNCTIONALS, _CoupledEngine, _JointNoise,
-                                 _discard_overflow, _rate_report,
-                                 _reduce_rate_study, _rows,
+from spdefem.experiments import (BATCH_SIZE, FUNCTIONALS, _CoupledEngine,
+                                 _JointNoise, _discard_overflow, _level_stats,
+                                 _rate_report, _reduce_rate_study, _rows,
                                  validate_functional_id)
 from spdefem.noise import _step_covariances
 from test_fem import dense_eigensystem, hat_coupling
@@ -37,8 +37,7 @@ ZERO = PolynomialDrift.zero()
 
 
 # the fields only the Monte-Carlo kinds read (StudyConfig.KIND_FIELDS)
-MONTE_CARLO_ONLY = ("covariance", "drift", "samples", "batch_size", "dt_ref",
-                    "x0")
+MONTE_CARLO_ONLY = ("covariance", "drift", "samples", "dt_ref", "x0")
 
 
 def strong_config(**overrides):
@@ -51,7 +50,6 @@ def strong_config(**overrides):
         horizon=0.25,
         dt_ref=2.0 ** -4,
         samples=200,
-        batch_size=100,
         seed=17,
     )
     if overrides.get("kind") == "operators":
@@ -70,7 +68,6 @@ def splitting_config(**overrides):
         dt_ref=2.0 ** -7,
         horizon=0.25,
         samples=200,
-        batch_size=100,
         seed=5,
     )
     base.update(overrides)
@@ -86,7 +83,6 @@ def moments_config(**overrides):
         horizon=0.25,
         dt_ref=2.0 ** -4,
         samples=100,
-        batch_size=100,
     )
     base.update(overrides)
     return StudyConfig(**base)
@@ -454,7 +450,7 @@ class TestTemporalProbe:
             kind="weak", covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
             drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
             h_ref=2.0 ** -6, horizon=0.25, dt_ref=2.0 ** -6, samples=100,
-            batch_size=100, seed=3)
+            seed=3)
         engine = _CoupledEngine(cfg)
         assert [(row.role, row.ratio) for row in engine.rows[-2:]] == \
             [("probe", 2)] * 2
@@ -594,10 +590,14 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="at least 100"):
             strong_config(samples=50)
 
-    @pytest.mark.parametrize("batch", [0, 500])
-    def test_batch_size_bounds(self, batch):
-        with pytest.raises(ValueError, match="batch_size"):
-            strong_config(batch_size=batch)
+    @pytest.mark.parametrize("field, value", [("batch_size", 100),
+                                              ("p_order", 2),
+                                              ("length", 1.0)])
+    def test_fixed_knobs_are_not_fields(self, field, value):
+        # batches of 100, root-mean-square errors and the unit interval
+        # are what every study runs; not even those values are taken
+        with pytest.raises(TypeError, match=field):
+            strong_config(**{field: value})
 
     def test_dt_must_divide_horizon(self):
         with pytest.raises(ValueError, match="dt_ref"):
@@ -644,18 +644,10 @@ class TestStudyConfig:
             strong_config(kind=kind, **field)
         strong_config(kind=kind, **field, h_ref=None)
 
-    @pytest.mark.parametrize("kind", ["weak", "moments", "operators"])
-    def test_p_order_only_for_strong_and_splitting_dt(self, kind):
-        no_ref = dict(h_ref=None) if kind != "weak" else {}
-        with pytest.raises(ValueError, match="p_order is only"):
-            strong_config(kind=kind, p_order=3, **no_ref)
-        assert strong_config(kind=kind, **no_ref).p_order == 2
-
     @pytest.mark.parametrize("field, value", [
         ("covariance", CovarianceSpec.white(k_trunc=16)),
         ("drift", PolynomialDrift.allen_cahn()),
         ("samples", 200),
-        ("batch_size", 50),
         ("dt_ref", 2.0 ** -4),
         ("x0", "zero"),
     ], ids=MONTE_CARLO_ONLY)
@@ -714,7 +706,7 @@ class TestStudyConfig:
                 covariance=CovarianceSpec.power_decay(2.0, k_trunc=32),
                 drift=AC, levels=(0.125, 0.0625),
                 dt_levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
-                dt_ref=2.0 ** -8, samples=100, batch_size=100)
+                dt_ref=2.0 ** -8, samples=100)
 
     def test_splitting_dt_grid_alignment(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -723,7 +715,7 @@ class TestStudyConfig:
                 covariance=CovarianceSpec.power_decay(2.0, k_trunc=32),
                 drift=AC, levels=(0.125,),
                 dt_levels=(0.2, 0.1, 0.05),
-                dt_ref=2.0 ** -8, samples=100, batch_size=100)
+                dt_ref=2.0 ** -8, samples=100)
 
     def test_splitting_dt_accepts_odd_integer_multiples(self):
         # the step ratios need only be integers >= 2, not even ones
@@ -774,7 +766,7 @@ class TestDeterministicConvergence:
             levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             h_ref=2.0 ** -8,
             horizon=0.5, dt_ref=2.0 ** -4,
-            samples=100, batch_size=100, x0="mode1", seed=0)
+            samples=100, x0="mode1", seed=0)
         report = run_study(cfg)
         assert report.slope == pytest.approx(2.0, abs=0.05)
         assert report.monotonic
@@ -797,7 +789,7 @@ class TestRateFamily:
             kind="strong", covariance=covariance, drift=AC,
             levels=self.LEVELS, h_ref=2.0 ** -8,
             horizon=1.0, dt_ref=2.0 ** -6,
-            samples=200, batch_size=100, seed=11)
+            samples=200, seed=11)
         return run_study(cfg)
 
     @pytest.mark.parametrize("covariance, lo, hi", [
@@ -825,15 +817,14 @@ class TestWeakOracle:
             kind="weak", covariance=cov, drift=ZERO,
             levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4), h_ref=2.0 ** -6,
             horizon=0.5, dt_ref=2.0 ** -5,
-            samples=400, batch_size=100,
+            samples=400,
             functional="cos_mode_1", seed=7)
         report = run_study(cfg)
-        basis = SpectralBasis(k_max=cov.k_trunc, length=cfg.length)
+        basis = SpectralBasis(k_max=cov.k_trunc)
         assert report.functional_means is not None
         for entry in report.functional_means:
-            n = round(cfg.length / entry["h"])
-            space = FemSpace(n, cfg.length)
-            x0 = default_initial_profile(space.interior, cfg.length)
+            space = FemSpace(round(1.0 / entry["h"]))
+            x0 = default_initial_profile(space.interior, space.length)
             oracle = linear_weak_reference(space, basis, cov, x0,
                                            cfg.horizon)
             assert abs(entry["mean"] - oracle) < 4.0 * entry["stderr"]
@@ -893,7 +884,7 @@ class TestDeterminism:
                 kind="moments",
                 covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
                 drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
-                horizon=0.25, dt_ref=2.0 ** -4, samples=100, batch_size=100)
+                horizon=0.25, dt_ref=2.0 ** -4, samples=100)
         if kind == "operators":
             cfg = strong_config(kind="operators", h_ref=None)
             parts = {"setup_s", "pairs_s"}
@@ -931,7 +922,7 @@ class TestSplittingDt:
             drift=AC, levels=(2.0 ** -5,),
             dt_levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             dt_ref=2.0 ** -9, horizon=1.0,
-            samples=200, batch_size=100, seed=3)
+            samples=200, seed=3)
         report = run_study(cfg)
         assert report.slope == pytest.approx(1.0, abs=0.25)
         assert report.monotonic
@@ -946,7 +937,7 @@ class TestMoments:
             covariance=CovarianceSpec.power_decay(2.0, k_trunc=256),
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             horizon=1.0, dt_ref=2.0 ** -5,
-            samples=200, batch_size=100, seed=4)
+            samples=200, seed=4)
         report = run_study(cfg)
         assert abs(report.exponents["z_sup"]) < 0.15
         assert abs(report.exponents["z_l2"]) < 0.15
@@ -962,7 +953,7 @@ class TestMoments:
             covariance=CovarianceSpec.white(k_trunc=1024),
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             horizon=1.0, dt_ref=2.0 ** -5,
-            samples=200, batch_size=100, seed=4)
+            samples=200, seed=4)
         report = run_study(cfg)
         # sup-norm second moment grows with refinement under white noise,
         # but like a power of log(1/h), not of 1/h
@@ -978,7 +969,7 @@ class TestMoments:
             covariance=CovarianceSpec.power_decay(2.0, k_trunc=256),
             drift=AC, levels=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6),
             horizon=1.0, dt_ref=2.0 ** -5,
-            samples=200, batch_size=100, seed=4)
+            samples=200, seed=4)
         report = run_study(cfg)
         basis = SpectralBasis(k_max=256)
         for h, mean, se in zip(cfg.levels, report.z_l2_moment,
@@ -996,7 +987,7 @@ class TestMoments:
             drift=PolynomialDrift.linear(26.0),
             levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
             horizon=1.0, dt_ref=2.0 ** -4, x0="zero",
-            samples=100, batch_size=100, seed=1)
+            samples=100, seed=1)
         report = run_study(cfg)
         assert 0 < report.aborted_total < cfg.samples
         assert report.notes == (
@@ -1059,7 +1050,7 @@ class TestOperators:
         assert [(f["s"], f["r"], f["which"]) for f in doc["fits"]] \
             == list(cfg.operator_pairs) == list(report.fits)
         # the study's basis: 2048 modes, more than 8 per finest element
-        basis = SpectralBasis(k_max=2048, length=cfg.length)
+        basis = SpectralBasis(k_max=2048)
         for fit, pair in zip(doc["fits"], report.fits.values()):
             assert set(fit) == {"s", "r", "which", "slope", "ci_lo",
                                 "ci_hi", "levels", "runtime_seconds",
@@ -1144,7 +1135,7 @@ class TestReports:
             covariance=CovarianceSpec.power_decay(2.0, k_trunc=64),
             drift=AC, levels=(2.0 ** -2, 2.0 ** -3, 2.0 ** -4),
             horizon=0.25, dt_ref=2.0 ** -4,
-            samples=100, batch_size=100, seed=1)
+            samples=100, seed=1)
         doc = json.loads(run_study(cfg).to_json())
         for key in ("resolutions", "z_sup_moment", "z_l2_moment",
                     "x_sup_moment", "exponents", "config_hash",
@@ -1155,7 +1146,7 @@ class TestReports:
         # one joint factor over the meshes (n = 3, 7, 15), one draw per step
         assert doc["noise"]["joint_dim"] == sum(
             round(1.0 / h) - 1 for h in cfg.levels)
-        n_batches = -(-cfg.samples // cfg.batch_size)
+        n_batches = -(-cfg.samples // BATCH_SIZE)
         n_steps = round(cfg.horizon / cfg.dt_ref)
         assert doc["noise"]["draws"] == n_batches * n_steps
 
@@ -1239,6 +1230,49 @@ class TestReportPath:
         assert (pair.slope == monte_carlo.slope
                 or math.isnan(pair.slope) and math.isnan(monte_carlo.slope))
         assert operators.fit_failed == monte_carlo.fit_failed
+
+
+class TestBatches:
+    """Every study runs its samples in batches of `BATCH_SIZE` = 100, the
+    last batch holding the remainder."""
+
+    @pytest.mark.parametrize("samples, sizes", [
+        (100, [100]), (150, [100, 50]), (200, [100, 100]),
+        (301, [100, 100, 100, 1])])
+    def test_samples_split_into_batches_of_100(self, samples, sizes):
+        engine = _CoupledEngine(moments_config(samples=samples))
+        assert BATCH_SIZE == 100
+        assert engine.n_batches == len(sizes)
+        assert [engine.run_batch(i)["aborted"].size
+                for i in range(engine.n_batches)] == sizes
+
+
+class TestLevelStats:
+    """A level's error: |mean| for weak studies, root-mean-square with a
+    delta-method stderr for strong and splitting_dt studies."""
+
+    VALUES = np.array([0.5, -1.25, 2.0, 0.75, -0.125, 1.5])
+
+    @pytest.mark.parametrize("kind", ["strong", "splitting_dt"])
+    def test_strong_errors_are_root_mean_square(self, kind):
+        error, stderr = _level_stats(SimpleNamespace(kind=kind), self.VALUES)
+        squares = self.VALUES ** 2
+        rms = math.sqrt(squares.mean())
+        assert error == pytest.approx(rms, rel=1e-15)
+        # d sqrt(m) = dm / (2 sqrt(m))
+        se_sq = squares.std(ddof=1) / math.sqrt(squares.size)
+        assert stderr == pytest.approx(se_sq / (2 * rms), rel=1e-14)
+
+    def test_weak_error_is_absolute_mean(self):
+        error, stderr = _level_stats(SimpleNamespace(kind="weak"),
+                                     -self.VALUES)
+        assert error == pytest.approx(abs(self.VALUES.mean()), rel=1e-15)
+        assert stderr == pytest.approx(
+            self.VALUES.std(ddof=1) / math.sqrt(self.VALUES.size), rel=1e-14)
+
+    def test_zero_errors_give_zero_stderr(self):
+        assert _level_stats(SimpleNamespace(kind="strong"),
+                            np.zeros(4)) == (0.0, 0.0)
 
 
 class TestDegenerateLevels:

@@ -26,7 +26,7 @@ tracer = Tracer()
 instrument(tracer)
 common = dict(covariance=CovarianceSpec.power_decay(2.0, k_trunc=32),
               drift=PolynomialDrift.allen_cahn(), horizon=0.125,
-              samples=100, batch_size=100)
+              samples=100)
 configs = {
     "strong": StudyConfig(kind="strong", levels=(0.25, 0.125, 0.0625),
                           h_ref=2.0 ** -6, dt_ref=2.0 ** -5, **common),
