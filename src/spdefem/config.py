@@ -23,6 +23,7 @@ Schema (sections and keys, with defaults in brackets):
     drift:
       preset: allen_cahn | zero | linear    # or  coeffs: [a0, a1, ...]
       rate: float             # linear preset only (required there)
+      # coeffs: [a0] or [a0, a1], or a cubic [0, a1, 0, a3] with a3 < 0
     time:
       horizon: float          [1.0]
       dt_ref_log2: int        # or  dt_ref: float   [dt_ref = 2^-8]

@@ -1,20 +1,19 @@
 """Polynomial reaction terms, their exact flows, and time stepping.
 
-The reaction f is a polynomial with finite one-sided Lipschitz constant
-(sup of f' over the real line).  That restricts the degree to 0, 1, or 3
-with a negative cubic coefficient; the default is the bistable cubic
+The reaction f is a polynomial whose flow is known in closed form and
+has a finite one-sided Lipschitz constant (sup of f' over the real
+line): the zero drift, affine drifts a0 + a1 x, and odd cubics
+a1 x + a3 x^3 with a3 < 0.  The default is the bistable cubic
 f(x) = x - x^3.
 
-For drifts of the form f(x) = a1 x + a3 x^3 the flow of dx = f(x) dt is
-known in closed form,
+For the cubics the flow of dx = f(x) dt is
 
     Phi_t(x) = x e^{a1 t} / sqrt(1 - a3 x^2 g(t)),
     g(t) = (e^{2 a1 t} - 1) / a1   (g = 2t when a1 = 0),
 
 with derivative Phi_t'(x) = e^{a1 t} (1 - a3 x^2 g)^{-3/2}.  Since
-a3 <= 0 and g >= 0 the radicand never drops below 1, so the flow is
-globally defined.  Affine drifts integrate elementarily; anything else
-falls back to step-doubling RK4 with local error kept under 1e-12.
+a3 < 0 and g >= 0 the radicand never drops below 1, so the flow is
+globally defined.  Affine drifts integrate elementarily.
 
 A single one-step map advances the semidiscrete SPDE, with the nodal
 state as columns of a batch: exact-flow Lie splitting, a nodewise exact
@@ -29,9 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads numpy.polynomial lazily, on first attribute access: import
-# it with this module, not while a config is parsed
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .fem import _dst_in_place, _scale_columns
 from .noise import CovarianceSpec, _JointNoise
@@ -46,8 +42,6 @@ __all__ = [
 
 OVERFLOW_LIMIT = 1.0e6
 
-_RK4_LOCAL_TOL = 1e-12
-
 
 class IntegrationError(RuntimeError):
     """A trajectory left the admissible range (overflow or non-finite)."""
@@ -58,12 +52,14 @@ class IntegrationError(RuntimeError):
 
 
 class PolynomialDrift:
-    """Polynomial reaction term with a global upper bound on f'.
+    """Polynomial reaction term whose flow is closed-form, with a global
+    upper bound on f'.
 
-    ``coeffs`` are ascending, (a0, a1, ..., aK).  Admissible degrees are
-    0 and 1 (f' constant) and 3 with a3 < 0 (f' concave, maximum at the
-    vertex).  Even degrees and positive cubics have sup f' = infinity
-    and are rejected.
+    ``coeffs`` are ascending, (a0, a1, ..., aK).  Admissible are degrees
+    0 and 1 (f' constant) and cubics a1 x + a3 x^3 with a3 < 0 (f'
+    concave, maximum a1 at 0).  Even degrees and positive cubics have
+    sup f' = infinity, and a cubic with a0 or a2 nonzero has no
+    closed-form flow: all are rejected.
     """
 
     def __init__(self, coeffs):
@@ -83,15 +79,13 @@ class PolynomialDrift:
             raise ValueError(
                 "one-sided Lipschitz violated: cubic coefficient must be "
                 "negative")
+        if degree == 3 and (c[0] != 0.0 or c[2] != 0.0):
+            raise ValueError(
+                "a cubic reaction has a closed-form flow only when "
+                f"a0 = a2 = 0, got coefficients {c.tolist()}")
         self.coeffs = tuple(c.tolist())
         self.degree = degree
-        self._deriv_coeffs = tuple(polyder(c).tolist())
-        if degree <= 1:
-            self.one_sided_constant = float(c[1]) if degree == 1 else 0.0
-        else:
-            a1, a2, a3 = c[1], c[2], c[3]
-            # vertex of the downward parabola f'(x) = 3 a3 x^2 + 2 a2 x + a1
-            self.one_sided_constant = float(a1 - a2 ** 2 / (3.0 * a3))
+        self.one_sided_constant = self.coeffs[1] if degree else 0.0
 
     @classmethod
     def allen_cahn(cls) -> "PolynomialDrift":
@@ -117,16 +111,13 @@ class PolynomialDrift:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        return polyval(x, self.coeffs)
-
-    def derivative(self, x):
-        return polyval(x, self._deriv_coeffs)
-
-    @property
-    def _has_closed_flow(self) -> bool:
-        if self.degree <= 1:
-            return True
-        return self.coeffs[0] == 0.0 and self.coeffs[2] == 0.0
+        """f(x) by Horner's rule, in numpy ``polyval``'s order, shaped
+        like x."""
+        x = np.asarray(x, dtype=float)
+        value = self.coeffs[-1] + x * 0.0
+        for coeff in self.coeffs[-2::-1]:
+            value = coeff + value * x
+        return value
 
     def flow(self, t: float, x, out=None, scratch=None):
         """Value of the ODE flow Phi_t(x), elementwise in x.
@@ -152,10 +143,6 @@ class PolynomialDrift:
         if t == 0.0:
             np.copyto(out, x)
             return out, np.ones_like(x) if derivative else None
-        if not self._has_closed_flow:
-            y, d = self._rk4_flow(t, x, derivative)
-            np.copyto(out, y)
-            return out, d
         if self.degree <= 1:
             a0 = self.coeffs[0]
             a1 = self.coeffs[1] if self.degree == 1 else 0.0
@@ -183,58 +170,6 @@ class PolynomialDrift:
         np.multiply(x, growth, out=out)
         out *= inv_root
         return out, deriv
-
-    def _rk4_flow(self, t: float, x: np.ndarray, derivative: bool):
-        """Step-doubling RK4 for the flow and, if asked, its x-derivative.
-
-        Integrates y' = f(y), augmented with d' = f'(y) d when the
-        derivative is wanted, with a shared adaptive step across all
-        entries; the step control reads y alone, so y is the same either
-        way.  The one-sided bound keeps trajectories from escaping, so the
-        stepper always lands.
-        """
-        y = x.astype(float).copy()
-        d = np.ones_like(y) if derivative else None
-        remaining = float(t)
-        scale = 1.0 + abs(self.one_sided_constant) \
-            + float(np.abs(self.derivative(y)).max(initial=0.0))
-        dt = min(remaining, 0.1 / scale)
-        for _ in range(100_000):
-            if remaining <= 0.0:
-                return y, d
-            dt = min(dt, remaining)
-            y_full, d_full = self._rk4_step(y, d, dt)
-            y_half, d_half = self._rk4_step(y, d, 0.5 * dt)
-            y_two, d_two = self._rk4_step(y_half, d_half, 0.5 * dt)
-            err_scale = np.maximum(1.0, np.abs(y_two))
-            err = float(np.max(np.abs(y_two - y_full) / err_scale))
-            if err < _RK4_LOCAL_TOL:
-                y = y_two + (y_two - y_full) / 15.0
-                if derivative:
-                    d = d_two + (d_two - d_full) / 15.0
-                remaining -= dt
-            factor = 0.9 * (_RK4_LOCAL_TOL / max(err, 1e-300)) ** 0.2
-            dt *= min(4.0, max(0.2, factor))
-        raise RuntimeError("flow integration failed to converge")
-
-    def _rk4_step(self, y, d, dt):
-        """One RK4 step of y' = f(y) and, unless d is None, d' = f'(y) d."""
-        k1 = self(y)
-        y2 = y + 0.5 * dt * k1
-        k2 = self(y2)
-        y3 = y + 0.5 * dt * k2
-        k3 = self(y3)
-        y4 = y + dt * k3
-        k4 = self(y4)
-        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if d is None:
-            return y_new, None
-        l1 = self.derivative(y) * d
-        l2 = self.derivative(y2) * (d + 0.5 * dt * l1)
-        l3 = self.derivative(y3) * (d + 0.5 * dt * l2)
-        l4 = self.derivative(y4) * (d + dt * l3)
-        d_new = d + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        return y_new, d_new
 
 
 @dataclass(frozen=True)

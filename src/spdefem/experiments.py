@@ -299,7 +299,7 @@ class StudyConfig:
                     f"functional {self.functional} pairs with sine mode "
                     f"{match.group(1)}, beyond the noise's k_trunc = "
                     f"{self.covariance.k_trunc}")
-        if self.drift is not None and self.drift._has_closed_flow:
+        if self.drift is not None:
             rows, _ = _rows(self, round(self.horizon / self.dt_ref))
             step = self.dt_ref * max(row.ratio for row in rows
                                      if row.drift == self.drift)

@@ -170,29 +170,19 @@ class FemSpace:
         return self.from_eigen(_scale_columns(
             self._from_eigen_scale / self.eigenvalues, vt_b))
 
-    def to_eigen(self, v: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+    def to_eigen(self, v: np.ndarray) -> np.ndarray:
         """Nodal values -> coefficients in the discrete eigenbasis, V^T M v.
 
-        Accepts a vector or an (n, batch) array of columns.  With ``out``
-        (a float array of v's shape, possibly v itself) the coefficients
-        are written there, with the same bits.
+        Accepts a vector or an (n, batch) array of columns.
         """
-        v = np.asarray(v, dtype=float)
-        if out is None:
-            out = v.copy()
-        elif out is not v:
-            np.copyto(out, v)
+        out = np.asarray(v, dtype=float).copy()
         return _scale_columns(self._to_eigen_scale, _dst_in_place(out),
                               out=out)
 
-    def from_eigen(self, c: np.ndarray, out: np.ndarray | None = None
-                   ) -> np.ndarray:
-        """Eigen coefficients -> nodal values, V c (inverse of to_eigen);
-        ``out`` as in `to_eigen`."""
+    def from_eigen(self, c: np.ndarray) -> np.ndarray:
+        """Eigen coefficients -> nodal values, V c (inverse of to_eigen)."""
         c = np.asarray(c, dtype=float)
-        return _dst_in_place(_scale_columns(self._from_eigen_scale, c,
-                                            out=out))
+        return _dst_in_place(_scale_columns(self._from_eigen_scale, c))
 
     # -- norms --------------------------------------------------------------
 

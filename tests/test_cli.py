@@ -360,6 +360,17 @@ class TestErrorPaths:
         assert "k_trunc = 64" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
+    def test_cubic_without_closed_form_flow_exits_two(self, tmp_path,
+                                                      capsys):
+        doc = tmp_path / "strong.yaml"
+        doc.write_text(STRONG_DOC + "drift:\n  coeffs: [1, 1, 0, -1]\n")
+        code = cli.main(["study", str(doc), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "drift.coeffs:" in err and "a0 = a2 = 0" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_untiled_mesh_width_exits_two(self, tmp_path, capsys):
         doc = tmp_path / "strong.yaml"
         doc.write_text(STRONG_DOC.replace("levels_log2: [2, 3, 4]",

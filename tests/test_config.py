@@ -185,6 +185,11 @@ class TestDriftSection:
                            match="one-sided Lipschitz violated"):
             parse_config(self.base("  coeffs: [0.0, 1.0, 0.0, 1.0]"))
 
+    def test_cubic_without_closed_form_flow_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"^drift\.coeffs: .*a0 = a2 = 0"):
+            parse_config(self.base("  coeffs: [1, 1, 0, -1]"))
+
     def test_even_degree_rejected_as_one_sided_violation(self):
         with pytest.raises(ConfigError,
                            match="one-sided Lipschitz violated"):

@@ -195,6 +195,16 @@ class TestFitRate:
             capture_output=True, text=True, check=True, env=env, timeout=120)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
+        import spdefem
+        src = os.path.dirname(os.path.dirname(spdefem.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, spdefem.cli; "
+             "print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env, timeout=120)
+        assert out.stdout.strip() == "False"
 
 def dense_joint_covariance(spaces, basis, covariance, dt):
     """Joint substep covariance from dense overlaps V^T C, block by block:
