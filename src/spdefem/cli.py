@@ -26,16 +26,16 @@ OPENBLAS_NUM_THREADS=1, overriding any user value, before numpy is first
 imported.  (``import spdefem`` loads its modules only when a public name
 is first used, so it imports no numpy ahead of this, and pins nothing
 for library use.)  No CLI path makes a BLAS call large enough to gain
-from threads (the largest is a 2 x 2 solve), while the idle pools of
-numpy's and scipy's OpenBLAS spin on the CPU at start-up.  A study
-process therefore runs on one OS thread, and ``--workers`` forks a
-single-threaded process.
+from threads (the largest is a 2 x 2 solve), while an idle OpenBLAS
+pool spins on the CPU at start-up.  A study process therefore runs on
+one OS thread, and ``--workers`` forks a single-threaded process.
 
 Importing this module loads no scipy, whose import costs more than a
 whole operator study: operator studies and ``--help`` run on numpy and
-pyyaml alone.  A Monte-Carlo study loads scipy (the DST and the sparse
-joint factor) as its batch map starts, in this process before any fork,
-so that the workers inherit it.  Whatever the set-up between `main`'s
+pyyaml alone.  A Monte-Carlo study loads two of scipy's compiled
+kernels, the DST and the CSR product with the joint factor, as its batch
+map starts, in this process before any fork, so that the workers inherit
+them; it imports no scipy package.  Whatever the set-up between `main`'s
 entry and the first batch reaches is imported with this module, and the
 objects the imports made are then frozen out of the cyclic collector
 (`gc.freeze`).

@@ -56,8 +56,8 @@ import numpy as np
 
 from .dynamics import (OVERFLOW_LIMIT, Integrator, PolynomialDrift,
                        SchemeConfig)
-from .fem import (FemSpace, L2Comparer, _check_operator_pair, _dst,
-                  operator_error_norm)
+from .fem import (_POCKETFFT, _SPARSETOOLS, FemSpace, L2Comparer,
+                  _check_operator_pair, _scipy_kernel, operator_error_norm)
 from .noise import (CovarianceSpec, _check_nested, _JointNoise,
                     _step_covariances)
 from .rng import substream
@@ -769,12 +769,12 @@ class _CoupledEngine:
                 for row in self.rows if row.role == "tested"]
 
     def load_kernels(self):
-        """Load what the batches compute with: scipy's DST and the joint
-        factor as scipy.sparse CSR.  Set-up loads no scipy; `_map_batches`
-        calls this before a pool forks, so that the workers inherit them
-        instead of each importing scipy."""
-        _dst()
-        self.noise._chol  # noqa: B018 (first access wraps it)
+        """Load what the batches compute with: scipy's compiled DST and
+        CSR kernels, through `fem._scipy_kernel`, which imports no scipy
+        package.  `_map_batches` calls this before a pool forks, so that
+        the workers inherit both instead of each loading them."""
+        for path in (_POCKETFFT, _SPARSETOOLS):
+            _scipy_kernel(path)
 
     @property
     def n_batches(self):

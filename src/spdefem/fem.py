@@ -33,18 +33,26 @@ on an inertia count that costs O(block size) per block and step.
 because `perfbench/spans.py` patches them by name.
 
 Importing this module loads no scipy: scipy's import costs more than a
-whole operator study, which needs none of it.  The DST is imported at
-its first call (`_dst`), and scipy.sparse where a matrix is first built:
-the mass and stiffness matrices and the mode overlap.  An `L2Comparer`
-builds no matrix of its own: it interpolates the coarser field onto the
-finer of two nested meshes and takes the finer mesh's mass norm.
+whole operator study, which needs none of it.  A Monte-Carlo study needs
+two of scipy's compiled kernels, pocketfft's DST and sparsetools' CSR
+products, and `_scipy_kernel` loads them from scipy's install at their
+first call without importing any scipy package.  scipy.sparse is
+imported only where a matrix is built: the mass and stiffness matrices,
+read by the selftest, and the mode overlap of an ``x0: mode1`` start.
+The mass norm forms M v in numpy, and an `L2Comparer` builds no matrix
+of its own: it interpolates the coarser field onto the finer of two
+nested meshes and takes the finer mesh's mass norm.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
+import os
+import sys
 from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -77,25 +85,51 @@ def _scale_columns(factors: np.ndarray, coeffs: np.ndarray,
     return np.multiply(factors[:, None], coeffs, out=out)
 
 
-@cache
-def _dst():
-    """scipy's DST, imported on the first call.
+# scipy's compiled kernels, as paths in its package directory
+_POCKETFFT = "fft/_pocketfft/pypocketfft"
+_SPARSETOOLS = "sparse/_sparsetools"
 
-    scipy.fftpack's `dst` runs the pocketfft transform of scipy.fft's,
-    with the same bits, but skips scipy.fft's backend dispatch: about
-    6 us of the 19 us a 7 x 100 DST-I takes, on each of the two DSTs per
-    row and step.
+
+@cache
+def _scipy_kernel(path: str):
+    """The compiled scipy module at ``path``, loaded without importing
+    any scipy package.
+
+    Importing scipy.fftpack or scipy.sparse to reach a kernel also loads
+    scipy's array-API layer (array_api_compat, numpy.f2py, numpy.testing,
+    scipy.special): about 0.2 s and 22 MB a process.  So this finds
+    scipy's directory (`find_spec` imports nothing) and loads the
+    extension file itself, leaving sys.modules as it was (a single-phase
+    extension enters itself there).  Raises ImportError, naming the file
+    and scipy's version, when the install has no such file.
     """
-    from scipy.fftpack import dst
-    return dst
+    root, = importlib.util.find_spec("scipy").submodule_search_locations
+    stem = os.path.join(root, *path.split("/"))
+    found = [stem + suffix for suffix in EXTENSION_SUFFIXES
+             if os.path.isfile(stem + suffix)]
+    if not found:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no compiled module "
+                          f"{stem} (suffixes {', '.join(EXTENSION_SUFFIXES)})")
+    name = "scipy." + path.replace("/", ".")
+    loader = ExtensionFileLoader(name, found[0])
+    registered = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+    finally:
+        if registered is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = registered
+    return module
 
 
 def _dst_in_place(a: np.ndarray) -> np.ndarray:
-    """Type-I DST along axis 0, written over the float array ``a``."""
-    result = _dst()(a, type=1, axis=0, overwrite_x=True)
-    if not np.may_share_memory(result, a):
-        np.copyto(a, result)
-    return a
+    """Type-I DST along axis 0, written over the float array ``a``: the
+    pocketfft call scipy.fft's `dst` makes, without its dispatch."""
+    return _scipy_kernel(_POCKETFFT).dst(a, 1, (0,), 0, a, 1)
 
 
 class FemSpace:
@@ -160,13 +194,13 @@ class FemSpace:
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
         """M^{-1} b = V V^T b (V^T M V = I); V^T b is a scaled DST-I.
         Unused: kept only because `perfbench/spans.py` patches it by name."""
-        vt_b = _dst()(np.asarray(b, dtype=float), type=1, axis=0)
+        vt_b = _dst_in_place(np.array(b, dtype=float))
         return self.from_eigen(_scale_columns(self._from_eigen_scale, vt_b))
 
     def solve_stiffness(self, b: np.ndarray) -> np.ndarray:
         """S^{-1} b = V Lambda_h^{-1} V^T b.
         Unused: kept only because `perfbench/spans.py` patches it by name."""
-        vt_b = _dst()(np.asarray(b, dtype=float), type=1, axis=0)
+        vt_b = _dst_in_place(np.array(b, dtype=float))
         return self.from_eigen(_scale_columns(
             self._from_eigen_scale / self.eigenvalues, vt_b))
 
@@ -187,10 +221,18 @@ class FemSpace:
     # -- norms --------------------------------------------------------------
 
     def l2_norm(self, v: np.ndarray) -> float | np.ndarray:
+        """Mass norm sqrt(v^T M v) of a vector, or of each column.
+
+        M v is summed in CSR row order, off v[i-1] + diag v[i], then
+        + off v[i+1], so the bits are those of ``self.mass @ v``.
+        """
         v = np.asarray(v)
+        mv = (2.0 * self.h / 3.0) * v
+        mv[1:] += (self.h / 6.0) * v[:-1]
+        mv[:-1] += (self.h / 6.0) * v[1:]
         if v.ndim == 1:
-            return float(np.sqrt(v @ self.mass @ v))
-        return np.sqrt(np.einsum("ij,ij->j", v, self.mass @ v))
+            return float(np.sqrt(mv @ v))
+        return np.sqrt(np.einsum("ij,ij->j", v, mv))
 
     # -- coupling to the sine basis ------------------------------------------
 

@@ -23,9 +23,10 @@ there, its ancestor: `_step_covariances` computes the joint covariance
 of a step of any length, a horizon included, as per-mesh-pair ancestor
 arrays.  `_JointNoise`, the one object that factors them, eliminates
 them without fill into a sparse lower L (numpy CSR arrays, so set-up
-loads no scipy; wrapped as scipy.sparse on first use), and every
-stochastic path draws a step as L @ normals through it.  The weak
-oracle and the selftest read the exact covariance and factor nothing.
+loads no scipy), and every stochastic path draws a step as L @ normals
+through it, by scipy's compiled CSR product (`fem._scipy_kernel`), which
+imports no scipy package.  The weak oracle and the selftest read the
+exact covariance and factor nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
+from .fem import _SPARSETOOLS, _scipy_kernel
 
 __all__ = ["CovarianceSpec"]
 
@@ -163,13 +165,29 @@ class _JointNoise:
 
     @cached_property
     def _chol(self):
+        """The factor as a scipy.sparse CSR view, for the tests and the
+        perfbench factor probe; no draw reads it."""
         import scipy.sparse as sp
         return sp.csr_matrix(self._factor, shape=(self.dim, self.dim))
 
     def product(self, normals):
         """L @ normals: the increments of the given standard normals, one
-        per row of L, in columns when 2-D."""
-        return self._chol @ normals
+        per row of L, in columns when 2-D.  The sparsetools call scipy's
+        CSR ``@`` makes, into zeros: one vector through `csr_matvec`,
+        several through `csr_matvecs`."""
+        if normals.shape[0] != self.dim:
+            raise ValueError(f"need {self.dim} rows of normals, "
+                             f"got {normals.shape[0]}")
+        data, indices, indptr = self._factor
+        out = np.zeros(normals.shape)
+        kernels = _scipy_kernel(_SPARSETOOLS)
+        if normals.ndim == 1 or normals.shape[1] == 1:
+            kernels.csr_matvec(self.dim, self.dim, indptr, indices, data,
+                               normals.ravel(), out.ravel())
+        else:
+            kernels.csr_matvecs(self.dim, self.dim, normals.shape[1], indptr,
+                                indices, data, normals.ravel(), out.ravel())
+        return out
 
     def sample(self, seed, batch_index, substep_index, batch):
         gen = rng.substream(seed, sample=batch_index, step=substep_index,

@@ -614,11 +614,11 @@ print(json.dumps(seen))
 """
 
 # Runs cli.main(argv[2:]) in a fresh process; every pool worker appends
-# to the file argv[1], at its first batch, whether scipy.fft and
-# scipy.sparse were loaded.
+# to the file argv[1], at its first batch, how many of scipy's compiled
+# kernels were loaded and which scipy modules were.
 _WORKER_PROBE = """
 import functools, json, sys
-from spdefem import cli, experiments
+from spdefem import cli, experiments, fem
 
 def first_batch(fn):
     @functools.wraps(fn)
@@ -626,8 +626,10 @@ def first_batch(fn):
         if not seen:
             seen.append(index)
             with open(sys.argv[1], "a") as log:
-                log.write(json.dumps([m in sys.modules for m in
-                                      ("scipy.fft", "scipy.sparse")]) + "\\n")
+                log.write(json.dumps([
+                    fem._scipy_kernel.cache_info().currsize,
+                    sorted(m for m in sys.modules
+                           if m.partition(".")[0] == "scipy")]) + "\\n")
         return fn(index)
     return engine_batch
 
@@ -646,23 +648,31 @@ class TestLazyScipy:
         assert seen["code"] == 0
         assert seen["imported"] == [] and seen["ended"] == []
 
-    @pytest.mark.parametrize("doc", ["operators", "strong"])
+    @pytest.mark.parametrize("doc", ["operators", "strong", "weak",
+                                     "moments", "splitting_dt"])
     def test_set_up_imports_no_module(self, doc, tmp_path):
         # importing scipy also loads numpy.polynomial, numpy.ma and
         # locale; without it, whatever set-up reaches must already be
-        # loaded with the package
+        # loaded with the package, and the batches load scipy's compiled
+        # kernels without importing a scipy package
         if doc == "operators":
             config = SRC.parent / "configs" / "operators.yaml"
         else:
-            config = tmp_path / "strong.yaml"
-            config.write_text(STRONG_DOC)
+            config = tmp_path / f"{doc}.yaml"
+            config.write_text(STUDY_DOCS[doc])
         out = _fresh_python(["-c", _MODULE_PROBE, "study", str(config),
                              "--out", str(tmp_path / "out")], "1")
         seen = json.loads(out.splitlines()[-1])
         assert seen["code"] == 0
         assert seen["set_up"] == []
-        if doc == "strong":
-            assert "scipy.fft" in seen["ended"]
+        assert seen["ended"] == []
+
+    def test_trajectory_loads_no_scipy(self, strong_doc, tmp_path):
+        out = _fresh_python(["-c", _MODULE_PROBE, "trajectory",
+                             str(strong_doc), "--out", str(tmp_path)], "1")
+        seen = json.loads(out.splitlines()[-1])
+        assert seen["code"] == 0
+        assert seen["imported"] == [] and seen["ended"] == []
 
     @pytest.mark.parametrize("doc", ["operators", "strong"])
     def test_serial_study_loads_no_pool_or_selftest(self, doc, tmp_path):
@@ -674,13 +684,13 @@ class TestLazyScipy:
         seen = json.loads(out.splitlines()[-1])
         assert seen["code"] == 0 and seen["unused"] == []
 
-    def test_pool_workers_inherit_scipy(self, strong_doc, tmp_path):
+    def test_pool_workers_inherit_the_kernels(self, strong_doc, tmp_path):
         log = tmp_path / "workers.jsonl"
         _fresh_python(["-c", _WORKER_PROBE, str(log), "study",
                        str(strong_doc), "--workers", "2",
                        "--out", str(tmp_path / "pooled")], None)
         loaded = [json.loads(line) for line in log.read_text().splitlines()]
-        assert loaded and all(seen == [True, True] for seen in loaded)
+        assert loaded and all(seen == [2, []] for seen in loaded)
         doc = json.loads(next((tmp_path / "pooled").glob("*.json"))
                          .read_text())
         assert doc["workers"] == 2
